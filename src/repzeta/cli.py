@@ -23,7 +23,7 @@ from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .euler_global import DivergenceScan, divergence_scan, euler_partial_product, sandwich_check
 from .euler_global import EulerProductSpec
-from .finite_oracle import character_degrees, conjugacy_classes, sl2_group
+from .finite_oracle import character_degrees, sl2_group
 from .isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from .local_sl2 import (
     evaluate_local,
@@ -125,12 +125,11 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], lis
     if args.group != "sl2":
         raise ValueError(f"unknown group family {args.group!r}; only 'sl2' is available")
     group = sl2_group(args.modulus)
-    classes = conjugacy_classes(group)
     census = character_degrees(group)
     result: dict[str, Any] = {
         "group": f"SL2(Z/{args.modulus})",
         "order": group.order,
-        "class_count": classes.count,
+        "class_count": census.total_count,
         "degree_mass": census.mass,
     }
     # cross-link with the closed formula when the modulus is an odd prime power
@@ -157,6 +156,8 @@ def _prime_power(m: int) -> tuple[int | None, int]:
 
 
 def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     rng = random.Random(args.seed)
     rows = []
     all_match = True
@@ -188,6 +189,8 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list
 
 
 def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+    if args.sample is not None and args.sample < 1:
+        raise ValueError(f"--sample must be >= 1, got {args.sample}")
     family = build_census_family(args.m, args.q, args.k, args.t)
     sample = None if args.sample is None else list(range(min(args.sample, len(family.y_reps))))
     report = distinct_class_count(family, sample=sample)

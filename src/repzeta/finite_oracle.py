@@ -6,11 +6,18 @@ identity; conjugacy classes come from generator-conjugation orbit sweeps
 class); character degrees come from the Burnside-Dixon algorithm run
 modulo a prime l = 1 (mod exponent(G)) with l > 2*sqrt(|G|), so every
 step is exact integer arithmetic.
+
+The eigenspace split never builds a full class matrix (Schneider's
+refinement): a subspace kept in reduced-echelon form is acted on through
+the class-matrix rows at its pivot columns only, and each row costs |C_i|
+products.  The resulting table is certified by the second orthogonality
+relation over F_l.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -208,51 +215,41 @@ def dixon_prime(order: int, exponent: int) -> int:
     return ell
 
 
-def _class_matrix(
+def _class_row(
     group: FiniteMatrixGroup,
     classes: ClassData,
     members: list[list[Flat]],
     i: int,
+    j: int,
     ell: int,
-) -> list[list[int]]:
-    """M_i with (M_i)[j][k] = #{(x, y) in C_i x C_j : x*y = rep_k}, mod l."""
-    c = classes.count
-    n, m = group.n, group.modulus
-    mat = [[0] * c for _ in range(c)]
-    inv_members = [_inv(x, n, m) for x in members[i]]
-    for k, z in enumerate(classes.representatives):
-        for xinv in inv_members:
-            y = _mul(xinv, z, n, m)
-            j = classes.class_of[y]
-            mat[j][k] += 1
-    return [[v % ell for v in row] for row in mat]
-
-
-def _coords_in_echelon(
-    vec: list[int], basis: list[list[int]], pivots: list[int], ell: int
 ) -> list[int]:
-    """Coordinates of vec in a reduced-echelon basis; vec must lie in the span."""
-    v = vec[:]
-    coords = []
-    for row, piv in zip(basis, pivots):
-        c = v[piv] % ell
-        coords.append(c)
-        if c:
-            v = [(a - c * b) % ell for a, b in zip(v, row)]
-    if any(v):
-        raise AssertionError("vector not in subspace (class matrices should stabilize it)")
-    return coords
+    """Row j of M_i, where (M_i)[j][k] = a_ij^k = #{(x, y) in C_i x C_j : x*y = rep_k}, mod l.
+
+    h_k a_ij^k and h_j a_{i*k}^j both count the pairs (x, z) in C_i x C_k
+    with x^-1 z in C_j, so (M_i)[j][k] = (h_j/h_k) #{u in C_i : u rep_j in C_k}:
+    |C_i| products and no inversions.
+    """
+    n, m = group.n, group.modulus
+    z = classes.representatives[j]
+    counts = [0] * classes.count
+    for u in members[i]:
+        counts[classes.class_of[_mul(u, z, n, m)]] += 1
+    hj = classes.sizes[j]
+    return [hj * cnt // hk % ell for cnt, hk in zip(counts, classes.sizes)]
 
 
 def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET) -> DegreeCensus:
     """Burnside-Dixon character degrees, exact.
 
     1. split the class algebra over F_l into 1-dim common eigenspaces of
-       the class matrices,
+       the class matrices; a subspace in reduced-echelon form is split by
+       its action matrix, read from the class-matrix rows at its pivot
+       columns only (Schneider's refinement),
     2. read each normalized eigenvector as the central character
        (omega_i = h_i chi(g_i)/d),
     3. recover d from d^2 = |G| / sum_i omega_i omega_{i*} / h_i, unique
-       below sqrt(|G|) because l > 2*sqrt(|G|).
+       below sqrt(|G|) because l > 2*sqrt(|G|),
+    4. certify the table by the second orthogonality relation over F_l.
     """
     classes = conjugacy_classes(group)
     c = classes.count
@@ -273,19 +270,19 @@ def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET
     for i in by_size:
         if all(len(b) == 1 for b, _ in subspaces):
             break
-        mat = _class_matrix(group, classes, members, i, ell)
+        rows: dict[int, list[int]] = {}  # rows of M_i built so far
         new_subspaces = []
         for basis, pivots in subspaces:
             dim = len(basis)
             if dim == 1:
                 new_subspaces.append((basis, pivots))
                 continue
-            images = []
-            for b in basis:
-                img = [sum(mat[r][k] * b[k] for k in range(c)) % ell for r in range(c)]
-                images.append(_coords_in_echelon(img, basis, pivots, ell))
-            # action matrix: column t = coordinates of the image of basis[t]
-            act = [[images[t][r] for t in range(dim)] for r in range(dim)]
+            # M_i stabilizes the subspace, so the coordinates of M_i b in the
+            # echelon basis are its entries at the pivots: act[s][t] = row(p_s) . b_t
+            for p in pivots:
+                if p not in rows:
+                    rows[p] = _class_row(group, classes, members, i, p, ell)
+            act = [[sum(map(operator.mul, rows[p], b)) % ell for b in basis] for p in pivots]
             roots = poly_roots_mod_p(charpoly_mod_p(act, ell), ell)
             split_dim = 0
             for lam in roots:
@@ -315,7 +312,9 @@ def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET
     inverse_class = [
         classes.class_of[_inv(rep, group.n, group.modulus)] for rep in classes.representatives
     ]
+    h_inv = [pow(h % ell, -1, ell) for h in classes.sizes]
     degrees: list[int] = []
+    table: list[list[int]] = []  # chi(g_i) = d omega_i / h_i, mod l
     isq = math.isqrt(order)
     for basis, _ in subspaces:
         v = basis[0]
@@ -325,18 +324,25 @@ def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET
         omega = [(x * norm) % ell for x in v]
         total = 0
         for i in range(c):
-            hi_inv = pow(classes.sizes[i] % ell, -1, ell)
-            total = (total + omega[i] * omega[inverse_class[i]] % ell * hi_inv) % ell
+            total = (total + omega[i] * omega[inverse_class[i]] % ell * h_inv[i]) % ell
         t = order % ell * pow(total, -1, ell) % ell
         deg = next((d for d in range(1, isq + 1) if d * d % ell == t), None)
         if deg is None:
             raise AssertionError("no admissible degree for an eigenvector")
         degrees.append(deg)
+        table.append([deg * w % ell * hi % ell for w, hi in zip(omega, h_inv)])
 
     if len(degrees) != c:
         raise AssertionError("degree count != class count")
     if sum(d * d for d in degrees) != order:
         raise AssertionError("sum of squared degrees != group order")
+    # second orthogonality: sum_chi chi(g_i) chi(g_{j*}) = delta_ij |G|/h_i
+    columns = list(zip(*table))
+    for i in range(c):
+        for j in range(c):
+            want = order // classes.sizes[i] % ell if i == j else 0
+            if sum(map(operator.mul, columns[i], columns[inverse_class[j]])) % ell != want:
+                raise AssertionError("character table fails the second orthogonality relation")
     pairs: dict[int, int] = {}
     for d in degrees:
         pairs[d] = pairs.get(d, 0) + 1

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from repzeta.cli import main
 
 
@@ -114,6 +116,23 @@ def test_exit_code_precondition(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "invalid parameters" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--samples", "0"],
+        ["orbit", "--samples", "-1"],
+        ["census8", "--m", "4", "--q", "3", "--k", "1", "--t", "1", "--sample", "-1"],
+        ["census8", "--m", "4", "--q", "3", "--k", "1", "--t", "1", "--sample", "0"],
+    ],
+)
+def test_sample_counts_below_one_rejected(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid parameters" in captured.err
+    assert captured.out == ""
 
 
 def test_exit_code_budget(capsys):

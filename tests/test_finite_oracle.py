@@ -2,14 +2,18 @@ import pytest
 
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
+import repzeta.finite_oracle as finite_oracle
 from repzeta.finite_oracle import (
+    _class_row,
     _identity,
     _inv,
     _mul,
     abelianization_order,
     character_degrees,
     conjugacy_classes,
+    dixon_prime,
     generate_group,
+    group_exponent,
     sl2_group,
 )
 from repzeta.local_sl2 import level_census
@@ -78,7 +82,7 @@ def test_class_count_floor():
 
 
 def test_dixon_degrees_match_formula(sl2_groups):
-    for modulus, (q, k) in ((3, (3, 1)), (9, (3, 2)), (5, (5, 1))):
+    for modulus, (q, k) in ((3, (3, 1)), (9, (3, 2)), (5, (5, 1)), (25, (5, 2))):
         census = character_degrees(sl2_groups[modulus])
         assert census.entries == level_census(q, k).census.entries
         assert census.mass == sl2_groups[modulus].order
@@ -92,11 +96,56 @@ def test_dixon_degrees_match_formula_level3(sl2_z27):
     assert dict(census.entries)[12] == 38
 
 
+def quaternion_group():
+    # Q8 inside SL2(F3)
+    return generate_group(3, 2, [[[0, -1], [1, 0]], [[1, 1], [1, -1]]])
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda: sl2_group(3), lambda: sl2_group(4), quaternion_group],
+    ids=["SL2(Z/3)", "SL2(Z/4)", "Q8"],
+)
+def test_class_row_against_pair_count(make_group):
+    """Every row of every class matrix equals #{(x, y) in C_i x C_j : x*y = rep_k} mod l."""
+    g = make_group()
+    n, m = g.n, g.modulus
+    classes = conjugacy_classes(g)
+    c = classes.count
+    ell = dixon_prime(g.order, group_exponent(g, classes))
+    members = [[x for x in g.elements if classes.class_of[x] == i] for i in range(c)]
+    rep_index = {rep: k for k, rep in enumerate(classes.representatives)}
+    for i in range(c):
+        for j in range(c):
+            counts = [0] * c
+            for x in members[i]:
+                for y in members[j]:
+                    k = rep_index.get(_mul(x, y, n, m))
+                    if k is not None:
+                        counts[k] += 1
+            assert _class_row(g, classes, members, i, j, ell) == [v % ell for v in counts]
+
+
+@pytest.mark.parametrize("bad_call", [0, 10, 40])
+def test_corrupted_class_row_is_caught(monkeypatch, sl2_groups, bad_call):
+    calls = []
+
+    def corrupted(group, classes, members, i, j, ell):
+        row = _class_row(group, classes, members, i, j, ell)
+        if len(calls) == bad_call:
+            row = [(row[0] + 1) % ell] + row[1:]
+        calls.append((i, j))
+        return row
+
+    monkeypatch.setattr(finite_oracle, "_class_row", corrupted)
+    with pytest.raises(AssertionError):
+        character_degrees(sl2_groups[9])
+    assert len(calls) > bad_call
+
+
 def test_dixon_on_quaternion_group():
     # Q8 inside SL2(F3): degrees 1,1,1,1,2
-    i_mat = [[0, -1], [1, 0]]
-    j_mat = [[1, 1], [1, -1]]
-    g = generate_group(3, 2, [i_mat, j_mat])
+    g = quaternion_group()
     assert g.order == 8
     assert character_degrees(g).entries == ((1, 4), (2, 1))
     assert abelianization_order(g) == 4
