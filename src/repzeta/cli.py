@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import math
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import __version__
@@ -39,14 +40,62 @@ from .symmetric import ak_zeta, an_degrees
 from .witten import abscissa_estimate, enumerate_dimensions
 
 
-def _round12(value: Any) -> Any:
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    return value
+def _to_json(value: Any) -> str:
+    """The report as `json.dumps(..., sort_keys=True, indent=2)` writes it.
+
+    One pass, floats rounded to 12 significant digits as they are written;
+    every scalar renders exactly as the `json` module renders it.  Each
+    output line is one piece, so the pieces take little more memory than
+    the text they join into.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(head: str, v: Any, indent: str) -> None:
+        # head: the text before v on its line (separator, indent, key)
+        if isinstance(v, str):
+            append(head + encode_basestring_ascii(v))
+        elif v is None:
+            append(head + "null")
+        elif isinstance(v, bool):
+            append(head + ("true" if v else "false"))
+        elif isinstance(v, int):
+            append(head + int.__repr__(v))
+        elif isinstance(v, float):
+            v = float(f"{v:.12g}")
+            if v != v:
+                append(head + "NaN")
+            elif v == math.inf:
+                append(head + "Infinity")
+            elif v == -math.inf:
+                append(head + "-Infinity")
+            else:
+                append(head + float.__repr__(v))
+        elif isinstance(v, dict):
+            if not v:
+                append(head + "{}")
+                return
+            inner = indent + "  "
+            sep = head + "{" + inner
+            for key in sorted(v):
+                write(sep + encode_basestring_ascii(key) + ": ", v[key], inner)
+                sep = "," + inner
+            append(indent + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                append(head + "[]")
+                return
+            inner = indent + "  "
+            sep = head + "[" + inner
+            for item in v:
+                write(sep, item, inner)
+                sep = "," + inner
+            append(indent + "]")
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    write("", value, "\n")
+    return "".join(parts)
 
 
 def _fmt_cell(value: Any) -> str:
@@ -220,16 +269,14 @@ def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], li
 
 def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
     rows = []
-    import math as _math
-
     for k in range(5, args.kmax + 1):
         census = an_degrees(k)
         rows.append(
             {
                 "k": k,
-                "zeta": ak_zeta(k, args.s),
+                "zeta": ak_zeta(k, args.s, census=census),
                 "irreducibles": census.total_count,
-                "mass_ok": 2 * census.mass == _math.factorial(k),
+                "mass_ok": 2 * census.mass == math.factorial(k),
             }
         )
     result = {"s": args.s, "kmax": args.kmax, "table": rows}
@@ -324,27 +371,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict[str, Any], columns: list[str], rows: list[dict], args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = json.dumps(_round12(report), sort_keys=True, indent=2) + "\n"
+        text = _to_json(report) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         return
-    # csv: table to --out (or stdout), metadata (sans table) to stdout as JSON
+    # csv: table to --out (metadata, sans table, to stdout as JSON), or table
+    # to stdout and metadata to stderr, so stdout stays pure CSV
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt_cell(row[c]) for c in columns])
+    meta = {k: v for k, v in report.items() if k != "result"}
+    meta["result"] = {k: v for k, v in report["result"].items() if k != "table"}
+    meta_text = _to_json(meta) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
-        meta = {k: v for k, v in report.items() if k != "result"}
-        meta["result"] = {k: v for k, v in report["result"].items() if k != "table"}
-        sys.stdout.write(json.dumps(_round12(meta), sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(meta_text)
     else:
         sys.stdout.write(buf.getvalue())
+        sys.stderr.write(meta_text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

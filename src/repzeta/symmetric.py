@@ -39,10 +39,13 @@ def conjugate_partition(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
-def hook_degree(lam: Partition) -> int:
-    """Hook length formula: k! / product of hook lengths."""
+def hook_degree(lam: Partition, conj: Partition | None = None) -> int:
+    """Hook length formula: k! / product of hook lengths.
+
+    `conj` is the conjugate partition of `lam`, for a caller that has it.
+    """
     k = sum(lam)
-    t = conjugate_partition(lam)
+    t = conjugate_partition(lam) if conj is None else conj
     r = math.factorial(k)
     for i, row in enumerate(lam):
         for j in range(row):
@@ -55,7 +58,7 @@ class PartitionTable:
     """Partitions of k with hook degrees and the conjugation pairing."""
 
     k: int
-    items: tuple[tuple[Partition, int], ...]  # (partition, degree)
+    items: tuple[tuple[Partition, int, Partition], ...]  # (partition, degree, conjugate)
     self_conjugate: tuple[Partition, ...]
 
     @property
@@ -69,9 +72,9 @@ def build_partition_table(k: int) -> PartitionTable:
     items = []
     selfconj = []
     for lam in partitions(k):
-        deg = hook_degree(lam)
-        items.append((lam, deg))
-        if conjugate_partition(lam) == lam:
+        conj = conjugate_partition(lam)
+        items.append((lam, hook_degree(lam, conj), conj))
+        if conj == lam:
             selfconj.append(lam)
     return PartitionTable(k=k, items=tuple(items), self_conjugate=tuple(selfconj))
 
@@ -80,7 +83,7 @@ def sn_degrees(k: int) -> DegreeCensus:
     """Exact degree census of S_k; mass identity sum(deg^2) = k!."""
     table = build_partition_table(k)
     census = DegreeCensus.from_pairs(
-        ((deg, 1) for _, deg in table.items), max(deg for _, deg in table.items)
+        ((deg, 1) for _, deg, _ in table.items), max(deg for _, deg, _ in table.items)
     )
     if census.mass != math.factorial(k):
         raise AssertionError("S_k mass identity failed")
@@ -99,10 +102,9 @@ def an_degrees(k: int) -> DegreeCensus:
     table = build_partition_table(k)
     pairs: list[tuple[int, int]] = []
     seen: set[Partition] = set()
-    for lam, deg in table.items:
+    for lam, deg, conj in table.items:
         if lam in seen:
             continue
-        conj = conjugate_partition(lam)
         if conj == lam:
             if deg % 2:
                 raise AssertionError(f"self-conjugate partition {lam} has odd degree {deg}")
@@ -117,13 +119,17 @@ def an_degrees(k: int) -> DegreeCensus:
     return census
 
 
-def ak_zeta(k: int, s: float) -> float:
-    """Finite zeta value of A_k at s; only simple k >= 5 on the trend API."""
+def ak_zeta(k: int, s: float, census: DegreeCensus | None = None) -> float:
+    """Finite zeta value of A_k at s; only simple k >= 5 on the trend API.
+
+    `census` is `an_degrees(k)`, for a caller that has computed it already.
+    """
     if k < 5:
         raise ValueError("the trend API needs k >= 5 (simple alternating groups)")
     if s <= 0:
         raise ValueError("s must be positive")
-    census = an_degrees(k)
+    if census is None:
+        census = an_degrees(k)
     return sum(m * float(d) ** (-s) for d, m in reversed(census.entries))
 
 

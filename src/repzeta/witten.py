@@ -3,6 +3,9 @@
 The census enumerator walks highest-weight vectors depth-first and cuts a
 branch as soon as the dimension exceeds the bound; this is complete
 because the Weyl dimension is strictly increasing in every coordinate.
+The walk is incremental: it keeps every coroot's value alpha^vee(lambda + rho)
+and, when coordinate i steps up by one, adds alpha^vee(w_i) to each value
+it touches, so a node costs one product and one exact division.
 """
 
 from __future__ import annotations
@@ -51,39 +54,32 @@ def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
     """
     if bound < 1:
         raise ValueError("census bound must be >= 1")
-    rank = datum.rank
-    rows = [tuple(r) for r in datum.positive_roots]
-    den = 1
-    for v in datum.rho_values:
-        den *= v
+    last = datum.rank - 1
+    forms = list(datum.rho_values)  # alpha_j^vee(lambda + rho); lambda = 0 at the root
+    touch = [
+        [(j, row[pos]) for j, row in enumerate(datum.positive_roots) if row[pos]]
+        for pos in range(datum.rank)
+    ]
+    den = math.prod(datum.rho_values)
     counts: dict[int, int] = {}
 
-    shifted = [1] * rank  # a_i + 1
-
-    def dim_current() -> int:
-        num = 1
-        for row in rows:
-            s = 0
-            for c, x in zip(row, shifted):
-                s += c * x
-            num *= s
-        return num // den
-
-    def walk(pos: int) -> None:
-        value = 1
-        while True:
-            shifted[pos] = value
-            d = dim_current()
-            if d > bound:
-                break
-            if pos + 1 == rank:
+    def walk(pos: int, d: int) -> None:
+        # on entry coordinates pos.. are 0 and d is the dimension of the forms
+        steps = 0
+        t = touch[pos]
+        while d <= bound:
+            if pos == last:
                 counts[d] = counts.get(d, 0) + 1
             else:
-                walk(pos + 1)
-            value += 1
-        shifted[pos] = 1
+                walk(pos + 1, d)
+            for j, c in t:
+                forms[j] += c
+            steps += 1
+            d = math.prod(forms) // den
+        for j, c in t:
+            forms[j] -= c * steps
 
-    walk(0)
+    walk(0, 1)
     return DegreeCensus.from_pairs(counts.items(), bound)
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repzeta import cli
 from repzeta.cli import main
 
 
@@ -160,6 +161,78 @@ def test_golden_report(capsys):
     got = strip_wall_time(json.loads(out))
     expected = strip_wall_time(json.loads(golden_path.read_text()))
     assert got == expected
+
+
+def test_csv_metadata_to_stderr_without_out(capsys):
+    code = main(["witten", "--series", "A", "--rank", "1", "--bound", "5", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[0] == "degree,multiplicity,R_n"
+    meta = json.loads(captured.err)
+    assert meta["command"] == "witten"
+    assert meta["result"]["total_count"] == 5
+    assert "table" not in meta["result"]
+
+
+def _round12(value):
+    """Reference for the report writer: the rounding step it replaced."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round12(v) for v in value]
+    return value
+
+
+def reference_json(value):
+    return json.dumps(_round12(value), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witten", "--series", "A", "--rank", "2", "--bound", "2000"],
+        ["local-sl2", "--q", "3", "--level", "2", "--s-grid", "2.0,2.3,3.0"],
+        ["oracle", "--modulus", "5"],
+        ["orbit", "--samples", "5", "--seed", "3"],
+        ["census8", "--m", "2", "--q", "3", "--k", "1", "--t", "1"],
+        ["alt", "--kmax", "8", "--s", "0.7"],
+        ["euler", "--prime-bound", "100", "--s-grid", "2.1,2.5", "--scan-grid", "100,1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv):
+    written = []
+    writer = cli._to_json
+
+    def spy(value):
+        written.append(value)
+        return writer(value)
+
+    monkeypatch.setattr(cli, "_to_json", spy)
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and len(written) == 1
+    assert out == reference_json(written[0]) + "\n"
+
+
+def test_report_writer_matches_json_dumps_on_edge_values():
+    value = {
+        "nan": float("nan"),
+        "inf": [float("inf"), -float("inf")],
+        "zero": -0.0,
+        "tiny": 1e-300,
+        "sum": 0.1 + 0.2,
+        "flags": [True, 1, False, 0, None],
+        "text": "Weyl \u00e9t\u00e9 \u03b1\u2228 \U0001d518",
+        "escapes": 'quote " backslash \\ tab \t',
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "nested": (1, (2.5, ("x", (3, 1 / 3))), [()]),
+        "big": 10**40,
+    }
+    assert cli._to_json(value) == reference_json(value)
+    for scalar in (float("nan"), -0.0, 2.0 / 3.0, True, 7, None, "a\"b", [], {}):
+        assert cli._to_json(scalar) == reference_json(scalar)
 
 
 def test_out_file(tmp_path, capsys):

@@ -16,10 +16,18 @@ from repzeta.witten import (
 def naive_census(datum, bound, cap):
     """Independent oracle: scan the full cube a_i < cap.
 
-    Valid because dim >= 1 + max(a_i) in every type (each simple coroot
-    contributes a factor a_i + 1 and all factors are >= 1), so cap = bound
-    suffices; the oracle asserts that inequality as it goes.
+    Every coroot takes nonnegative values on the fundamental weights, so
+    the Weyl dimension is nondecreasing in each coordinate, and a weight
+    outside the cube has dimension at least that of some cap * w_i.  The
+    oracle asserts that each of those exceeds the bound.  cap = bound
+    always works, because dim >= 1 + max(a_i) in every type (each simple
+    coroot contributes a factor a_i + 1 and all factors are >= 1); the
+    oracle asserts that inequality as it goes.
     """
+    assert all(c >= 0 for row in datum.positive_roots for c in row)
+    for i in range(datum.rank):
+        corner = tuple(cap if j == i else 0 for j in range(datum.rank))
+        assert weyl_dimension(datum, corner) > bound
     counts = {}
     for coeffs in product(range(cap), repeat=datum.rank):
         d = weyl_dimension(datum, coeffs)
@@ -51,13 +59,28 @@ def test_a2_small_census():
     assert census.entries == ((1, 1), (3, 2))
 
 
+NAIVE_CASES = [
+    ("A", 1, 10_000, 10_000),
+    ("A", 2, 500, 500),
+    ("B", 2, 500, 500),
+    ("G", 2, 500, 500),
+    ("A", 3, 60, 60),
+    ("C", 3, 60, 60),
+    # coroot rows with coefficient 2; the oracle checks the smaller cap
+    ("B", 3, 3000, 9),
+    ("D", 4, 3000, 8),
+]
+
+
 @pytest.mark.parametrize(
-    "series,rank,bound",
-    [("A", 1, 10_000), ("A", 2, 500), ("B", 2, 500), ("G", 2, 500), ("A", 3, 60), ("C", 3, 60)],
+    "series,rank,bound,cap", NAIVE_CASES, ids=[f"{s}-{r}-{b}" for s, r, b, _ in NAIVE_CASES]
 )
-def test_enumeration_matches_naive_cube_oracle(series, rank, bound):
+def test_enumeration_matches_naive_cube_oracle(series, rank, bound, cap):
     datum = build_root_datum(series, rank)
-    assert enumerate_dimensions(datum, bound).entries == naive_census(datum, bound, bound).entries
+    census = enumerate_dimensions(datum, bound)
+    assert census.entries == naive_census(datum, bound, cap).entries
+    # the walk works on a copy of rho_values, so the datum is unchanged and a second walk agrees
+    assert enumerate_dimensions(datum, bound) == census
 
 
 def test_partial_sum_against_direct_oracles():
