@@ -6,80 +6,3 @@ are each paired with an independent brute-force check at desk scale.
 """
 
 __version__ = "0.1.0"
-
-from .census import DegreeCensus
-from .chains import ChainSpec, ExponentVector, chain_exponents, chain_product_value
-from .chains import chain_truncated_sum, suffix_converges
-from .errors import BudgetExceededError
-from .euler_global import EulerProductSpec, divergence_scan, euler_partial_product
-from .euler_global import riemann_zeta_ref, sandwich_check
-from .finite_oracle import FiniteMatrixGroup, character_degrees, conjugacy_classes
-from .finite_oracle import generate_group, sl2_group
-from .isotropic_census import CensusFamily, GammaSeries, are_conjugate, build_census_family
-from .isotropic_census import conjugacy_module, distinct_class_count, gamma_estimate
-from .local_sl2 import LocalFactorSL2, evaluate_local, factor_bounds_check, irrep_count
-from .local_sl2 import level_census, sl2_local_factor
-from .orbit_method import OrbitDatum, census_vs_bound, centralizer_index_oracle
-from .orbit_method import chain_count_bound, kernel_cokernel_size, make_orbit_datum
-from .orbit_method import orbit_dimension, psi_chain
-from .rootsys import RootDatum, build_root_datum, levi_subsystem, rank_kappa_ratio
-from .rootsys import weyl_dimension
-from .symmetric import ak_zeta, an_degrees, rbound_check, sn_degrees
-from .witten import AbscissaEstimate, abscissa_estimate, dyadic_block_sum
-from .witten import enumerate_dimensions, witten_partial_sum
-
-__all__ = [
-    "AbscissaEstimate",
-    "BudgetExceededError",
-    "CensusFamily",
-    "ChainSpec",
-    "DegreeCensus",
-    "EulerProductSpec",
-    "ExponentVector",
-    "FiniteMatrixGroup",
-    "GammaSeries",
-    "LocalFactorSL2",
-    "OrbitDatum",
-    "RootDatum",
-    "abscissa_estimate",
-    "ak_zeta",
-    "an_degrees",
-    "are_conjugate",
-    "build_census_family",
-    "build_root_datum",
-    "census_vs_bound",
-    "centralizer_index_oracle",
-    "chain_count_bound",
-    "chain_exponents",
-    "chain_product_value",
-    "chain_truncated_sum",
-    "character_degrees",
-    "conjugacy_classes",
-    "conjugacy_module",
-    "distinct_class_count",
-    "divergence_scan",
-    "dyadic_block_sum",
-    "enumerate_dimensions",
-    "euler_partial_product",
-    "evaluate_local",
-    "factor_bounds_check",
-    "gamma_estimate",
-    "generate_group",
-    "irrep_count",
-    "kernel_cokernel_size",
-    "level_census",
-    "levi_subsystem",
-    "make_orbit_datum",
-    "orbit_dimension",
-    "psi_chain",
-    "rank_kappa_ratio",
-    "rbound_check",
-    "riemann_zeta_ref",
-    "sandwich_check",
-    "sl2_group",
-    "sl2_local_factor",
-    "sn_degrees",
-    "suffix_converges",
-    "weyl_dimension",
-    "witten_partial_sum",
-]

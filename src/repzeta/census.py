@@ -7,6 +7,7 @@ entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,6 +52,14 @@ class DegreeCensus:
     def mass(self) -> int:
         """Sum of multiplicity * degree^2 (the |G| mass for a full census)."""
         return sum(m * d * d for d, m in self.entries)
+
+    def zeta(self, s: float) -> float:
+        """Truncated zeta value: sum of multiplicity * degree^(-s).
+
+        `math.fsum` rounds the sum of the float terms correctly, so the
+        result does not depend on the order of the terms.
+        """
+        return math.fsum(m * float(d) ** (-s) for d, m in self.entries)
 
     def count_upto(self, n: int) -> int:
         """R_n: number of irreducibles of degree <= n."""

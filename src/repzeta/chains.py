@@ -25,7 +25,6 @@ class ChainSpec:
     """Strictly increasing stages (rank, kappa), last stage = ambient system."""
 
     stages: tuple[tuple[int, int], ...]
-    thresholds: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -41,13 +40,6 @@ class ChainSpec:
             prev_rank, prev_kappa = rank, kappa
         if len(self.stages) > self.stages[-1][0]:
             raise ValueError("chain length exceeds ambient rank")
-        if self.thresholds is not None:
-            if len(self.thresholds) != len(self.stages):
-                raise ValueError("one threshold per stage")
-            if any(b < 1 for b in self.thresholds):
-                raise ValueError("thresholds must be positive")
-            if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
-                raise ValueError("thresholds must strictly increase")
 
 
 @dataclass(frozen=True)

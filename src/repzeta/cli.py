@@ -2,9 +2,9 @@
 
 Every report carries the tool version, a config echo, the seed, and the
 wall time.  Reports are deterministic for a fixed config and seed up to
-the wall-time field (float summation orders are fixed); golden-file
-comparisons strip wall time.  Exit status: 0 success, 2 precondition
-failure, 3 budget exhaustion.
+the wall-time field (float sums are correctly rounded, so their order
+does not matter); golden-file comparisons strip wall time.  Exit status:
+0 success, 2 precondition failure, 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import __version__
+from .arith import prime_power
 from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .euler_global import DivergenceScan, divergence_scan, euler_partial_product, sandwich_check
@@ -182,26 +183,14 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], lis
         "degree_mass": census.mass,
     }
     # cross-link with the closed formula when the modulus is an odd prime power
-    base, exp = _prime_power(args.modulus)
-    if base is not None and base % 2 == 1:
-        formula = level_census(base, exp)
+    pp = prime_power(args.modulus)
+    if pp is not None and pp[0] % 2 == 1:
+        formula = level_census(*pp)
         result["formula_census_matches"] = formula.census.entries == census.entries
-        result["formula_irrep_count"] = irrep_count(base, exp)
+        result["formula_irrep_count"] = irrep_count(*pp)
     rows = _census_rows(census)
     result["table"] = rows
     return result, ["degree", "multiplicity", "R_n"], rows
-
-
-def _prime_power(m: int) -> tuple[int | None, int]:
-    for p in range(2, m + 1):
-        if m % p == 0:
-            k = 0
-            n = m
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else (None, 0)
-    return (None, 0)
 
 
 def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:

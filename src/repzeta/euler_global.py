@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .local_sl2 import evaluate_local, sl2_local_factor
 from .rootsys import RootDatum
-from .witten import enumerate_dimensions, kahan_sum, witten_partial_sum
+from .witten import enumerate_dimensions
 
 
 def odd_primes_upto(bound: int) -> list[int]:
@@ -59,8 +59,9 @@ def euler_partial_product(spec: EulerProductSpec, s: float, scan: bool = False) 
 
     Needs s > 2 for a convergent product; 1 < s <= 2 is allowed only in
     scan mode (finite partial products on the divergent boundary).
-    Factors are combined through a fixed-order compensated sum of logs,
-    so the result is reproducible.
+    Factors are combined through a correctly rounded sum of logs
+    (`math.fsum`), so the result does not depend on the order of the
+    places.
     """
     if s <= 1:
         raise ValueError("every local factor diverges at s <= 1")
@@ -72,8 +73,8 @@ def euler_partial_product(spec: EulerProductSpec, s: float, scan: bool = False) 
     if spec.archimedean is not None:
         datum, copies = spec.archimedean
         census = enumerate_dimensions(datum, spec.archimedean_bound)
-        logs.append(copies * math.log(witten_partial_sum(census, s)))
-    return math.exp(kahan_sum(logs))
+        logs.append(copies * math.log(census.zeta(s)))
+    return math.exp(math.fsum(logs))
 
 
 def sandwich_check(prime_bound: int, s: float) -> bool:
@@ -87,11 +88,12 @@ def sandwich_check(prime_bound: int, s: float) -> bool:
     if prime_bound < 3:
         raise ValueError("need at least one odd prime")
     spec = EulerProductSpec(prime_bound=prime_bound)
-    log_product = kahan_sum(
+    log_product = math.fsum(
         math.log(evaluate_local(sl2_local_factor(p), s)) for p in spec.primes()
     )
-    log_zeta_term = kahan_sum(
-        -math.log(1.0 - float(p) ** (1.0 - s)) for p in spec.primes()
+    # -log(1 - p^(1-s)), with 1 - p^(1-s) = -expm1((1-s) log p)
+    log_zeta_term = math.fsum(
+        -math.log(-math.expm1((1.0 - s) * math.log(p))) for p in spec.primes()
     )
     return 0.5 * log_zeta_term < log_product < 100.0 * log_zeta_term
 
@@ -151,7 +153,7 @@ def riemann_zeta_ref(s: float) -> float:
     if s <= 1:
         raise ValueError("zeta reference needs s > 1")
     m = 100
-    total = kahan_sum(float(n) ** (-s) for n in range(m, 0, -1))
+    total = math.fsum(float(n) ** (-s) for n in range(1, m + 1))
     total += m ** (1.0 - s) / (s - 1.0)
     total -= 0.5 * m ** (-s)
     # Bernoulli corrections B2/2! s M^{-s-1}, B4/4! s(s+1)(s+2) M^{-s-3}, ...

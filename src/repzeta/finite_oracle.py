@@ -21,6 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .arith import prime_power
 from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .linalg import (
@@ -193,24 +194,11 @@ def group_exponent(group: FiniteMatrixGroup, classes: ClassData) -> int:
     return e
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def dixon_prime(order: int, exponent: int) -> int:
     """Least prime l = 1 (mod exponent) with l > 2*sqrt(order)."""
     floor = 2 * math.isqrt(order)
     ell = exponent + 1
-    while ell <= floor or not _is_prime(ell):
+    while ell <= floor or prime_power(ell) != (ell, 1):
         ell += exponent
     return ell
 

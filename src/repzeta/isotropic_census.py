@@ -20,46 +20,13 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
+from .arith import prime_power
 from .errors import BudgetExceededError
-from .linalg import kernel_generators_local, valuation
+from .linalg import det_int, kernel_generators_local, valuation
 
 Mat = tuple[tuple[int, ...], ...]
 
 RANK_BUDGET = 12
-
-
-def _det_mod(rows: Sequence[Sequence[int]], mod: int) -> int:
-    """Determinant over Z/m by fraction-free expansion (small matrices)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % mod
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = rows[0][j] * _det_mod(minor, mod)
-        total += -term if j % 2 else term
-    return total % mod
-
-
-def _invertible_mod_p_flat(flat: list[int], m: int, p: int) -> bool:
-    """Gaussian elimination test for invertibility of a flattened m x m matrix mod p."""
-    a = [[flat[r * m + c] % p for c in range(m)] for r in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col]), None)
-        if pivot is None:
-            return False
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = pow(a[col][col], -1, p)
-        arow = a[col]
-        for r in range(col + 1, m):
-            f = (a[r][col] * inv) % p
-            if f:
-                ar = a[r]
-                for c in range(col, m):
-                    ar[c] = (ar[c] - f * arow[c]) % p
-    return True
 
 
 @dataclass(frozen=True)
@@ -129,7 +96,7 @@ def build_census_family(
     """
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
-    if q < 3 or q % 2 == 0 or any(q % f == 0 for f in range(3, int(math.isqrt(q)) + 1, 2)):
+    if q == 2 or prime_power(q) != (q, 1):
         raise ValueError("q must be an odd prime")
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -168,7 +135,7 @@ def build_census_family(
         m=m, q=q, k=k, t=t, modulus_exp=N, x_diag=x_diag, z_diag=z_diag, y_reps=tuple(reps)
     )
     for mat in (reps[0], reps[-1]):
-        if _det_mod(mat, pN) != 1:
+        if det_int(mat) % pN != 1:
             raise AssertionError("family member with determinant != 1")
     return family
 
@@ -312,7 +279,7 @@ def are_conjugate(
                 if coef:
                     for idx in range(dim):
                         flat[idx] = (flat[idx] + coef * vec[idx]) % p
-            if _invertible_mod_p_flat(flat, m, p):
+            if det_int([flat[r * m:(r + 1) * m] for r in range(m)]) % p:  # invertible mod p
                 coeffs = (0,) * lead + (1,) + rest
                 w = lift(coeffs)
                 _verify_witness(w, M1t, M2t, p, pN)
@@ -328,7 +295,7 @@ def _verify_witness(w: Mat, M1: Mat, M2: Mat, p: int, pN: int) -> None:
             right = sum(M2[i][b] * w[b][j] for b in range(m)) % pN
             if left != right:
                 raise AssertionError("witness does not intertwine")
-    if _det_mod(w, p) == 0:
+    if det_int(w) % p == 0:
         raise AssertionError("witness is not invertible mod p")
 
 

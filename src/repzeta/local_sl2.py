@@ -13,27 +13,12 @@ exact in q; evaluation goes to floats only at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import prime_power
 from .census import DegreeCensus
-from .witten import kahan_sum
-
-
-def _odd_prime_power(q: int) -> bool:
-    if q < 3 or q % 2 == 0:
-        return False
-    p = 3
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 2
-    else:
-        p = n
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 @dataclass(frozen=True)
@@ -56,7 +41,7 @@ class LocalFactorSL2:
 
 
 def sl2_local_factor(q: int) -> LocalFactorSL2:
-    if not _odd_prime_power(q):
+    if q % 2 == 0 or prime_power(q) is None:
         raise ValueError(f"q={q}: the explicit SL2 factor needs an odd prime power >= 3")
     head = (
         (1, 1),
@@ -75,13 +60,18 @@ def sl2_local_factor(q: int) -> LocalFactorSL2:
     return LocalFactorSL2(q=q, head_terms=head, tail_terms=tail, tail_ratio=q)
 
 
+def _one_minus_ratio(q: int, s: float) -> float:
+    """1 - q^(1-s) as -expm1((1-s) log q), which keeps full precision near s = 1."""
+    return -math.expm1((1.0 - s) * math.log(q))
+
+
 def evaluate_local(factor: LocalFactorSL2, s: float) -> float:
     """Head sum plus tail/(1 - q^(1-s)); needs s > 1 for the tail to converge."""
     if s <= 1:
         raise ValueError("s must exceed 1 (the tail ratio is q^(1-s))")
-    head = kahan_sum(m * float(d) ** (-s) for d, m in factor.head_terms if m)
-    tail = kahan_sum(m * float(d) ** (-s) for d, m in factor.tail_terms)
-    return head + tail / (1.0 - float(factor.q) ** (1.0 - s))
+    head = math.fsum(m * float(d) ** (-s) for d, m in factor.head_terms if m)
+    tail = math.fsum(m * float(d) ** (-s) for d, m in factor.tail_terms)
+    return head + tail / _one_minus_ratio(factor.q, s)
 
 
 def evaluate_local_exact(factor: LocalFactorSL2, s: int) -> Fraction:
@@ -102,7 +92,7 @@ def sl2_quotient_order(q: int, k: int) -> int:
 
 def irrep_count(q: int, k: int) -> int:
     """Number of irreducibles of SL2(O/pi^k): (q+4) + (q^2+3q)(q^(k-1)-1)/(q-1)."""
-    if not _odd_prime_power(q):
+    if q % 2 == 0 or prime_power(q) is None:
         raise ValueError(f"q={q}: need an odd prime power >= 3")
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -146,7 +136,7 @@ def factor_bounds_check(q: int, s: float) -> tuple[bool, bool]:
     in exact rational arithmetic (the -1/2 power by squaring); otherwise in
     double precision.
     """
-    if not _odd_prime_power(q):
+    if q % 2 == 0 or prime_power(q) is None:
         raise ValueError(f"q={q}: need an odd prime power >= 3")
     if not (2.0 <= s <= 3.0):
         raise ValueError("the sandwich bounds are stated only for s in [2, 3]")
@@ -159,14 +149,8 @@ def factor_bounds_check(q: int, s: float) -> tuple[bool, bool]:
         upper_ok = z * one_minus ** 100 < 1
         return (bool(lower_ok), bool(upper_ok))
     z = evaluate_local(factor, s)
-    x = 1.0 - float(q) ** (1.0 - s)
+    x = _one_minus_ratio(q, s)
     return (z > x ** -0.5, z < x ** -100.0)
-
-
-def truncated_factor_sum(q: int, k: int, s: float) -> float:
-    """Partial sum of the factor over representations of level <= k."""
-    lc = level_census(q, k)
-    return kahan_sum(m * float(d) ** (-s) for d, m in reversed(lc.census.entries))
 
 
 def pole_witness(q: int, epsilons: tuple[float, ...] = (0.1, 0.05, 0.025)) -> list[float]:

@@ -130,7 +130,7 @@ def ak_zeta(k: int, s: float, census: DegreeCensus | None = None) -> float:
         raise ValueError("s must be positive")
     if census is None:
         census = an_degrees(k)
-    return sum(m * float(d) ** (-s) for d, m in reversed(census.entries))
+    return census.zeta(s)
 
 
 def rbound_check(census: DegreeCensus, s: float) -> bool:
@@ -142,7 +142,7 @@ def rbound_check(census: DegreeCensus, s: float) -> bool:
     """
     if not 0 < s < 1:
         raise ValueError("the bound is stated for 0 < s < 1")
-    c = sum(m * float(d) ** (-s) for d, m in reversed(census.entries)) - 1.0
+    c = census.zeta(s) - 1.0
     running = 0
     for deg, mult in census.entries:
         running += mult
@@ -150,10 +150,3 @@ def rbound_check(census: DegreeCensus, s: float) -> bool:
         if running > rhs:
             return False
     return True
-
-
-def power_zeta(zeta_value: float, copies: int) -> float:
-    """Zeta of a direct power: Z_{G^L}(s) = Z_G(s)^L."""
-    if copies < 0:
-        raise ValueError("copies must be nonnegative")
-    return zeta_value ** copies

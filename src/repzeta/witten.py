@@ -1,4 +1,4 @@
-"""Witten zeta data: degree censuses of G(C), partial sums, abscissa fits.
+"""Witten zeta data: degree censuses of G(C), dyadic block sums, abscissa fits.
 
 The census enumerator walks highest-weight vectors depth-first and cuts a
 branch as soon as the dimension exceeds the bound; this is complete
@@ -6,6 +6,9 @@ because the Weyl dimension is strictly increasing in every coordinate.
 The walk is incremental: it keeps every coroot's value alpha^vee(lambda + rho)
 and, when coordinate i steps up by one, adds alpha^vee(w_i) to each value
 it touches, so a node costs one product and one exact division.
+Truncated zeta values of a census are `DegreeCensus.zeta`.  It and the
+dyadic block sums use `math.fsum`, which rounds correctly, so neither
+depends on the order of its terms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError
@@ -31,18 +33,6 @@ class AbscissaEstimate:
     standard_error: float
     sample_points: tuple[tuple[float, float], ...]
     window: str
-
-
-def kahan_sum(values: Iterable[float]) -> float:
-    """Compensated summation; order of the iterable is the summation order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
@@ -81,15 +71,6 @@ def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
 
     walk(0, 1)
     return DegreeCensus.from_pairs(counts.items(), bound)
-
-
-def witten_partial_sum(census: DegreeCensus, s: float) -> float:
-    """Truncated zeta value: sum of multiplicity * degree^(-s), Kahan-summed.
-
-    Terms are added from the largest degree down so the small terms
-    accumulate first.
-    """
-    return kahan_sum(m * float(d) ** (-s) for d, m in reversed(census.entries))
 
 
 def abscissa_estimate(
@@ -155,9 +136,7 @@ def dyadic_block_sum(
             f"dyadic block has {size} terms; budget is {budget}"
         )
     lo, hi = 2 ** j + 1, 2 ** (j + 1)
-    terms = []
-    for coeffs in product(range(lo, hi + 1), repeat=datum.rank):
-        d = weyl_dimension(datum, coeffs)
-        terms.append(float(d) ** (-s))
-    terms.sort()
-    return kahan_sum(terms)
+    return math.fsum(
+        float(weyl_dimension(datum, coeffs)) ** (-s)
+        for coeffs in product(range(lo, hi + 1), repeat=datum.rank)
+    )

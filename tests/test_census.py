@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from repzeta.census import DegreeCensus
+from repzeta.rootsys import build_root_datum
+from repzeta.symmetric import an_degrees
+from repzeta.witten import enumerate_dimensions
 
 
 def test_validation():
@@ -25,3 +30,14 @@ def test_cumulative_and_count_upto():
     assert census.count_upto(0) == 0
     assert census.count_upto(3) == 3
     assert census.count_upto(100) == 7
+
+
+@pytest.mark.parametrize("which", ["A2 at 10^4", "A20"])
+def test_zeta_is_the_correctly_rounded_sum_of_its_terms(which):
+    if which == "A20":
+        census = an_degrees(20)
+    else:
+        census = enumerate_dimensions(build_root_datum("A", 2), 10 ** 4)
+    for s in (0.5, 2 / 3, 1.0, 2.5):
+        terms = [m * float(d) ** (-s) for d, m in census.entries]
+        assert census.zeta(s) == float(sum(map(Fraction, terms)))

@@ -41,8 +41,6 @@ def test_chain_spec_validation():
         ChainSpec(stages=((2, 3), (1, 1)))
     with pytest.raises(ValueError):
         ChainSpec(stages=((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        ChainSpec(stages=((1, 1), (2, 3)), thresholds=(3, 2))
 
 
 def test_chain_exponents_a2():

@@ -13,7 +13,7 @@ from repzeta.isotropic_census import (
     distinct_class_count,
     gamma_estimate,
 )
-from repzeta.linalg import valuation
+from repzeta.linalg import det_int, valuation
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,6 @@ def test_family_rejections():
 
 def test_determinants_are_one(family4311):
     # det of a block-triangular member is independent of Y; verify honestly
-    from repzeta.linalg import det_int
-
     mod = family4311.modulus
     for mat in (family4311.y_reps[0], family4311.y_reps[40], family4311.y_reps[80]):
         assert det_int([list(r) for r in mat]) % mod == 1
@@ -126,9 +124,7 @@ def test_non_conjugate_pair_has_no_invertible_intertwiner(family4311, partition4
     # intertwiners exist (the exponent pattern is nonzero) but none is invertible
     assert module.exponents
     for gen in module.full_order_generators():
-        from repzeta.isotropic_census import _det_mod
-
-        assert _det_mod([list(r) for r in gen], 3) == 0
+        assert det_int(gen) % 3 == 0
 
 
 def test_symmetry_and_transitivity(family4311):

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,19 @@ def test_det_int_against_permanent_expansion():
             return total
 
         assert det_int(m) == cof(m)
+
+
+def test_det_int_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for case in range(200):
+        n = rng.randint(1, 5)
+        # small entries make zero pivots and singular matrices common
+        span = 1 if case % 3 == 0 else 9
+        m = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+        if case % 7 == 0 and n > 1:
+            m[-1] = list(m[0])
+        assert det_int(m) == sympy.Matrix(m).det(), m
 
 
 def test_mat_inv_mod_roundtrip():

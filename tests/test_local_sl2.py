@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,7 @@ from repzeta.local_sl2 import (
     pole_witness,
     sl2_local_factor,
     sl2_quotient_order,
-    truncated_factor_sum,
 )
-from repzeta.witten import witten_partial_sum
 
 
 def test_factor_head_q3():
@@ -51,6 +50,30 @@ def test_evaluate_limits_and_preconditions():
         evaluate_local(factor, 1.0)
     with pytest.raises(ValueError):
         evaluate_local(factor, 0.5)
+
+
+def _evaluate_local_decimal(factor, s):
+    """The same head + tail / (1 - q^(1-s)) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sd = Decimal(s)  # the float s, exactly
+
+        def power(base, exponent):
+            return (exponent * Decimal(base).ln()).exp()
+
+        head = sum(m * power(d, -sd) for d, m in factor.head_terms if m)
+        tail = sum(m * power(d, -sd) for d, m in factor.tail_terms)
+        return head + tail / (1 - power(factor.q, 1 - sd))
+
+
+@pytest.mark.parametrize("q", [3, 7, 101])
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
+def test_evaluate_local_near_the_pole(q, eps):
+    # 1 - q^(1-s) cancels near s = 1; the float value must keep full precision
+    factor = sl2_local_factor(q)
+    s = 1.0 + eps
+    reference = _evaluate_local_decimal(factor, s)
+    assert evaluate_local(factor, s) == pytest.approx(float(reference), rel=1e-14)
 
 
 def test_exact_evaluation_matches_float():
@@ -93,12 +116,8 @@ def test_truncation_converges_to_analytic_value():
     for q in (3, 5):
         factor = sl2_local_factor(q)
         target = evaluate_local(factor, 2.5)
-        err = abs(truncated_factor_sum(q, 12, 2.5) - target)
+        err = abs(level_census(q, 12).census.zeta(2.5) - target)
         assert err < float(q) ** -6
-        # also reachable through the generic census partial sum
-        assert witten_partial_sum(level_census(q, 12).census, 2.5) == pytest.approx(
-            truncated_factor_sum(q, 12, 2.5), rel=1e-12
-        )
 
 
 def test_factor_bounds_grid():

@@ -12,7 +12,6 @@ from repzeta.symmetric import (
     conjugate_partition,
     hook_degree,
     partitions,
-    power_zeta,
     rbound_check,
     sn_degrees,
 )
@@ -100,11 +99,3 @@ def test_rbound_check():
     assert rbound_check(DegreeCensus(entries=((1, 1),), bound=1), 0.5)
     with pytest.raises(ValueError):
         rbound_check(an_degrees(5), 1.0)
-
-
-def test_power_zeta():
-    z = ak_zeta(9, 1.0)
-    assert power_zeta(z, 3) == pytest.approx(z ** 3)
-    assert power_zeta(z, 0) == 1.0
-    with pytest.raises(ValueError):
-        power_zeta(z, -1)
