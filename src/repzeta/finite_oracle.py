@@ -10,8 +10,15 @@ step is exact integer arithmetic.
 The eigenspace split never builds a full class matrix (Schneider's
 refinement): a subspace kept in reduced-echelon form is acted on through
 the class-matrix rows at its pivot columns only, and each row costs |C_i|
-products.  The resulting table is certified by the second orthogonality
-relation over F_l.
+products.  A subspace on which a class matrix acts as a scalar lambda*I
+is kept as it is: its characteristic polynomial has the one root lambda,
+the kernel of the zero matrix is the whole subspace, and the rref of an
+echelon basis is that basis, so the split would return it unchanged.
+The resulting table is certified by the second orthogonality relation
+over F_l.
+
+Elements are flat row-major tuples; the product of two 2x2 elements is
+one fused expression, and other sizes take the generic loop.
 """
 
 from __future__ import annotations
@@ -48,6 +55,15 @@ def _to_rows(flat: Flat, n: int) -> list[list[int]]:
 
 
 def _mul(a: Flat, b: Flat, n: int, m: int) -> Flat:
+    if n == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (
+            (a0 * b0 + a1 * b2) % m,
+            (a0 * b1 + a1 * b3) % m,
+            (a2 * b0 + a3 * b2) % m,
+            (a2 * b1 + a3 * b3) % m,
+        )
     out = []
     for i in range(n):
         base = i * n
@@ -232,7 +248,9 @@ def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET
     1. split the class algebra over F_l into 1-dim common eigenspaces of
        the class matrices; a subspace in reduced-echelon form is split by
        its action matrix, read from the class-matrix rows at its pivot
-       columns only (Schneider's refinement),
+       columns only (Schneider's refinement); an action matrix lambda*I
+       keeps the subspace whole, which is exactly what the split returns
+       for it (one root, the whole kernel, the same echelon basis),
     2. read each normalized eigenvector as the central character
        (omega_i = h_i chi(g_i)/d),
     3. recover d from d^2 = |G| / sum_i omega_i omega_{i*} / h_i, unique
@@ -271,6 +289,11 @@ def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET
                 if p not in rows:
                     rows[p] = _class_row(group, classes, members, i, p, ell)
             act = [[sum(map(operator.mul, rows[p], b)) % ell for b in basis] for p in pivots]
+            lam = act[0][0]
+            if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
+                # act = lam*I: the split below would return this subspace unchanged
+                new_subspaces.append((basis, pivots))
+                continue
             roots = poly_roots_mod_p(charpoly_mod_p(act, ell), ell)
             split_dim = 0
             for lam in roots:

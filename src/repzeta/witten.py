@@ -70,7 +70,8 @@ def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
             forms[j] -= c * steps
 
     walk(0, 1)
-    return DegreeCensus.from_pairs(counts.items(), bound)
+    # counts is already merged and every count is >= 1, so from_pairs would only re-merge it
+    return DegreeCensus(entries=tuple(sorted(counts.items())), bound=bound)
 
 
 def abscissa_estimate(

@@ -1,9 +1,13 @@
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repzeta import cli
 from repzeta.cli import main
@@ -141,6 +145,34 @@ def test_exit_code_budget(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget" in captured.err
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    modulus=st.one_of(st.integers(-4, 16).map(str), st.text(max_size=6).filter(_not_an_int)),
+    group=st.one_of(st.none(), st.sampled_from(["sl2", "gl3", ""])),
+)
+def test_oracle_argv_fuzz(modulus, group):
+    """Every oracle argv ends in exit 0, 2 or 3, never in a traceback."""
+    argv = ["oracle", "--modulus", modulus] + ([] if group is None else ["--group", group])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and int(modulus) in (3, 5, 7, 9, 11, 13):
+        assert json.loads(out.getvalue())["result"]["formula_census_matches"] is True
 
 
 def test_determinism_modulo_wall_time(capsys):

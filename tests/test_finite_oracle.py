@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
@@ -8,6 +10,7 @@ from repzeta.finite_oracle import (
     _identity,
     _inv,
     _mul,
+    _to_rows,
     abelianization_order,
     character_degrees,
     conjugacy_classes,
@@ -16,6 +19,7 @@ from repzeta.finite_oracle import (
     group_exponent,
     sl2_group,
 )
+from repzeta.linalg import mat_mul_mod
 from repzeta.local_sl2 import level_census
 
 
@@ -43,6 +47,16 @@ def test_generator_validation_and_budget():
         generate_group(9, 2, [[[3, 0], [0, 3]]])  # det 0 mod 9
     with pytest.raises(BudgetExceededError):
         sl2_group(9, budget=100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), m=st.integers(2, 60))
+def test_mul_matches_mat_mul_mod(data, n, m):
+    """The fused 2x2 product and the generic loop against linalg's row-list kernel."""
+    entries = st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n)
+    a, b = data.draw(entries), data.draw(entries)
+    want = mat_mul_mod(_to_rows(a, n), _to_rows(b, n), m)
+    assert _mul(tuple(a), tuple(b), n, m) == tuple(x for row in want for x in row)
 
 
 def test_group_closure_small():
@@ -82,7 +96,8 @@ def test_class_count_floor():
 
 
 def test_dixon_degrees_match_formula(sl2_groups):
-    for modulus, (q, k) in ((3, (3, 1)), (9, (3, 2)), (5, (5, 1)), (25, (5, 2))):
+    cases = ((3, (3, 1)), (9, (3, 2)), (5, (5, 1)), (25, (5, 2)), (49, (7, 2)))
+    for modulus, (q, k) in cases:
         census = character_degrees(sl2_groups[modulus])
         assert census.entries == level_census(q, k).census.entries
         assert census.mass == sl2_groups[modulus].order
@@ -101,10 +116,20 @@ def quaternion_group():
     return generate_group(3, 2, [[[0, -1], [1, 0]], [[1, 1], [1, -1]]])
 
 
+def heisenberg_group():
+    # unipotent upper-triangular 3x3 over F3, generated by E_12 and E_23
+    return generate_group(3, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]])
+
+
+def sl3_f2():
+    # E_12 and the 3-cycle permutation matrix generate SL3(F2), the simple group of order 168
+    return generate_group(2, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+
+
 @pytest.mark.parametrize(
     "make_group",
-    [lambda: sl2_group(3), lambda: sl2_group(4), quaternion_group],
-    ids=["SL2(Z/3)", "SL2(Z/4)", "Q8"],
+    [lambda: sl2_group(3), lambda: sl2_group(4), quaternion_group, heisenberg_group],
+    ids=["SL2(Z/3)", "SL2(Z/4)", "Q8", "Heis(F3)"],
 )
 def test_class_row_against_pair_count(make_group):
     """Every row of every class matrix equals #{(x, y) in C_i x C_j : x*y = rep_k} mod l."""
@@ -149,6 +174,25 @@ def test_dixon_on_quaternion_group():
     assert g.order == 8
     assert character_degrees(g).entries == ((1, 4), (2, 1))
     assert abelianization_order(g) == 4
+
+
+@pytest.mark.parametrize(
+    "make_group, order, class_count, degrees, abelianization",
+    [
+        (heisenberg_group, 27, 11, ((1, 9), (3, 2)), 9),
+        (sl3_f2, 168, 6, ((1, 1), (3, 2), (6, 1), (7, 1), (8, 1)), 1),
+    ],
+    ids=["Heis(F3)", "SL3(F2)"],
+)
+def test_dixon_on_3x3_groups(make_group, order, class_count, degrees, abelianization):
+    """3x3 groups take the generic product in every kernel."""
+    g = make_group()
+    assert g.order == order
+    assert conjugacy_classes(g).count == class_count
+    census = character_degrees(g)
+    assert census.entries == degrees
+    assert census.total_count == class_count
+    assert abelianization_order(g) == abelianization == dict(degrees)[1]
 
 
 def test_degree_one_count_is_abelianization(sl2_groups):
