@@ -118,7 +118,7 @@ def _census_rows(census: DegreeCensus) -> list[dict[str, Any]]:
     return rows
 
 
-def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     datum = build_root_datum(args.series, args.rank)
     census = enumerate_dimensions(datum, args.bound)
     result: dict[str, Any] = {
@@ -141,12 +141,11 @@ def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], lis
         }
     else:
         result["abscissa"] = None
-    rows = _census_rows(census)
-    result["table"] = rows
-    return result, ["degree", "multiplicity", "R_n"], rows
+    result["table"] = _census_rows(census)
+    return result, ["degree", "multiplicity", "R_n"]
 
 
-def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     factor = sl2_local_factor(args.q)
     lc = level_census(args.q, args.level)
     expected_order = sl2_quotient_order(args.q, args.level)
@@ -166,12 +165,11 @@ def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], 
             if 2.0 <= s <= 3.0
         },
     }
-    rows = _census_rows(lc.census)
-    result["table"] = rows
-    return result, ["degree", "multiplicity", "R_n"], rows
+    result["table"] = _census_rows(lc.census)
+    return result, ["degree", "multiplicity", "R_n"]
 
 
-def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     if args.group != "sl2":
         raise ValueError(f"unknown group family {args.group!r}; only 'sl2' is available")
     group = sl2_group(args.modulus)
@@ -188,12 +186,11 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], lis
         formula = level_census(*pp)
         result["formula_census_matches"] = formula.census.entries == census.entries
         result["formula_irrep_count"] = irrep_count(*pp)
-    rows = _census_rows(census)
-    result["table"] = rows
-    return result, ["degree", "multiplicity", "R_n"], rows
+    result["table"] = _census_rows(census)
+    return result, ["degree", "multiplicity", "R_n"]
 
 
-def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     rng = random.Random(args.seed)
@@ -223,10 +220,10 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list
             }
         )
     result = {"samples": args.samples, "all_match": all_match, "table": rows}
-    return result, ["d", "p", "k", "eigenvalues", "dimension", "centralizer_index", "match"], rows
+    return result, ["d", "p", "k", "eigenvalues", "dimension", "centralizer_index", "match"]
 
 
-def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     if args.sample is not None and args.sample < 1:
         raise ValueError(f"--sample must be >= 1, got {args.sample}")
     family = build_census_family(args.m, args.q, args.k, args.t)
@@ -247,16 +244,12 @@ def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], li
         "exhaustive": report.exhaustive,
         "unknown_pairs": report.unknown_pairs,
         "conjugator_blocks_ok": structure_ok,
+        "table": [{"member": i, "class_id": cid} for i, cid in enumerate(report.assignments)],
     }
-    rows = [
-        {"member": i, "class_id": cid}
-        for i, cid in enumerate(report.assignments)
-    ]
-    result["table"] = rows
-    return result, ["member", "class_id"], rows
+    return result, ["member", "class_id"]
 
 
-def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     rows = []
     for k in range(5, args.kmax + 1):
         census = an_degrees(k)
@@ -269,10 +262,10 @@ def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[d
             }
         )
     result = {"s": args.s, "kmax": args.kmax, "table": rows}
-    return result, ["k", "zeta", "irreducibles", "mass_ok"], rows
+    return result, ["k", "zeta", "irreducibles", "mass_ok"]
 
 
-def cmd_euler(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list[dict]]:
+def cmd_euler(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     rows = []
     for s in args.s_grid:
         value = euler_partial_product(
@@ -292,7 +285,7 @@ def cmd_euler(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], list
             "threshold": scan.threshold,
             "diverging": scan.diverging,
         }
-    return result, ["s", "partial_product", "sandwich_ok"], rows
+    return result, ["s", "partial_product", "sandwich_ok"]
 
 
 def _float_list(text: str) -> list[float]:
@@ -358,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict[str, Any], columns: list[str], rows: list[dict], args: argparse.Namespace) -> None:
+def _emit(report: dict[str, Any], columns: list[str], args: argparse.Namespace) -> None:
     if args.format == "json":
         text = _to_json(report) + "\n"
         if args.out:
@@ -372,7 +365,7 @@ def _emit(report: dict[str, Any], columns: list[str], rows: list[dict], args: ar
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for row in rows:
+    for row in report["result"]["table"]:
         writer.writerow([_fmt_cell(row[c]) for c in columns])
     meta = {k: v for k, v in report.items() if k != "result"}
     meta["result"] = {k: v for k, v in report["result"].items() if k != "table"}
@@ -391,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        result, columns, rows = args.func(args)
+        result, columns = args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -411,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "wall_time_s": round(time.perf_counter() - started, 6),
         "result": result,
     }
-    _emit(report, columns, rows, args)
+    _emit(report, columns, args)
     return 0
 
 

@@ -8,9 +8,12 @@ One representative is kept per residue of Y mod p^k.
 Conjugacy between two family members is decided exactly: the intertwiner
 equation W M1 = M2 W is linear in W, its solution set mod p^N is a
 module presented by a local Smith form, and M1 ~ M2 in GL iff that
-module contains a matrix invertible mod p.  GL-conjugacy merges at least
-as much as SL-conjugacy, so a lower bound certified on GL-classes is
-valid for the SL census.
+module contains a matrix invertible mod p.  The generators of full order
+p^N are columns of the Smith form's right factor V, which is invertible,
+so they are already independent mod p: the scan for an invertible
+intertwiner runs on them directly, with no second elimination.
+GL-conjugacy merges at least as much as SL-conjugacy, so a lower bound
+certified on GL-classes is valid for the SL census.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 from .arith import prime_power
 from .errors import BudgetExceededError
-from .linalg import det_int, kernel_generators_local, valuation
+from .linalg import det_int, kernel_generators_local, mat_mul_mod, valuation
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -50,7 +53,7 @@ class CensusFamily:
         return self.q ** max(exp, 0)
 
 
-def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> tuple[list[int], int]:
+def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> list[int]:
     """Diagonal entries with pairwise valuation <= t and det M_Y = 1.
 
     The first m-1 entries run through lexicographic candidates; the last
@@ -59,13 +62,7 @@ def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> tuple[list[int],
     """
     pN = p ** N
     pk = p ** k
-    space = p ** (t + 1)
-    if space <= m:
-        raise ValueError(
-            f"cannot place {m} diagonal entries with pairwise valuation <= {t} "
-            f"over residue characteristic {p} (need p^(t+1) > m)"
-        )
-    for candidate in combinations(range(space), m - 1):
+    for candidate in combinations(range(p ** (t + 1)), m - 1):
         prod_rest = 1
         for d in candidate:
             prod_rest = prod_rest * (1 + pk * d) % pN
@@ -81,7 +78,7 @@ def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> tuple[list[int],
                 ok = False
                 break
         if ok:
-            return entries, d_last
+            return entries
     raise ValueError("no admissible diagonal found (exhausted candidates)")
 
 
@@ -113,7 +110,7 @@ def build_census_family(
             f"family would hold {rep_count} representatives; budget is {rep_budget}"
         )
     N = 3 * k + 2 * t
-    entries, _ = _choose_diagonal(m, q, k, t, N)
+    entries = _choose_diagonal(m, q, k, t, N)
     half = m // 2
     x_diag = tuple(entries[:half])
     z_diag = tuple(entries[half:])
@@ -148,9 +145,7 @@ class IntertwinerModule:
     order p^N are exactly the ones visible mod p.
     """
 
-    p: int
     modulus_exp: int
-    size: int
     generators: tuple[Mat, ...]
     exponents: tuple[int, ...]
 
@@ -178,52 +173,13 @@ def conjugacy_module(
     for e, vec in gens:
         mats.append(tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m)))
         exps.append(e)
-    return IntertwinerModule(
-        p=p, modulus_exp=N, size=m, generators=tuple(mats), exponents=tuple(exps)
-    )
+    return IntertwinerModule(modulus_exp=N, generators=tuple(mats), exponents=tuple(exps))
 
 
 @dataclass(frozen=True)
 class ConjugacyResult:
     status: str  # "conjugate" | "not_conjugate" | "unknown"
     witness: Mat | None = None
-
-
-def _echelon_with_lifts(
-    vectors: list[list[int]], lifts: list[Mat], p: int, pN: int, m: int
-) -> list[tuple[list[int], list[list[int]]]]:
-    """Row-reduce mod p while applying the same operations to the lifts."""
-    rows = [(v[:], [list(r) for r in lift]) for v, lift in zip(vectors, lifts)]
-    out: list[tuple[list[int], list[list[int]]]] = []
-    col = 0
-    dim = m * m
-    idx = 0
-    while idx < len(rows) and col < dim:
-        pivot = next((r for r in range(idx, len(rows)) if rows[r][0][col] % p), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[idx], rows[pivot] = rows[pivot], rows[idx]
-        vec, lift = rows[idx]
-        inv = pow(vec[col] % p, -1, p)
-        vec[:] = [(x * inv) % p for x in vec]
-        for r in range(m):
-            for c in range(m):
-                lift[r][c] = (lift[r][c] * inv) % pN
-        for other in range(len(rows)):
-            if other == idx:
-                continue
-            f = rows[other][0][col] % p
-            if f:
-                ovec, olift = rows[other]
-                ovec[:] = [(a - f * b) % p for a, b in zip(ovec, vec)]
-                for r in range(m):
-                    for c in range(m):
-                        olift[r][c] = (olift[r][c] - f * lift[r][c]) % pN
-        out.append((vec, lift))
-        idx += 1
-        col += 1
-    return out
 
 
 def are_conjugate(
@@ -236,11 +192,19 @@ def are_conjugate(
     """Decide GL(Z/p^N)-conjugacy of M1 and M2 by exact linear algebra.
 
     The intertwiner module contains a matrix invertible mod p iff some
-    F_p-combination of its full-order generators is invertible; that span
-    is scanned projectively (first nonzero coefficient = 1).  A found
-    witness is verified against both the intertwining identity and unit
-    determinant before being returned.  If the span dimension exceeds the
-    budget the outcome is an explicit "unknown", never a guess.
+    F_p-combination of its full-order generators is invertible mod p; the
+    generators of lower order vanish mod p.  That span is scanned
+    projectively (first nonzero coefficient = 1) over the generators as
+    the Smith form gives them.  Each is a column of the invertible right
+    factor V, so they are independent mod p and their count is the span's
+    dimension, which the budget bounds.  Independence is not needed for
+    the decision itself: a projective scan over any spanning set meets
+    every nonzero element of the span up to a unit, and a unit does not
+    change invertibility, so no rank check runs here.  A witness is the
+    same combination of the generators mod p^N; it is verified against
+    both the intertwining identity and unit determinant before being
+    returned.  If the span dimension exceeds the budget the outcome is an
+    explicit "unknown", never a guess.
     """
     m = len(M1)
     pN = p ** N
@@ -249,52 +213,40 @@ def are_conjugate(
     if M1t == M2t:
         ident = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
         return ConjugacyResult(status="conjugate", witness=ident)
-    module = conjugacy_module(M1t, M2t, p, N)
-    full = module.full_order_generators()
+    full = conjugacy_module(M1t, M2t, p, N).full_order_generators()
     if not full:
         return ConjugacyResult(status="not_conjugate")
-    vectors = [[g[r][c] % p for r in range(m) for c in range(m)] for g in full]
-    basis = _echelon_with_lifts(vectors, full, p, pN, m)
-    rho = len(basis)
+    rho = len(full)
     if rho > rank_budget:
         return ConjugacyResult(status="unknown")
-    dim = m * m
-    basis_vecs = [vec for vec, _ in basis]
-
-    def lift(coeffs: Sequence[int]) -> Mat:
-        cand = [[0] * m for _ in range(m)]
-        for coef, (_, bl) in zip(coeffs, basis):
-            if coef:
-                for r in range(m):
-                    for c in range(m):
-                        cand[r][c] = (cand[r][c] + coef * bl[r][c]) % pN
-        return tuple(tuple(row) for row in cand)
+    reduced = [[[x % p for x in row] for row in g] for g in full]
 
     # projective scan: first nonzero coefficient normalized to 1
     for lead in range(rho):
-        head = basis_vecs[lead]
         for rest in product(range(p), repeat=rho - lead - 1):
-            flat = head[:]
-            for coef, vec in zip(rest, basis_vecs[lead + 1:]):
+            cand = [list(row) for row in reduced[lead]]
+            for coef, gen in zip(rest, reduced[lead + 1:]):
                 if coef:
-                    for idx in range(dim):
-                        flat[idx] = (flat[idx] + coef * vec[idx]) % p
-            if det_int([flat[r * m:(r + 1) * m] for r in range(m)]) % p:  # invertible mod p
-                coeffs = (0,) * lead + (1,) + rest
-                w = lift(coeffs)
+                    for crow, grow in zip(cand, gen):
+                        for c in range(m):
+                            crow[c] += coef * grow[c]
+            if det_int(cand) % p:  # invertible mod p
+                coeffs = (1,) + rest
+                w = tuple(
+                    tuple(
+                        sum(a * g[r][c] for a, g in zip(coeffs, full[lead:])) % pN
+                        for c in range(m)
+                    )
+                    for r in range(m)
+                )
                 _verify_witness(w, M1t, M2t, p, pN)
                 return ConjugacyResult(status="conjugate", witness=w)
     return ConjugacyResult(status="not_conjugate")
 
 
 def _verify_witness(w: Mat, M1: Mat, M2: Mat, p: int, pN: int) -> None:
-    m = len(w)
-    for i in range(m):
-        for j in range(m):
-            left = sum(w[i][a] * M1[a][j] for a in range(m)) % pN
-            right = sum(M2[i][b] * w[b][j] for b in range(m)) % pN
-            if left != right:
-                raise AssertionError("witness does not intertwine")
+    if mat_mul_mod(w, M1, pN) != mat_mul_mod(M2, w, pN):
+        raise AssertionError("witness does not intertwine")
     if det_int(w) % p == 0:
         raise AssertionError("witness is not invertible mod p")
 

@@ -32,7 +32,6 @@ class LocalFactorSL2:
     q: int
     head_terms: tuple[tuple[int, int], ...]  # (degree, multiplicity)
     tail_terms: tuple[tuple[int, int], ...]  # (base degree, base multiplicity)
-    tail_ratio: int
 
     def head_census(self) -> DegreeCensus:
         pairs = [(d, m) for d, m in self.head_terms if m > 0]
@@ -56,8 +55,9 @@ def sl2_local_factor(q: int) -> LocalFactorSL2:
         (q * q - q, (q * q - 1) // 2),
         (q * q + q, (q - 1) ** 2 // 2),
     )
-    assert sum(m for _, m in head) == q + 4
-    return LocalFactorSL2(q=q, head_terms=head, tail_terms=tail, tail_ratio=q)
+    if sum(m for _, m in head) != q + 4:
+        raise AssertionError(f"q={q}: head multiplicities do not sum to q+4")
+    return LocalFactorSL2(q=q, head_terms=head, tail_terms=tail)
 
 
 def _one_minus_ratio(q: int, s: float) -> float:
@@ -124,8 +124,10 @@ def level_census(q: int, k: int) -> LevelCensus:
         pairs.extend(fam)
     census = DegreeCensus.from_pairs(pairs, max(d for d, _ in pairs))
     lc = LevelCensus(q=q, level=k, census=census, by_level=tuple(per_level))
-    assert census.total_count == irrep_count(q, k)
-    assert census.mass == sl2_quotient_order(q, k)
+    if census.total_count != irrep_count(q, k):
+        raise AssertionError(f"q={q}, k={k}: census count differs from irrep_count")
+    if census.mass != sl2_quotient_order(q, k):
+        raise AssertionError(f"q={q}, k={k}: census mass differs from the group order")
     return lc
 
 

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import repzeta
 from repzeta.finite_oracle import conjugacy_classes, sl2_group
 
 
@@ -17,3 +20,11 @@ def sl2_z27():
 @pytest.fixture(scope="session")
 def sl2_z27_classes(sl2_z27):
     return conjugacy_classes(sl2_z27)
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for child interpreters, with the repzeta under test first on their path."""
+    src = os.path.dirname(os.path.dirname(repzeta.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repzeta import cli
@@ -175,6 +175,35 @@ def test_oracle_argv_fuzz(modulus, group):
         assert json.loads(out.getvalue())["result"]["formula_census_matches"] is True
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    m=st.integers(-1, 4),
+    q=st.integers(-1, 7),
+    k=st.integers(-1, 1),
+    t=st.integers(-1, 2),
+    sample=st.integers(-1, 4),
+)
+@example(m=4, q=3, k=1, t=1, sample=4)
+@example(m=4, q=7, k=1, t=1, sample=4)
+@example(m=2, q=5, k=1, t=1, sample=1)
+def test_census8_argv_fuzz(m, q, k, t, sample):
+    """Every census8 argv ends in exit 0, 2 or 3, never in a traceback."""
+    argv = ["census8", "--m", str(m), "--q", str(q), "--k", str(k), "--t", str(t),
+            "--sample", str(sample)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        result = json.loads(out.getvalue())["result"]
+        assert result["conjugator_blocks_ok"] is True
+        assert result["classes_found"] <= result["sampled"]
+
+
 def test_determinism_modulo_wall_time(capsys):
     argv = ["local-sl2", "--q", "5", "--level", "3", "--seed", "7"]
     _, out1 = run_cli(capsys, argv)
@@ -281,11 +310,12 @@ def test_out_file(tmp_path, capsys):
     assert "table" not in meta["result"]
 
 
-def test_module_entry_point():
+def test_module_entry_point(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "repzeta.cli", "alt", "--kmax", "6"],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "alt"

@@ -13,7 +13,7 @@ from repzeta.isotropic_census import (
     distinct_class_count,
     gamma_estimate,
 )
-from repzeta.linalg import det_int, valuation
+from repzeta.linalg import det_int, rref_mod_p, valuation
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,17 @@ def test_non_conjugate_pair_has_no_invertible_intertwiner(family4311, partition4
     assert module.exponents
     for gen in module.full_order_generators():
         assert det_int(gen) % 3 == 0
+
+
+def test_full_order_generators_independent_mod_p(family4311):
+    """The scan's span dimension is the generator count: no rank check needed."""
+    fam = family4311
+    rng = random.Random(23)
+    pairs = [tuple(rng.sample(range(81), 2)) for _ in range(36)]
+    for a, b in pairs + [(a, a) for a, _ in pairs[:4]]:
+        full = conjugacy_module(fam.y_reps[a], fam.y_reps[b], 3, 5).full_order_generators()
+        reduced, _ = rref_mod_p([[x for row in g for x in row] for g in full], 3)
+        assert len(reduced) == len(full)
 
 
 def test_symmetry_and_transitivity(family4311):

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repzeta.linalg import (
@@ -190,3 +190,37 @@ def test_kernel_generators_against_brute_force():
         for _, vec in gens:
             for row in a:
                 assert sum(r * v for r, v in zip(row, vec)) % pm == 0
+
+
+@st.composite
+def local_square_matrices(draw):
+    """(p, M, A) with A square over Z/p^M, some rows zeroed, scaled by p or repeated."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    precision = draw(st.integers(1, 3))
+    pm = p ** precision
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, pm - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    for i in draw(st.lists(index, max_size=n)):
+        rows[i] = [0] * n
+    for i in draw(st.lists(index, max_size=n)):
+        rows[i] = [p * x % pm for x in rows[i]]
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=n)):
+        rows[i] = list(rows[j])
+    return p, precision, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(local_square_matrices())
+@example((3, 2, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]))
+@example((3, 2, [[1, 2, 4], [1, 2, 4], [1, 2, 4]]))
+@example((5, 3, [[5, 10], [5, 10]]))
+@example((2, 1, [[1]]))
+def test_full_order_kernel_generators_independent_mod_p(case):
+    """Generators of order p^M are columns of the invertible Smith factor V,
+    so they reduce mod p to independent vectors."""
+    p, precision, rows = case
+    full = [vec for e, vec in kernel_generators_local(rows, p, precision) if e == precision]
+    reduced, _ = rref_mod_p(full, p)
+    assert len(reduced) == len(full)

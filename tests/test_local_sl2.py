@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -145,3 +147,14 @@ def test_pole_witness_bounded():
         values = pole_witness(q)
         assert max(values) / min(values) < 1.5
         assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+@pytest.mark.parametrize("broken", ["irrep_count", "sl2_quotient_order"])
+def test_census_identities_checked_under_optimize(broken, subprocess_env):
+    """A wrong closed formula fails level_census even under python -O."""
+    code = f"import repzeta.local_sl2 as L; L.{broken} = lambda q, k: 0; L.level_census(3, 2)"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
