@@ -12,6 +12,14 @@ module contains a matrix invertible mod p.  The generators of full order
 p^N are columns of the Smith form's right factor V, which is invertible,
 so they are already independent mod p: the scan for an invertible
 intertwiner runs on them directly, with no second elimination.
+
+A class count tests pairs only within buckets of equal `conjugacy_key`:
+the centralizer's module type and the local Smith exponents of the
+shifts M - (1 + p^k d) I.  Both are GL-conjugation invariants, so
+conjugate members always share a bucket; the greedy partition meets the
+representatives of a bucket in the global order, and its assignments
+and witnesses are those of testing every pair.
+
 GL-conjugacy merges at least as much as SL-conjugacy, so a lower bound
 certified on GL-classes is valid for the SL census.
 """
@@ -25,11 +33,12 @@ from typing import Sequence
 
 from .arith import prime_power
 from .errors import BudgetExceededError
-from .linalg import det_int, kernel_generators_local, mat_mul_mod, valuation
+from .linalg import det_int, kernel_generators_local, mat_mul_mod, smith_local, valuation
 
 Mat = tuple[tuple[int, ...], ...]
 
 RANK_BUDGET = 12
+PAIR_BUDGET = 20_000  # are_conjugate calls per class count
 
 
 @dataclass(frozen=True)
@@ -153,21 +162,30 @@ class IntertwinerModule:
         return [g for g, e in zip(self.generators, self.exponents) if e == self.modulus_exp]
 
 
+def _intertwiner_system(
+    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
+) -> list[list[int]]:
+    """Coefficients of the linear map W -> W M1 - M2 W on row-major W, mod p^N."""
+    m = len(M1)
+    pN = p ** N
+    dim = m * m
+    coeff = [[0] * dim for _ in range(dim)]
+    for i in range(m):
+        for j in range(m):
+            row = coeff[i * m + j]
+            for a in range(m):
+                row[i * m + a] = (row[i * m + a] + M1[a][j]) % pN
+            for b in range(m):
+                row[b * m + j] = (row[b * m + j] - M2[i][b]) % pN
+    return coeff
+
+
 def conjugacy_module(
     M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
 ) -> IntertwinerModule:
     """Solve the linear system W M1 - M2 W = 0 over Z/p^N."""
     m = len(M1)
-    dim = m * m
-    coeff = [[0] * dim for _ in range(dim)]
-    for i in range(m):
-        for j in range(m):
-            row = i * m + j
-            for a in range(m):
-                coeff[row][i * m + a] = (coeff[row][i * m + a] + M1[a][j]) % (p ** N)
-            for b in range(m):
-                coeff[row][b * m + j] = (coeff[row][b * m + j] - M2[i][b]) % (p ** N)
-    gens = kernel_generators_local(coeff, p, N)
+    gens = kernel_generators_local(_intertwiner_system(M1, M2, p, N), p, N)
     mats = []
     exps = []
     for e, vec in gens:
@@ -251,6 +269,31 @@ def _verify_witness(w: Mat, M1: Mat, M2: Mat, p: int, pN: int) -> None:
         raise AssertionError("witness is not invertible mod p")
 
 
+def conjugacy_key(mat: Mat, family: CensusFamily) -> tuple[tuple[int, ...], ...]:
+    """GL_m(Z/p^N)-conjugacy invariants of a matrix, for bucketing a census.
+
+    The first entry is the local Smith exponents of the linear map
+    X -> X M - M X, whose kernel is the centralizer of M, so they fix the
+    centralizer's module type; the others are the local Smith exponents
+    of M - (1 + p^k d) I for each diagonal entry d of the family.  If
+    M' = W M W^-1 then X -> W X W^-1 conjugates the first map into the
+    one of M', and M' - cI = W (M - cI) W^-1 has the Smith form of
+    M - cI, so conjugate matrices have equal keys.  Neither part alone
+    separates the classes of the `certify` samples.
+    """
+    p, N = family.q, family.modulus_exp
+    pN = p ** N
+    pk = p ** family.k
+    key = [smith_local(_intertwiner_system(mat, mat, p, N), p, N).exponents]
+    for d in family.x_diag + family.z_diag:
+        c = 1 + pk * d
+        shifted = [
+            [(x - c if i == j else x) % pN for j, x in enumerate(row)] for i, row in enumerate(mat)
+        ]
+        key.append(smith_local(shifted, p, N).exponents)
+    return tuple(key)
+
+
 @dataclass(frozen=True)
 class ClassCountReport:
     classes_found: int
@@ -272,30 +315,50 @@ def distinct_class_count(
     Processes members in index order and joins the first existing class
     whose representative is decided conjugate; any "unknown" outcome
     poisons the certificate (the count is then only a lower bound).
+
+    Each member is first given its `conjugacy_key`, and `are_conjugate`
+    runs only against the representatives of classes with the same key.
+    Conjugate members share a key, so a representative with another key
+    is one the unbucketed partition would have found not conjugate; the
+    representatives with the member's key are met in the global order.
+    Hence the first conjugate representative, its witness and so the
+    assignments are those of testing every pair.  A skipped pair is
+    decided by its key, so it is never an unknown: `unknown_pairs` can
+    only fall, and where testing every pair meets no unknown the
+    certificate is the same.  More than PAIR_BUDGET `are_conjugate` calls
+    raise BudgetExceededError.
     """
     indices = list(range(len(family.y_reps))) if sample is None else list(sample)
     exhaustive = sample is None
     p = family.q
     N = family.modulus_exp
     reps: list[int] = []
+    buckets: dict[tuple[tuple[int, ...], ...], list[int]] = {}  # key -> class ids
     assignment: list[int] = []
-    unknown = 0
+    tested = unknown = 0
     witnesses: list[tuple[int, int, Mat]] = []
     for idx in indices:
         mat = family.y_reps[idx]
-        placed = False
-        for cid, rep_idx in enumerate(reps):
+        bucket = buckets.setdefault(conjugacy_key(mat, family), [])
+        placed = None
+        for cid in bucket:
+            if tested >= PAIR_BUDGET:
+                raise BudgetExceededError(
+                    f"class count needs more than {PAIR_BUDGET} conjugacy tests"
+                )
+            tested += 1
+            rep_idx = reps[cid]
             result = are_conjugate(family.y_reps[rep_idx], mat, p, N, rank_budget=rank_budget)
             if result.status == "conjugate":
-                assignment.append(cid)
                 witnesses.append((idx, rep_idx, result.witness))
-                placed = True
+                placed = cid
                 break
-            if result.status == "unknown":
-                unknown += 1
-        if not placed:
-            assignment.append(len(reps))
+            unknown += result.status == "unknown"
+        if placed is None:
+            placed = len(reps)
+            bucket.append(placed)
             reps.append(idx)
+        assignment.append(placed)
     bound = family.class_count_floor()
     certified = exhaustive and unknown == 0 and len(reps) >= bound
     return ClassCountReport(

@@ -207,12 +207,37 @@ class SmithLocal:
     right: tuple[tuple[int, ...], ...]
 
 
+def _pivot(
+    a: Matrix, t: int, p: int, precision: int, floor: int
+) -> tuple[tuple[int, int] | None, int]:
+    """Row-major first entry of least valuation in a[t:, t:], given that none is below `floor`."""
+    best, best_val = None, precision
+    n = len(a)
+    for i in range(t, n):
+        row = a[i]
+        for j in range(t, n):
+            x = row[j]
+            if x:
+                if x % p:
+                    return (i, j), 0
+                val = valuation(x, p, best_val)
+                if val < best_val:
+                    if val == floor:
+                        return (i, j), val
+                    best, best_val = (i, j), val
+    return best, best_val
+
+
 def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithLocal:
     """Diagonalize a square matrix over the local ring Z/p^M.
 
     Pivots are chosen with minimal valuation (first in row-major order on
     ties), which makes the exponent sequence nondecreasing and the whole
-    procedure deterministic.
+    procedure deterministic.  Every entry left after a step is a multiple
+    of that step's pivot, so the search for the next pivot stops at the
+    first entry of the previous pivot's valuation.  Column operations are
+    applied to V only: after the row step column t of A is zero below the
+    pivot, so on A they would only clear row t, which is never read again.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -222,19 +247,12 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
     u = identity_matrix(n)
     v = identity_matrix(n)
     exps = [precision] * n
+    floor = 0
     for t in range(n):
-        best = None
-        best_val = precision
-        for i in range(t, n):
-            for j in range(t, n):
-                x = a[i][j]
-                if x == 0:
-                    continue
-                val = valuation(x, p, precision)
-                if val < best_val:
-                    best, best_val = (i, j), val
+        best, best_val = _pivot(a, t, p, precision, floor)
         if best is None:
             break
+        floor = best_val
         i0, j0 = best
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
@@ -256,14 +274,14 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
                 at, ut = a[t], u[t]
                 a[i] = [(y - q * z) % pm for y, z in zip(a[i], at)]
                 u[i] = [(y - q * z) % pm for y, z in zip(u[i], ut)]
-        for j in range(t + 1, n):
-            x = a[t][j]
-            if x:
-                q = x // pv
-                for row in a:
-                    row[j] = (row[j] - q * row[t]) % pm
-                for row in v:
-                    row[j] = (row[j] - q * row[t]) % pm
+        at = a[t]
+        col_ops = [(j, at[j] // pv) for j in range(t + 1, n) if at[j]]
+        if col_ops:
+            for row in v:
+                vt = row[t]
+                if vt:
+                    for j, q in col_ops:
+                        row[j] = (row[j] - q * vt) % pm
         exps[t] = best_val
     if any(exps[i] > exps[i + 1] for i in range(n - 1)):
         raise AssertionError("local Smith exponents not sorted")

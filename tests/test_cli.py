@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repzeta import cli
+from repzeta import cli, isotropic_census
 from repzeta.cli import main
 
 
@@ -145,6 +145,16 @@ def test_exit_code_budget(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget" in captured.err
+
+
+def test_census8_pair_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(isotropic_census, "PAIR_BUDGET", 1)
+    code = main(["census8", "--m", "4", "--q", "3", "--k", "1", "--t", "1", "--sample", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "budget exhausted" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _not_an_int(text):

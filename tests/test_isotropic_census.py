@@ -1,19 +1,39 @@
 import math
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repzeta import isotropic_census
 from repzeta.isotropic_census import (
+    RANK_BUDGET,
     GammaSeries,
     are_conjugate,
     block_structure_ok,
     build_census_family,
+    conjugacy_key,
     conjugacy_module,
     distinct_class_count,
     gamma_estimate,
 )
-from repzeta.linalg import det_int, rref_mod_p, valuation
+from repzeta.errors import BudgetExceededError
+from repzeta.linalg import det_int, mat_inv_mod, mat_mul_mod, rref_mod_p, valuation
+
+# the census8 jobs of the certify benchmark workload: (m, q, k, t) and sample size
+CERTIFY_CENSUS8 = (
+    ((4, 3, 1, 1), 20),
+    ((4, 5, 1, 1), 15),
+    ((4, 7, 1, 1), 5),
+    ((4, 3, 2, 1), 10),
+    ((2, 3, 2, 1), None),
+    ((2, 3, 3, 1), None),
+    ((2, 5, 2, 1), None),
+    ((2, 7, 1, 1), None),
+)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +244,129 @@ def test_rank_budget_yields_unknown(family4311, partition4311):
     report = distinct_class_count(fam, sample=range(12), rank_budget=1)
     assert report.unknown_pairs > 0
     assert not report.certified
+
+
+@lru_cache(maxsize=None)
+def cached_family(m, q, k, t):
+    return build_census_family(m, q, k, t)
+
+
+def unbucketed_class_count(family, sample=None, rank_budget=RANK_BUDGET):
+    """Oracle: the greedy partition testing each member against every class rep.
+
+    Returns the report fields bucketing must keep, and the number of
+    are_conjugate calls made.
+    """
+    indices = range(len(family.y_reps)) if sample is None else sample
+    p, N = family.q, family.modulus_exp
+    reps, assignment, witnesses = [], [], []
+    unknown = calls = 0
+    for idx in indices:
+        mat = family.y_reps[idx]
+        for cid, rep_idx in enumerate(reps):
+            calls += 1
+            result = are_conjugate(family.y_reps[rep_idx], mat, p, N, rank_budget=rank_budget)
+            if result.status == "conjugate":
+                assignment.append(cid)
+                witnesses.append((idx, rep_idx, result.witness))
+                break
+            unknown += result.status == "unknown"
+        else:
+            assignment.append(len(reps))
+            reps.append(idx)
+    certified = sample is None and unknown == 0 and len(reps) >= family.class_count_floor()
+    return (tuple(assignment), tuple(witnesses), unknown, certified), calls
+
+
+def counted_class_count(monkeypatch, family, sample=None):
+    """distinct_class_count and the outcomes of the are_conjugate calls it made."""
+    outcomes = Counter()
+
+    def counting(*args, **kwargs):
+        result = are_conjugate(*args, **kwargs)
+        outcomes[result.status] += 1
+        return result
+
+    monkeypatch.setattr(isotropic_census, "are_conjugate", counting)
+    return distinct_class_count(family, sample=sample), outcomes
+
+
+def assert_matches_oracle(monkeypatch, family, sample=None):
+    report, outcomes = counted_class_count(monkeypatch, family, sample)
+    fields, calls = unbucketed_class_count(family, sample)
+    assert (report.assignments, report.witnesses, report.unknown_pairs, report.certified) == fields
+    assert outcomes["conjugate"] == len(report.witnesses)
+    assert sum(outcomes.values()) <= calls
+    return outcomes, calls
+
+
+def test_buckets_match_unbucketed_partition(monkeypatch, family4311):
+    outcomes, calls = assert_matches_oracle(monkeypatch, family4311)
+    assert sum(outcomes.values()) == 112 and calls == 882
+
+
+@pytest.mark.parametrize("params, size", CERTIFY_CENSUS8)
+def test_buckets_match_unbucketed_on_certify_jobs(monkeypatch, params, size):
+    sample = None if size is None else list(range(size))
+    assert_matches_oracle(monkeypatch, cached_family(*params), sample)
+
+
+def test_starved_buckets_keep_assignments(family4311):
+    """A skipped pair is decided by its key, so bucketing only drops unknowns."""
+    sample = list(range(12))
+    report = distinct_class_count(family4311, sample=sample, rank_budget=1)
+    (assignments, witnesses, unknown, _), _ = unbucketed_class_count(
+        family4311, sample, rank_budget=1
+    )
+    assert (report.assignments, report.witnesses) == (assignments, witnesses)
+    assert 0 < report.unknown_pairs <= unknown
+
+
+def test_witness_pairs_share_keys(family4311, partition4311):
+    fam = family4311
+    keys = [conjugacy_key(mat, fam) for mat in fam.y_reps]
+    assert len(set(keys)) == 14
+    for idx, rep_idx, _ in partition4311.witnesses:
+        assert keys[idx] == keys[rep_idx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.sampled_from([(2, 3, 1, 1), (2, 5, 1, 1), (2, 3, 2, 1), (4, 3, 1, 1), (4, 5, 1, 1)]),
+    data=st.data(),
+)
+def test_key_is_conjugation_invariant(params, data):
+    fam = cached_family(*params)
+    m, pN = fam.m, fam.modulus
+    mat = fam.y_reps[data.draw(st.integers(0, len(fam.y_reps) - 1), label="member")]
+    entry = st.integers(0, pN - 1)
+    w = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m),
+                  label="W")
+    assume(det_int(w) % fam.q)
+    conj = mat_mul_mod(mat_mul_mod(w, mat, pN), mat_inv_mod(w, pN), pN)
+    assert conjugacy_key(conj, fam) == conjugacy_key(mat, fam)
+
+
+def test_exhaustive_4511_certified():
+    fam = cached_family(4, 5, 1, 1)
+    report = distinct_class_count(fam)
+    assert report.exhaustive and report.certified
+    assert report.unknown_pairs == 0
+    assert report.bound == 5
+    assert report.classes_found >= report.bound
+    assert report.classes_found == scaling_orbit_count(5, 2) == 19
+    assert all(block_structure_ok(w, fam) for _, _, w in report.witnesses)
+
+
+def test_pair_budget_raises(monkeypatch, family4311):
+    report, outcomes = counted_class_count(monkeypatch, family4311, sample=range(20))
+    tested = sum(outcomes.values())
+    assert tested == 12
+    monkeypatch.setattr(isotropic_census, "PAIR_BUDGET", tested)
+    assert distinct_class_count(family4311, sample=range(20)) == report
+    monkeypatch.setattr(isotropic_census, "PAIR_BUDGET", tested - 1)
+    with pytest.raises(BudgetExceededError):
+        distinct_class_count(family4311, sample=range(20))
 
 
 def test_gamma_series_from_oracle_counts(sl2_groups, sl2_z27_classes):

@@ -106,6 +106,28 @@ def test_det_int_against_sympy():
         assert det_int(m) == sympy.Matrix(m).det(), m
 
 
+def test_smith_local_against_sympy():
+    """Local exponents are the p-valuations of the integer invariant factors, capped at M."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(11)
+    for case in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        precision = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        # powers of p in the entries make every exponent up to M occur
+        m = [[rng.randint(-9, 9) * p ** rng.randint(0, precision) for _ in range(n)]
+             for _ in range(n)]
+        if case % 4 == 0 and n > 1:
+            m[-1] = list(m[0])  # singular over Z
+        elif case % 4 == 1:
+            m = [[x * p for x in row] for row in m]
+        factors = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+        expected = tuple(valuation(int(d), p, precision) for d in factors)
+        assert smith_local(m, p, precision).exponents == expected, (p, precision, m)
+
+
 def test_mat_inv_mod_roundtrip():
     rng = random.Random(2)
     for _ in range(40):
