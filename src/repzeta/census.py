@@ -57,7 +57,14 @@ class DegreeCensus:
         """Truncated zeta value: sum of multiplicity * degree^(-s).
 
         `math.fsum` rounds the sum of the float terms correctly, so the
-        result does not depend on the order of the terms.
+        result does not depend on the order of the terms.  A term
+        m * float(d) ** (-s) is rounded before the sum, with u = 2^-53:
+        float(d) once d > 2^53 (relative error u, which the power turns
+        into |s| u), libm `pow` (at most one ulp, so 2u), and the product
+        with m (u, and u more for float(m) once m > 2^53).  So a term that
+        is a normal float is within (|s| + 4) u of its exact value, and as
+        every term is positive the result is within (|s| + 5) u of the
+        exact sum, relatively, to first order in u.
         """
         return math.fsum(m * float(d) ** (-s) for d, m in self.entries)
 

@@ -38,7 +38,7 @@ from .local_sl2 import (
 from .orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
 from .rootsys import build_root_datum
 from .symmetric import ak_zeta, an_degrees
-from .witten import abscissa_estimate, enumerate_dimensions
+from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
 
 
 def _to_json(value: Any) -> str:
@@ -110,12 +110,10 @@ def _fmt_cell(value: Any) -> str:
 
 
 def _census_rows(census: DegreeCensus) -> list[dict[str, Any]]:
-    rows = []
-    running = 0
-    for deg, mult in census.entries:
-        running += mult
-        rows.append({"degree": deg, "multiplicity": mult, "R_n": running})
-    return rows
+    return [
+        {"degree": deg, "multiplicity": mult, "R_n": r_n}
+        for (deg, mult), (_, r_n) in zip(census.entries, census.cumulative())
+    ]
 
 
 def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
@@ -131,7 +129,7 @@ def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
         "distinct_degrees": len(census.entries),
         "total_count": census.total_count,
     }
-    if len(census.entries) >= 8:
+    if len(census.entries) >= FIT_MIN_DISTINCT:
         est = abscissa_estimate(census)
         result["abscissa"] = {
             "slope": est.slope,

@@ -12,12 +12,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .errors import BudgetExceededError
 from .local_sl2 import evaluate_local, sl2_local_factor
 from .rootsys import RootDatum
 from .witten import enumerate_dimensions
 
+SIEVE_BUDGET = 1_000_000  # largest prime bound sieved (one byte per integer)
+BOUNDARY_S = 2.0  # the exponent at which the global product stops converging
+DIVERGENCE_THRESHOLD = 1.15  # growth ratio across a scan that counts as divergence
+
 
 def odd_primes_upto(bound: int) -> list[int]:
+    if bound > SIEVE_BUDGET:
+        raise BudgetExceededError(f"prime bound {bound} exceeds the sieve budget {SIEVE_BUDGET}")
     if bound < 3:
         return []
     sieve = bytearray([1]) * (bound + 1)
@@ -74,7 +81,11 @@ def euler_partial_product(spec: EulerProductSpec, s: float, scan: bool = False) 
         datum, copies = spec.archimedean
         census = enumerate_dimensions(datum, spec.archimedean_bound)
         logs.append(copies * math.log(census.zeta(s)))
-    return math.exp(math.fsum(logs))
+    log_product = math.fsum(logs)
+    try:
+        return math.exp(log_product)
+    except OverflowError:  # near s = 1: past the float range, where the product rounds to inf
+        return math.inf
 
 
 def sandwich_check(prime_bound: int, s: float) -> bool:
@@ -108,10 +119,8 @@ class DivergenceScan:
     diverging: bool | None  # None: single point, no evidence either way
 
 
-def divergence_scan(
-    prime_bounds: Sequence[int], s: float = 2.0, threshold: float = 1.15
-) -> DivergenceScan:
-    """Partial products at the boundary exponent over a growing prime range.
+def divergence_scan(prime_bounds: Sequence[int]) -> DivergenceScan:
+    """Partial products at BOUNDARY_S over a growing prime range.
 
     Unbounded growth across the grid is the finite witness for
     divergence; a single-point grid yields no verdict.
@@ -120,27 +129,18 @@ def divergence_scan(
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError("prime bounds must strictly increase")
     products = tuple(
-        euler_partial_product(EulerProductSpec(prime_bound=bound), s, scan=True)
+        euler_partial_product(EulerProductSpec(prime_bound=bound), BOUNDARY_S, scan=True)
         for bound in bounds
     )
-    if len(products) < 2:
-        return DivergenceScan(
-            prime_bounds=bounds,
-            products=products,
-            strictly_increasing=True,
-            growth_ratio=None,
-            threshold=threshold,
-            diverging=None,
-        )
     increasing = all(a < b for a, b in zip(products, products[1:]))
-    ratio = products[-1] / products[0]
+    ratio = products[-1] / products[0] if len(products) > 1 else None
     return DivergenceScan(
         prime_bounds=bounds,
         products=products,
         strictly_increasing=increasing,
         growth_ratio=ratio,
-        threshold=threshold,
-        diverging=increasing and ratio > threshold,
+        threshold=DIVERGENCE_THRESHOLD,
+        diverging=None if ratio is None else increasing and ratio > DIVERGENCE_THRESHOLD,
     )
 
 

@@ -40,8 +40,8 @@ from .linalg import (
     rref_mod_p,
 )
 
-GROUP_BUDGET = 200_000
-CLASS_BUDGET = 400
+GROUP_BUDGET = 200_000  # elements per enumerated group
+CLASS_BUDGET = 400  # conjugacy classes per Dixon run
 
 Flat = tuple[int, ...]
 
@@ -109,10 +109,7 @@ class ClassData:
 
 
 def generate_group(
-    modulus: int,
-    n: int,
-    generators: Sequence[Sequence[Sequence[int]]],
-    budget: int = GROUP_BUDGET,
+    modulus: int, n: int, generators: Sequence[Sequence[Sequence[int]]]
 ) -> FiniteMatrixGroup:
     """Breadth-first closure from the identity under right multiplication."""
     if modulus < 2:
@@ -135,9 +132,9 @@ def generate_group(
         for g in gens:
             nxt = _mul(cur, g, n, modulus)
             if nxt not in seen:
-                if len(order_list) >= budget:
+                if len(order_list) >= GROUP_BUDGET:
                     raise BudgetExceededError(
-                        f"group enumeration exceeded budget {budget}; "
+                        f"group enumeration exceeded budget {GROUP_BUDGET}; "
                         f"reached {len(order_list)} elements"
                     )
                 seen[nxt] = len(order_list)
@@ -157,8 +154,8 @@ def sl2_generators(modulus: int) -> list[list[list[int]]]:
     return [[[0, modulus - 1], [1, 0]], [[1, 1], [0, 1]]]
 
 
-def sl2_group(modulus: int, budget: int = GROUP_BUDGET) -> FiniteMatrixGroup:
-    return generate_group(modulus, 2, sl2_generators(modulus), budget=budget)
+def sl2_group(modulus: int) -> FiniteMatrixGroup:
+    return generate_group(modulus, 2, sl2_generators(modulus))
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ClassData:
@@ -242,7 +239,7 @@ def _class_row(
     return [hj * cnt // hk % ell for cnt, hk in zip(counts, classes.sizes)]
 
 
-def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET) -> DegreeCensus:
+def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     """Burnside-Dixon character degrees, exact.
 
     1. split the class algebra over F_l into 1-dim common eigenspaces of
@@ -259,8 +256,8 @@ def character_degrees(group: FiniteMatrixGroup, class_budget: int = CLASS_BUDGET
     """
     classes = conjugacy_classes(group)
     c = classes.count
-    if c > class_budget:
-        raise BudgetExceededError(f"{c} conjugacy classes exceed the Dixon budget {class_budget}")
+    if c > CLASS_BUDGET:
+        raise BudgetExceededError(f"{c} conjugacy classes exceed the Dixon budget {CLASS_BUDGET}")
     order = group.order
     exponent = group_exponent(group, classes)
     ell = dixon_prime(order, exponent)

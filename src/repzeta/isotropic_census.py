@@ -37,8 +37,9 @@ from .linalg import det_int, kernel_generators_local, mat_mul_mod, smith_local, 
 
 Mat = tuple[tuple[int, ...], ...]
 
-RANK_BUDGET = 12
+RANK_BUDGET = 12  # mod-p span dimension an are_conjugate scan may search
 PAIR_BUDGET = 20_000  # are_conjugate calls per class count
+FAMILY_BUDGET = 500_000  # representatives per census family
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,7 @@ def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> list[int]:
     raise ValueError("no admissible diagonal found (exhausted candidates)")
 
 
-def build_census_family(
-    m: int, q: int, k: int, t: int, rep_budget: int = 500_000
-) -> CensusFamily:
+def build_census_family(m: int, q: int, k: int, t: int) -> CensusFamily:
     """Deterministic family at (m, q, k, t); modulus exponent N = 3k + 2t.
 
     Requires m even >= 2, q an odd prime, k >= t >= 1, and q^(t+1) > m so
@@ -114,9 +113,9 @@ def build_census_family(
             f"over residue characteristic {q} (need q^(t+1) > m)"
         )
     rep_count = q ** (m * m // 4 * k)
-    if rep_count > rep_budget:
+    if rep_count > FAMILY_BUDGET:
         raise BudgetExceededError(
-            f"family would hold {rep_count} representatives; budget is {rep_budget}"
+            f"family would hold {rep_count} representatives; budget is {FAMILY_BUDGET}"
         )
     N = 3 * k + 2 * t
     entries = _choose_diagonal(m, q, k, t, N)
@@ -201,11 +200,7 @@ class ConjugacyResult:
 
 
 def are_conjugate(
-    M1: Sequence[Sequence[int]],
-    M2: Sequence[Sequence[int]],
-    p: int,
-    N: int,
-    rank_budget: int = RANK_BUDGET,
+    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
 ) -> ConjugacyResult:
     """Decide GL(Z/p^N)-conjugacy of M1 and M2 by exact linear algebra.
 
@@ -215,7 +210,7 @@ def are_conjugate(
     projectively (first nonzero coefficient = 1) over the generators as
     the Smith form gives them.  Each is a column of the invertible right
     factor V, so they are independent mod p and their count is the span's
-    dimension, which the budget bounds.  Independence is not needed for
+    dimension, which RANK_BUDGET bounds.  Independence is not needed for
     the decision itself: a projective scan over any spanning set meets
     every nonzero element of the span up to a unit, and a unit does not
     change invertibility, so no rank check runs here.  A witness is the
@@ -235,7 +230,7 @@ def are_conjugate(
     if not full:
         return ConjugacyResult(status="not_conjugate")
     rho = len(full)
-    if rho > rank_budget:
+    if rho > RANK_BUDGET:
         return ConjugacyResult(status="unknown")
     reduced = [[[x % p for x in row] for row in g] for g in full]
 
@@ -306,9 +301,7 @@ class ClassCountReport:
 
 
 def distinct_class_count(
-    family: CensusFamily,
-    sample: Sequence[int] | None = None,
-    rank_budget: int = RANK_BUDGET,
+    family: CensusFamily, sample: Sequence[int] | None = None
 ) -> ClassCountReport:
     """Greedy partition of family representatives by pairwise conjugacy.
 
@@ -348,7 +341,7 @@ def distinct_class_count(
                 )
             tested += 1
             rep_idx = reps[cid]
-            result = are_conjugate(family.y_reps[rep_idx], mat, p, N, rank_budget=rank_budget)
+            result = are_conjugate(family.y_reps[rep_idx], mat, p, N)
             if result.status == "conjugate":
                 witnesses.append((idx, rep_idx, result.witness))
                 placed = cid

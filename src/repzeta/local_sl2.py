@@ -20,6 +20,8 @@ from fractions import Fraction
 from .arith import prime_power
 from .census import DegreeCensus
 
+POLE_EPSILONS = (0.1, 0.05, 0.025)  # offsets eps of the pole witness Z_q(1 + eps)
+
 
 @dataclass(frozen=True)
 class LocalFactorSL2:
@@ -155,7 +157,7 @@ def factor_bounds_check(q: int, s: float) -> tuple[bool, bool]:
     return (z > x ** -0.5, z < x ** -100.0)
 
 
-def pole_witness(q: int, epsilons: tuple[float, ...] = (0.1, 0.05, 0.025)) -> list[float]:
-    """Values eps * Z_q(1 + eps); bounded as eps shrinks (simple-pole behavior)."""
+def pole_witness(q: int) -> list[float]:
+    """Values eps * Z_q(1 + eps) over POLE_EPSILONS; bounded as eps shrinks (a simple pole)."""
     factor = sl2_local_factor(q)
-    return [eps * evaluate_local(factor, 1.0 + eps) for eps in epsilons]
+    return [eps * evaluate_local(factor, 1.0 + eps) for eps in POLE_EPSILONS]

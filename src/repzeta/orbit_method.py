@@ -23,6 +23,9 @@ from .linalg import det_int, smith_local
 
 Stage = tuple[int, int]  # (rank, positive-root count)
 
+ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
+CENSUS_BUDGET = 20_000  # trace-zero vectors per census_vs_bound
+
 
 def _partition_by_valuation(
     eigenvalues: Sequence[int], p: int, threshold: int
@@ -102,8 +105,8 @@ def centralizer_index_oracle(datum: OrbitDatum) -> int:
     perfect square (its square root is the orbit dimension).
     """
     d, p, k = datum.d, datum.p, datum.k
-    if d > 4:
-        raise BudgetExceededError("centralizer oracle supports d <= 4 (ad matrix grows as d^4)")
+    if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
+        raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
     dim = d * d - 1
     # basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}
     offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
@@ -197,7 +200,7 @@ class CensusBoundReport:
     all_within: bool
 
 
-def census_vs_bound(d: int, p: int, k: int, budget: int = 20_000) -> CensusBoundReport:
+def census_vs_bound(d: int, p: int, k: int) -> CensusBoundReport:
     """Group all trace-zero vectors mod p^k by their full stage chain.
 
     Grouping uses the actual partitions at stages i = 0..k (stage 0, the
@@ -211,8 +214,8 @@ def census_vs_bound(d: int, p: int, k: int, budget: int = 20_000) -> CensusBound
     if d > 3:
         raise ValueError("census enumeration supports d <= 3")
     total = p ** (k * (d - 1))
-    if total > budget:
-        raise BudgetExceededError(f"{total} vectors exceed the census budget {budget}")
+    if total > CENSUS_BUDGET:
+        raise BudgetExceededError(f"{total} vectors exceed the census budget {CENSUS_BUDGET}")
     mod = p ** k
     sizes: dict[tuple, int] = {}
     for prefix in product(range(mod), repeat=d - 1):

@@ -5,7 +5,9 @@ branch as soon as the dimension exceeds the bound; this is complete
 because the Weyl dimension is strictly increasing in every coordinate.
 The walk is incremental: it keeps every coroot's value alpha^vee(lambda + rho)
 and, when coordinate i steps up by one, adds alpha^vee(w_i) to each value
-it touches, so a node costs one product and one exact division.
+it touches, so a node costs one product and one exact division.  Every
+step of every coordinate is a node, and a walk of more than NODE_BUDGET
+nodes raises BudgetExceededError.
 Truncated zeta values of a census are `DegreeCensus.zeta`.  It and the
 dyadic block sums use `math.fsum`, which rounds correctly, so neither
 depends on the order of its terms.
@@ -17,12 +19,16 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .rootsys import RootDatum, weyl_dimension
 
-DYADIC_BLOCK_BUDGET = 1 << 21
+NODE_BUDGET = 2_000_000  # lattice nodes per census walk
+DYADIC_BLOCK_BUDGET = 1 << 21  # terms per dyadic block
+FIT_POINTS = 16  # geometric sample points of an abscissa fit
+FIT_MIN_DISTINCT = 8  # distinct degrees a census needs for an abscissa fit
 
 
 @dataclass(frozen=True)
@@ -52,20 +58,29 @@ def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
     ]
     den = math.prod(datum.rho_values)
     counts: dict[int, int] = {}
+    left = NODE_BUDGET
 
     def walk(pos: int, d: int) -> None:
-        # on entry coordinates pos.. are 0 and d is the dimension of the forms
-        steps = 0
+        # on entry coordinates pos.. are 0 and d <= bound is the dimension of the forms; a node
+        # is counted before its subwalk, or at the last coordinate by the loop index, which
+        # ends at the nodes left
+        nonlocal left
         t = touch[pos]
-        while d <= bound:
+        for steps in range(1, left + 1):
             if pos == last:
                 counts[d] = counts.get(d, 0) + 1
             else:
+                left -= 1
                 walk(pos + 1, d)
             for j, c in t:
                 forms[j] += c
-            steps += 1
             d = math.prod(forms) // den
+            if d > bound:
+                break
+        else:
+            raise BudgetExceededError(f"census walk exceeds {NODE_BUDGET} nodes")
+        if pos == last:
+            left -= steps
         for j, c in t:
             forms[j] -= c * steps
 
@@ -74,34 +89,27 @@ def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
     return DegreeCensus(entries=tuple(sorted(counts.items())), bound=bound)
 
 
-def abscissa_estimate(
-    census: DegreeCensus, points: int = 16, min_distinct: int = 8
-) -> AbscissaEstimate:
-    """Fit log R_n ~ slope * log n at geometric sample points in [sqrt(N), N].
+def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
+    """Fit log R_n ~ slope * log n at FIT_POINTS geometric points in [sqrt(N), N].
 
     Upper-half sampling damps the constants visible at small n; the lim-sup
     definition itself is not computable from a truncation, so this is an
     estimator with a reported standard error.
     """
-    if len(census.entries) < min_distinct:
+    if len(census.entries) < FIT_MIN_DISTINCT:
         raise ValueError(
-            f"census has {len(census.entries)} distinct degrees; need >= {min_distinct}"
+            f"census has {len(census.entries)} distinct degrees; need >= {FIT_MIN_DISTINCT}"
         )
     n_hi = census.bound
     n_lo = max(1.0, math.sqrt(n_hi))
-    degrees = [d for d, _ in census.entries]
-    cumulative = []
-    running = 0
-    for _, m in census.entries:
-        running += m
-        cumulative.append(running)
+    cumulative = census.cumulative()
 
     samples: list[tuple[float, float]] = []
-    for i in range(points):
-        frac = i / (points - 1) if points > 1 else 1.0
+    for i in range(FIT_POINTS):
+        frac = i / (FIT_POINTS - 1)
         n = max(1, round(n_lo * (n_hi / n_lo) ** frac))
-        idx = bisect.bisect_right(degrees, n)
-        r_n = cumulative[idx - 1] if idx else 0
+        idx = bisect.bisect_right(cumulative, n, key=itemgetter(0))
+        r_n = cumulative[idx - 1][1] if idx else 0
         if r_n == 0:
             continue
         samples.append((math.log(n), math.log(r_n)))
@@ -121,21 +129,17 @@ def abscissa_estimate(
         slope=slope,
         standard_error=stderr,
         sample_points=tuple(samples),
-        window=f"{points} geometric points in [{n_lo:.6g}, {n_hi}]",
+        window=f"{FIT_POINTS} geometric points in [{n_lo:.6g}, {n_hi}]",
     )
 
 
-def dyadic_block_sum(
-    datum: RootDatum, s: float, j: int, budget: int = DYADIC_BLOCK_BUDGET
-) -> float:
+def dyadic_block_sum(datum: RootDatum, s: float, j: int) -> float:
     """Sum of dim^(-s) over the dyadic block 2^j < a_i <= 2^(j+1) (all i)."""
     if j < 0 or j > 12:
         raise ValueError("dyadic block index must satisfy 0 <= j <= 12")
     size = (2 ** j) ** datum.rank
-    if size > budget:
-        raise BudgetExceededError(
-            f"dyadic block has {size} terms; budget is {budget}"
-        )
+    if size > DYADIC_BLOCK_BUDGET:
+        raise BudgetExceededError(f"dyadic block has {size} terms; budget is {DYADIC_BLOCK_BUDGET}")
     lo, hi = 2 ** j + 1, 2 ** (j + 1)
     return math.fsum(
         float(weyl_dimension(datum, coeffs)) ** (-s)

@@ -1,8 +1,10 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from repzeta.census import DegreeCensus
+from repzeta.local_sl2 import level_census
 from repzeta.rootsys import build_root_datum
 from repzeta.symmetric import an_degrees
 from repzeta.witten import enumerate_dimensions
@@ -41,3 +43,24 @@ def test_zeta_is_the_correctly_rounded_sum_of_its_terms(which):
     for s in (0.5, 2 / 3, 1.0, 2.5):
         terms = [m * float(d) ** (-s) for d, m in census.entries]
         assert census.zeta(s) == float(sum(map(Fraction, terms)))
+
+
+@pytest.mark.parametrize("which", ["A2 at 10^4", "SL2(Z/3^40)"])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 7.3])
+def test_zeta_error_bound_against_decimal(which, s):
+    """Each float term is within (|s| + 4) u of its value, the sum within (|s| + 5) u."""
+    if which == "A2 at 10^4":
+        census = enumerate_dimensions(build_root_datum("A", 2), 10 ** 4)
+    else:  # degrees and multiplicities up to about 3^41 > 2^53
+        census = level_census(3, 40).census
+        assert census.entries[-1][0] > 2 ** 53 and max(m for _, m in census.entries) > 2 ** 53
+    u = Decimal(2) ** -53
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sd = Decimal(s)  # the float s, exactly
+        exact_terms = [m * (-sd * Decimal(d).ln()).exp() for d, m in census.entries]
+        for (d, m), exact in zip(census.entries, exact_terms):
+            term = Decimal(m * float(d) ** (-s))
+            assert abs(term - exact) <= (abs(sd) + 4) * u * exact, (d, m)
+        exact_sum = sum(exact_terms)
+        assert abs(Decimal(census.zeta(s)) - exact_sum) <= (abs(sd) + 5) * u * exact_sum

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repzeta import cli, isotropic_census
+from repzeta import cli, euler_global, isotropic_census, witten
 from repzeta.cli import main
 
 
@@ -157,12 +157,53 @@ def test_census8_pair_budget_exit_code(capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "module,constant,argv",
+    [
+        (witten, "NODE_BUDGET", ["witten", "--series", "A", "--rank", "1", "--bound", "1000"]),
+        (euler_global, "SIEVE_BUDGET", ["euler", "--prime-bound", "1000"]),
+        (euler_global, "SIEVE_BUDGET",
+         ["euler", "--prime-bound", "100", "--scan-grid", "100,1000"]),
+    ],
+    ids=["witten-nodes", "euler-sieve", "euler-scan-sieve"],
+)
+def test_walk_and_sieve_budget_exit_code(capsys, monkeypatch, module, constant, argv):
+    monkeypatch.setattr(module, constant, 999)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "budget exhausted" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def _not_an_int(text):
     try:
         int(text)
     except ValueError:
         return True
     return False
+
+
+def run_fuzzed(argv):
+    """Run one argv; assert exit 0, 2 or 3 and no traceback; return the code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+# s-values for the fuzz: non-finite, negative, the pole s = 1, and values on both sides of 2 and 3
+S_TEXT = st.sampled_from(
+    ["nan", "inf", "-inf", "-2.5", "-1", "0", "1", "1.0000001", "1.5", "2", "2.5", "3", "7.3",
+     "1e308"]
+)
+S_GRID = st.lists(S_TEXT, min_size=1, max_size=3).map(",".join)
 
 
 @settings(max_examples=50, deadline=None)
@@ -173,16 +214,9 @@ def _not_an_int(text):
 def test_oracle_argv_fuzz(modulus, group):
     """Every oracle argv ends in exit 0, 2 or 3, never in a traceback."""
     argv = ["oracle", "--modulus", modulus] + ([] if group is None else ["--group", group])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    code, out = run_fuzzed(argv)
     if code == 0 and int(modulus) in (3, 5, 7, 9, 11, 13):
-        assert json.loads(out.getvalue())["result"]["formula_census_matches"] is True
+        assert json.loads(out)["result"]["formula_census_matches"] is True
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,18 +234,88 @@ def test_census8_argv_fuzz(m, q, k, t, sample):
     """Every census8 argv ends in exit 0, 2 or 3, never in a traceback."""
     argv = ["census8", "--m", str(m), "--q", str(q), "--k", str(k), "--t", str(t),
             "--sample", str(sample)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    code, out = run_fuzzed(argv)
     if code == 0:
-        result = json.loads(out.getvalue())["result"]
+        result = json.loads(out)["result"]
         assert result["conjugator_blocks_ok"] is True
         assert result["classes_found"] <= result["sampled"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    series=st.sampled_from(list("ABCDEFGH")),
+    rank=st.integers(-1, 9),
+    bound=st.one_of(st.integers(-2, 5000).map(str), st.sampled_from(["", "1e3", "x"])),
+)
+@example(series="A", rank=1, bound="7")
+@example(series="E", rank=8, bound="5000")
+def test_witten_argv_fuzz(series, rank, bound):
+    """Every witten argv ends in exit 0, 2 or 3, never in a traceback."""
+    code, out = run_fuzzed(["witten", "--series", series, "--rank", str(rank), "--bound", bound])
+    if code == 0:
+        result = json.loads(out)["result"]
+        table = result["table"]
+        assert table[-1]["R_n"] == result["total_count"] and table[-1]["degree"] <= int(bound)
+        fitted = result["distinct_degrees"] >= witten.FIT_MIN_DISTINCT
+        assert (result["abscissa"] is not None) == fitted
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.integers(-2, 30), level=st.integers(-1, 6), grid=st.one_of(st.none(), S_GRID))
+@example(q=3, level=2, grid="nan,inf,1")
+@example(q=27, level=6, grid="2,2.5,3")
+def test_local_sl2_argv_fuzz(q, level, grid):
+    """Every local-sl2 argv ends in exit 0, 2 or 3, never in a traceback."""
+    argv = ["local-sl2", "--q", str(q), "--level", str(level)]
+    code, out = run_fuzzed(argv + ([] if grid is None else [f"--s-grid={grid}"]))
+    if code == 0:
+        result = json.loads(out)["result"]
+        assert result["mass_matches_order"] is True
+        assert all(lower and upper for lower, upper in result["bounds"].values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(kmax=st.integers(-2, 14), s=st.one_of(st.none(), S_TEXT))
+@example(kmax=8, s="nan")
+@example(kmax=8, s="-2.5")
+def test_alt_argv_fuzz(kmax, s):
+    """Every alt argv ends in exit 0, 2 or 3, never in a traceback."""
+    code, out = run_fuzzed(["alt", "--kmax", str(kmax)] + ([] if s is None else [f"--s={s}"]))
+    if code == 0:
+        table = json.loads(out)["result"]["table"]
+        assert [row["k"] for row in table] == list(range(5, kmax + 1))
+        assert all(row["mass_ok"] for row in table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    prime_bound=st.integers(-2, 3000),
+    grid=st.one_of(st.none(), S_GRID),
+    scan=st.one_of(st.none(), st.lists(st.integers(-2, 3000), max_size=3).map(
+        lambda bounds: ",".join(map(str, bounds)))),
+)
+@example(prime_bound=100, grid="2.5,nan,inf", scan="100,1000")
+@example(prime_bound=2, grid="2.5", scan="2,3")
+@example(prime_bound=227, grid="1.0000001", scan=None)  # the product overflows a float
+def test_euler_argv_fuzz(prime_bound, grid, scan):
+    """Every euler argv ends in exit 0, 2 or 3, never in a traceback."""
+    argv = ["euler", "--prime-bound", str(prime_bound)]
+    argv += [] if grid is None else [f"--s-grid={grid}"]
+    argv += [] if scan is None else [f"--scan-grid={scan}"]
+    code, out = run_fuzzed(argv)
+    if code == 0:
+        for row in json.loads(out)["result"]["table"]:
+            assert row["sandwich_ok"] is (True if 2 < row["s"] <= 3 else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(samples=st.integers(-2, 12), seed=st.integers(-10 ** 6, 10 ** 6))
+def test_orbit_argv_fuzz(samples, seed):
+    """Every orbit argv ends in exit 0, 2 or 3, never in a traceback."""
+    code, out = run_fuzzed(["orbit", "--samples", str(samples), "--seed", str(seed)])
+    if code == 0:
+        result = json.loads(out)["result"]
+        assert result["all_match"] is True and len(result["table"]) == samples
 
 
 def test_determinism_modulo_wall_time(capsys):

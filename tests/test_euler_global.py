@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from repzeta import euler_global
+from repzeta.errors import BudgetExceededError
 from repzeta.euler_global import (
     EulerProductSpec,
     divergence_scan,
@@ -124,3 +126,19 @@ def test_boundary_blowup_window():
         log_zeta_partial = -sum(math.log(1.0 - float(p) ** (1.0 - s)) for p in primes)
         assert (0.5 - 0.1) * log_zeta_partial < log_prod < 100.0 * log_zeta_partial
         assert 0.5 * log_zeta_partial < log_prod  # the exact sandwich lower edge
+
+
+def test_sieve_budget(monkeypatch):
+    monkeypatch.setattr(euler_global, "SIEVE_BUDGET", 100)
+    assert odd_primes_upto(100)[-1] == 97
+    with pytest.raises(BudgetExceededError):
+        odd_primes_upto(101)
+    with pytest.raises(BudgetExceededError):
+        EulerProductSpec(prime_bound=1000).primes()
+
+
+def test_product_past_the_float_range_is_inf():
+    # near the pole a factor is about 1 / ((s - 1) log p): 47 of them stay finite, 48 do not
+    s = 1.0000001
+    assert math.isfinite(euler_partial_product(EulerProductSpec(prime_bound=223), s, scan=True))
+    assert euler_partial_product(EulerProductSpec(prime_bound=227), s, scan=True) == math.inf

@@ -42,11 +42,12 @@ def test_trivial_group():
     assert conjugacy_classes(g).count == 1
 
 
-def test_generator_validation_and_budget():
+def test_generator_validation_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         generate_group(9, 2, [[[3, 0], [0, 3]]])  # det 0 mod 9
+    monkeypatch.setattr(finite_oracle, "GROUP_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        sl2_group(9, budget=100)
+        sl2_group(9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,9 +204,11 @@ def test_degree_one_count_is_abelianization(sl2_groups):
         assert ones == abelianization_order(g)
 
 
-def test_dixon_class_budget():
+def test_dixon_class_budget(monkeypatch):
+    group = sl2_group(9)
+    monkeypatch.setattr(finite_oracle, "CLASS_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        character_degrees(sl2_group(9), class_budget=10)
+        character_degrees(group)
 
 
 def test_census_type_validation():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repzeta import isotropic_census
 from repzeta.isotropic_census import (
-    RANK_BUDGET,
     GammaSeries,
     are_conjugate,
     block_structure_ok,
@@ -230,18 +229,19 @@ def test_subsample_not_certified(family4311):
     assert not report.certified
 
 
-def test_rank_budget_yields_unknown(family4311, partition4311):
+def test_rank_budget_yields_unknown(monkeypatch, family4311, partition4311):
     """Starving the scan budget must surface an explicit unknown, not a guess."""
     fam = family4311
     # find a decided-conjugate pair of distinct members from the partition
     idx, rep_idx, _ = next(w for w in partition4311.witnesses if w[0] != w[1])
     full = are_conjugate(fam.y_reps[rep_idx], fam.y_reps[idx], 3, 5)
     assert full.status == "conjugate"
-    starved = are_conjugate(fam.y_reps[rep_idx], fam.y_reps[idx], 3, 5, rank_budget=1)
+    monkeypatch.setattr(isotropic_census, "RANK_BUDGET", 1)
+    starved = are_conjugate(fam.y_reps[rep_idx], fam.y_reps[idx], 3, 5)
     assert starved.status == "unknown"
     assert starved.witness is None
     # and a starved census run is flagged, never silently certified
-    report = distinct_class_count(fam, sample=range(12), rank_budget=1)
+    report = distinct_class_count(fam, sample=range(12))
     assert report.unknown_pairs > 0
     assert not report.certified
 
@@ -251,7 +251,7 @@ def cached_family(m, q, k, t):
     return build_census_family(m, q, k, t)
 
 
-def unbucketed_class_count(family, sample=None, rank_budget=RANK_BUDGET):
+def unbucketed_class_count(family, sample=None):
     """Oracle: the greedy partition testing each member against every class rep.
 
     Returns the report fields bucketing must keep, and the number of
@@ -265,7 +265,7 @@ def unbucketed_class_count(family, sample=None, rank_budget=RANK_BUDGET):
         mat = family.y_reps[idx]
         for cid, rep_idx in enumerate(reps):
             calls += 1
-            result = are_conjugate(family.y_reps[rep_idx], mat, p, N, rank_budget=rank_budget)
+            result = are_conjugate(family.y_reps[rep_idx], mat, p, N)
             if result.status == "conjugate":
                 assignment.append(cid)
                 witnesses.append((idx, rep_idx, result.witness))
@@ -311,13 +311,12 @@ def test_buckets_match_unbucketed_on_certify_jobs(monkeypatch, params, size):
     assert_matches_oracle(monkeypatch, cached_family(*params), sample)
 
 
-def test_starved_buckets_keep_assignments(family4311):
+def test_starved_buckets_keep_assignments(monkeypatch, family4311):
     """A skipped pair is decided by its key, so bucketing only drops unknowns."""
     sample = list(range(12))
-    report = distinct_class_count(family4311, sample=sample, rank_budget=1)
-    (assignments, witnesses, unknown, _), _ = unbucketed_class_count(
-        family4311, sample, rank_budget=1
-    )
+    monkeypatch.setattr(isotropic_census, "RANK_BUDGET", 1)
+    report = distinct_class_count(family4311, sample=sample)
+    (assignments, witnesses, unknown, _), _ = unbucketed_class_count(family4311, sample)
     assert (report.assignments, report.witnesses) == (assignments, witnesses)
     assert 0 < report.unknown_pairs <= unknown
 
@@ -404,3 +403,11 @@ def test_gamma_estimates():
         gamma_estimate(GammaSeries(q=3, delta=3, counts=((1, 7),)))
     with pytest.raises(ValueError):
         GammaSeries(q=3, delta=3, counts=((1, 7), (2, 5)))
+
+
+def test_family_budget_raises(monkeypatch):
+    monkeypatch.setattr(isotropic_census, "FAMILY_BUDGET", 81)
+    assert len(build_census_family(4, 3, 1, 1).y_reps) == 81
+    monkeypatch.setattr(isotropic_census, "FAMILY_BUDGET", 80)
+    with pytest.raises(BudgetExceededError):
+        build_census_family(4, 3, 1, 1)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from repzeta import orbit_method
 from repzeta.errors import BudgetExceededError
 from repzeta.linalg import valuation
 from repzeta.orbit_method import (
@@ -161,11 +162,12 @@ def test_census_examples():
     assert any(g.size > g.bound_rank_only for g in degen)
 
 
-def test_census_budget_and_range():
+def test_census_budget_and_range(monkeypatch):
     with pytest.raises(ValueError):
         census_vs_bound(4, 3, 1)
+    monkeypatch.setattr(orbit_method, "CENSUS_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        census_vs_bound(3, 5, 3, budget=100)
+        census_vs_bound(3, 5, 3)
 
 
 def test_census_grid_all_within():

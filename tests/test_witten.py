@@ -5,6 +5,7 @@ import pytest
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsys import build_root_datum, weyl_dimension
+from repzeta import witten
 from repzeta.witten import (
     abscissa_estimate,
     dyadic_block_sum,
@@ -118,10 +119,11 @@ def test_dyadic_blocks_against_direct_sums():
     assert dyadic_block_sum(a1, 2.0, 8) < 0.004
 
 
-def test_dyadic_block_budget_and_range():
+def test_dyadic_block_budget_and_range(monkeypatch):
     a2 = build_root_datum("A", 2)
+    monkeypatch.setattr(witten, "DYADIC_BLOCK_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
-        dyadic_block_sum(a2, 1.0, 12, budget=1000)
+        dyadic_block_sum(a2, 1.0, 5)  # 2^10 terms
     with pytest.raises(ValueError):
         dyadic_block_sum(a2, 1.0, 13)
 
@@ -153,3 +155,33 @@ def test_census_cumulative_counts():
     assert cum[0] == (1, 1)
     assert cum[-1][1] == census.total_count
     assert census.count_upto(3) == 3  # trivial + two copies of degree 3
+
+
+def walked_nodes(datum, bound, cap):
+    """Nodes of the census walk, counted over the cube a_i < cap of naive_census.
+
+    A weight is a node of the loop over coordinate pos for each pos at or
+    after its last nonzero coordinate (the loop over pos meets it with
+    coordinates pos+1.. at 0).
+    """
+    nodes = 0
+    for coeffs in product(range(cap), repeat=datum.rank):
+        if weyl_dimension(datum, coeffs) <= bound:
+            last_nonzero = max((i for i, a in enumerate(coeffs) if a), default=0)
+            nodes += datum.rank - last_nonzero
+    return nodes
+
+
+@pytest.mark.parametrize(
+    "series,rank,bound,cap", [("A", 1, 500, 500), ("A", 2, 500, 31), ("B", 3, 3000, 9)]
+)
+def test_node_budget_is_exact(monkeypatch, series, rank, bound, cap):
+    datum = build_root_datum(series, rank)
+    census = enumerate_dimensions(datum, bound)
+    nodes = walked_nodes(datum, bound, cap)
+    monkeypatch.setattr(witten, "NODE_BUDGET", nodes)
+    assert enumerate_dimensions(datum, bound) == census
+    monkeypatch.setattr(witten, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceededError):
+        enumerate_dimensions(datum, bound)
+
