@@ -15,11 +15,9 @@ depends on the order of its terms.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError
@@ -102,14 +100,12 @@ def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
         )
     n_hi = census.bound
     n_lo = max(1.0, math.sqrt(n_hi))
-    cumulative = census.cumulative()
 
     samples: list[tuple[float, float]] = []
     for i in range(FIT_POINTS):
         frac = i / (FIT_POINTS - 1)
         n = max(1, round(n_lo * (n_hi / n_lo) ** frac))
-        idx = bisect.bisect_right(cumulative, n, key=itemgetter(0))
-        r_n = cumulative[idx - 1][1] if idx else 0
+        r_n = census.count_upto(n)
         if r_n == 0:
             continue
         samples.append((math.log(n), math.log(r_n)))

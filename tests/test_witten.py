@@ -124,6 +124,8 @@ def test_dyadic_block_budget_and_range(monkeypatch):
     monkeypatch.setattr(witten, "DYADIC_BLOCK_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
         dyadic_block_sum(a2, 1.0, 5)  # 2^10 terms
+    with pytest.raises(BudgetExceededError):
+        dyadic_block_sum(build_root_datum("A", 1), 1.0, 12)  # 2^12 terms, the last admitted block
     with pytest.raises(ValueError):
         dyadic_block_sum(a2, 1.0, 13)
 
