@@ -76,12 +76,3 @@ class DegreeCensus:
                 break
             total += mult
         return total
-
-    def cumulative(self) -> list[tuple[int, int]]:
-        """(degree, R_degree) pairs in degree order."""
-        out = []
-        running = 0
-        for deg, mult in self.entries:
-            running += mult
-            out.append((deg, running))
-        return out

@@ -40,6 +40,8 @@ from .rootsys import build_root_datum
 from .symmetric import ak_zeta, an_degrees
 from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
 
+SAMPLE_BUDGET = 20_000  # orbit samples per run
+
 
 def _to_json(value: Any) -> str:
     """The report as `json.dumps(..., sort_keys=True, indent=2)` writes it.
@@ -110,10 +112,12 @@ def _fmt_cell(value: Any) -> str:
 
 
 def _census_rows(census: DegreeCensus) -> list[dict[str, Any]]:
-    return [
-        {"degree": deg, "multiplicity": mult, "R_n": r_n}
-        for (deg, mult), (_, r_n) in zip(census.entries, census.cumulative())
-    ]
+    rows = []
+    r_n = 0
+    for deg, mult in census.entries:
+        r_n += mult
+        rows.append({"degree": deg, "multiplicity": mult, "R_n": r_n})
+    return rows
 
 
 def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
@@ -191,6 +195,8 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
 def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples > SAMPLE_BUDGET:
+        raise BudgetExceededError(f"{args.samples} samples exceed the budget {SAMPLE_BUDGET}")
     rng = random.Random(args.seed)
     rows = []
     all_match = True

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .local_sl2 import evaluate_local, sl2_local_factor
+from .local_sl2 import _one_minus_ratio, evaluate_local, sl2_local_factor
 from .rootsys import RootDatum
 from .witten import enumerate_dimensions
 
@@ -102,10 +102,7 @@ def sandwich_check(prime_bound: int, s: float) -> bool:
     log_product = math.fsum(
         math.log(evaluate_local(sl2_local_factor(p), s)) for p in spec.primes()
     )
-    # -log(1 - p^(1-s)), with 1 - p^(1-s) = -expm1((1-s) log p)
-    log_zeta_term = math.fsum(
-        -math.log(-math.expm1((1.0 - s) * math.log(p))) for p in spec.primes()
-    )
+    log_zeta_term = math.fsum(-math.log(_one_minus_ratio(p, s)) for p in spec.primes())
     return 0.5 * log_zeta_term < log_product < 100.0 * log_zeta_term
 
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .arith import prime_power
 from .errors import BudgetExceededError
-from .linalg import det_int, kernel_generators_local, mat_mul_mod, smith_local, valuation
+from .linalg import det_int, mat_mul_mod, smith_local, valuation
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -145,22 +145,6 @@ def build_census_family(m: int, q: int, k: int, t: int) -> CensusFamily:
     return family
 
 
-@dataclass(frozen=True)
-class IntertwinerModule:
-    """Solution module of W M1 = M2 W over Z/p^N, in diagonalized form.
-
-    Each generator has additive order p^exponent; generators of full
-    order p^N are exactly the ones visible mod p.
-    """
-
-    modulus_exp: int
-    generators: tuple[Mat, ...]
-    exponents: tuple[int, ...]
-
-    def full_order_generators(self) -> list[Mat]:
-        return [g for g, e in zip(self.generators, self.exponents) if e == self.modulus_exp]
-
-
 def _intertwiner_system(
     M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
 ) -> list[list[int]]:
@@ -181,16 +165,21 @@ def _intertwiner_system(
 
 def conjugacy_module(
     M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
-) -> IntertwinerModule:
-    """Solve the linear system W M1 - M2 W = 0 over Z/p^N."""
+) -> list[Mat]:
+    """The full-order solutions of W M1 - M2 W = 0 over Z/p^N, as matrices.
+
+    They are the columns t of the local Smith form's right factor V with
+    exponent N, reshaped row-major; the solutions of lower order vanish
+    mod p, so these span the module's reduction mod p.
+    """
     m = len(M1)
-    gens = kernel_generators_local(_intertwiner_system(M1, M2, p, N), p, N)
-    mats = []
-    exps = []
-    for e, vec in gens:
-        mats.append(tuple(tuple(vec[r * m + c] for c in range(m)) for r in range(m)))
-        exps.append(e)
-    return IntertwinerModule(modulus_exp=N, generators=tuple(mats), exponents=tuple(exps))
+    smith = smith_local(_intertwiner_system(M1, M2, p, N), p, N)
+    v = smith.right
+    return [
+        tuple(tuple(v[r * m + c][t] for c in range(m)) for r in range(m))
+        for t, e in enumerate(smith.exponents)
+        if e == N
+    ]
 
 
 @dataclass(frozen=True)
@@ -226,7 +215,7 @@ def are_conjugate(
     if M1t == M2t:
         ident = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
         return ConjugacyResult(status="conjugate", witness=ident)
-    full = conjugacy_module(M1t, M2t, p, N).full_order_generators()
+    full = conjugacy_module(M1t, M2t, p, N)
     if not full:
         return ConjugacyResult(status="not_conjugate")
     rho = len(full)

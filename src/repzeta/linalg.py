@@ -194,16 +194,17 @@ def poly_roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SmithLocal:
-    """U*A*V = diag(p^e_0, ..., p^e_{n-1}) mod p^M, exponents nondecreasing.
+    """U*A*V = diag(p^e_0, ..., p^e_{n-1}) mod p^M for some invertible U.
 
-    Exponent M is a cap: it means the true elementary divisor is divisible
-    by p^M (possibly the entry is 0 over Z).
+    Exponents are nondecreasing.  Exponent M is a cap: it means the true
+    elementary divisor is divisible by p^M (possibly the entry is 0 over
+    Z).  Only V is kept: column t of A*V is 0 mod p^e_t, so p^(M-e_t)
+    times column t of V generates a cyclic summand Z/p^e_t of ker(A mod
+    p^M), and the columns with e_t = M are the kernel vectors visible
+    mod p.
     """
 
-    p: int
-    precision: int
     exponents: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
 
@@ -235,16 +236,16 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
     ties), which makes the exponent sequence nondecreasing and the whole
     procedure deterministic.  Every entry left after a step is a multiple
     of that step's pivot, so the search for the next pivot stops at the
-    first entry of the previous pivot's valuation.  Column operations are
-    applied to V only: after the row step column t of A is zero below the
-    pivot, so on A they would only clear row t, which is never read again.
+    first entry of the previous pivot's valuation.  Row operations are
+    applied to A only, as U is not kept.  Column operations are applied to
+    V only: after the row step column t of A is zero below the pivot, so
+    on A they would only clear row t, which is never read again.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("smith_local expects a square matrix")
     pm = p ** precision
     a = [[x % pm for x in row] for row in rows]
-    u = identity_matrix(n)
     v = identity_matrix(n)
     exps = [precision] * n
     floor = 0
@@ -256,7 +257,6 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
         i0, j0 = best
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
@@ -265,16 +265,12 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
         pv = p ** best_val
         unit = a[t][t] // pv
         w = pow(unit, -1, pm)
-        a[t] = [(x * w) % pm for x in a[t]]
-        u[t] = [(x * w) % pm for x in u[t]]
+        at = a[t] = [(x * w) % pm for x in a[t]]
         for i in range(t + 1, n):
             x = a[i][t]
             if x:
                 q = x // pv
-                at, ut = a[t], u[t]
                 a[i] = [(y - q * z) % pm for y, z in zip(a[i], at)]
-                u[i] = [(y - q * z) % pm for y, z in zip(u[i], ut)]
-        at = a[t]
         col_ops = [(j, at[j] // pv) for j in range(t + 1, n) if at[j]]
         if col_ops:
             for row in v:
@@ -285,33 +281,4 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
         exps[t] = best_val
     if any(exps[i] > exps[i + 1] for i in range(n - 1)):
         raise AssertionError("local Smith exponents not sorted")
-    return SmithLocal(
-        p=p,
-        precision=precision,
-        exponents=tuple(exps),
-        left=tuple(tuple(r) for r in u),
-        right=tuple(tuple(r) for r in v),
-    )
-
-
-def kernel_generators_local(
-    rows: Sequence[Sequence[int]], p: int, precision: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Generators of ker(A mod p^M) as pairs (order exponent e, vector).
-
-    The generator has additive order p^e; vectors with e = 0 are omitted.
-    Together the generators present the kernel as a direct sum of cyclic
-    modules Z/p^e.
-    """
-    smith = smith_local(rows, p, precision)
-    pm = p ** precision
-    gens = []
-    n = len(smith.exponents)
-    for t in range(n):
-        e = smith.exponents[t]
-        if e == 0:
-            continue
-        scale = p ** (precision - e)
-        vec = tuple((smith.right[i][t] * scale) % pm for i in range(n))
-        gens.append((e, vec))
-    return gens
+    return SmithLocal(exponents=tuple(exps), right=tuple(tuple(r) for r in v))

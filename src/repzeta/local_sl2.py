@@ -14,13 +14,16 @@ exact in q; evaluation goes to floats only at the end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import prime_power
 from .census import DegreeCensus
+from .errors import BudgetExceededError
 
 POLE_EPSILONS = (0.1, 0.05, 0.025)  # offsets eps of the pole witness Z_q(1 + eps)
+ORDER_BITS_BUDGET = 10_000  # bits of |SL2(O/pi^k)| in a level census; bounds the level
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,9 @@ class LocalFactorSL2:
 
 
 def sl2_local_factor(q: int) -> LocalFactorSL2:
+    """The factor at odd q; its largest degree q^2 + q must be a finite float."""
+    if q * q + q > sys.float_info.max:
+        raise ValueError(f"q={q}: the degree q^2 + q of the factor is past the float range")
     if q % 2 == 0 or prime_power(q) is None:
         raise ValueError(f"q={q}: the explicit SL2 factor needs an odd prime power >= 3")
     head = (
@@ -112,9 +118,18 @@ class LevelCensus:
 
 
 def level_census(q: int, k: int) -> LevelCensus:
-    factor = sl2_local_factor(q)
+    """The census at level k; past ORDER_BITS_BUDGET bits of q^(3k) it raises.
+
+    q^(3k) bounds the group order, the largest number of the census.
+    """
     if k < 1:
         raise ValueError("level k must be >= 1")
+    if 3 * k * q.bit_length() > ORDER_BITS_BUDGET:
+        raise BudgetExceededError(
+            f"level {k} at q={q} needs about {3 * k * q.bit_length()} bits for the group "
+            f"order; the budget is {ORDER_BITS_BUDGET}"
+        )
+    factor = sl2_local_factor(q)
     per_level: list[tuple[int, tuple[tuple[int, int], ...]]] = [
         (1, tuple((d, m) for d, m in factor.head_terms if m))
     ]

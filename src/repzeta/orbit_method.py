@@ -143,7 +143,7 @@ def centralizer_index_oracle(datum: OrbitDatum) -> int:
         for rowi in range(dim):
             matrix[rowi][col] = p * coords[rowi]
     smith = smith_local(matrix, p, k)
-    kernel_exp = sum(min(e, k) for e in smith.exponents)
+    kernel_exp = sum(smith.exponents)
     index_exp = dim * k - kernel_exp
     if index_exp % 2:
         raise AssertionError("centralizer index is not a perfect square")
@@ -170,9 +170,8 @@ def kernel_cokernel_size(T: Sequence[Sequence[int]], p: int, r: int) -> tuple[in
         raise ValueError("matrix must be injective (nonzero determinant)")
     n = len(T)
     smith = smith_local(T, p, r)
-    capped = [min(e, r) for e in smith.exponents]
-    ker = p ** sum(capped)
-    image_size = p ** sum(r - e for e in capped)
+    ker = p ** sum(smith.exponents)
+    image_size = p ** sum(r - e for e in smith.exponents)
     cok = p ** (n * r) // image_size
     if ker != cok:
         raise AssertionError("kernel/cokernel sizes differ")

@@ -28,7 +28,7 @@ def test_from_pairs_merges_and_sorts():
 
 def test_cumulative_and_count_upto():
     census = DegreeCensus(entries=((1, 1), (3, 2), (7, 4)), bound=10)
-    assert census.cumulative() == [(1, 1), (3, 3), (7, 7)]
+    assert [census.count_upto(d) for d, _ in census.entries] == [1, 3, 7]
     assert census.count_upto(0) == 0
     assert census.count_upto(3) == 3
     assert census.count_upto(100) == 7

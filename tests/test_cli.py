@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repzeta import cli, euler_global, isotropic_census, witten
+from repzeta import arith, cli, euler_global, isotropic_census, local_sl2, witten
 from repzeta.cli import main
 
 
@@ -164,8 +164,12 @@ def test_census8_pair_budget_exit_code(capsys, monkeypatch):
         (euler_global, "SIEVE_BUDGET", ["euler", "--prime-bound", "1000"]),
         (euler_global, "SIEVE_BUDGET",
          ["euler", "--prime-bound", "100", "--scan-grid", "100,1000"]),
+        (arith, "TRIAL_DIVISION_BUDGET", ["local-sl2", "--q", "10000019", "--level", "1"]),
+        (cli, "SAMPLE_BUDGET", ["orbit", "--samples", "1000"]),
+        (local_sl2, "ORDER_BITS_BUDGET", ["local-sl2", "--q", "3", "--level", "167"]),
     ],
-    ids=["witten-nodes", "euler-sieve", "euler-scan-sieve"],
+    ids=["witten-nodes", "euler-sieve", "euler-scan-sieve", "trial-division", "orbit-samples",
+         "level-order-bits"],
 )
 def test_walk_and_sieve_budget_exit_code(capsys, monkeypatch, module, constant, argv):
     monkeypatch.setattr(module, constant, 999)
@@ -173,6 +177,24 @@ def test_walk_and_sieve_budget_exit_code(capsys, monkeypatch, module, constant, 
     captured = capsys.readouterr()
     assert code == 3
     assert "budget exhausted" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["local-sl2", "--q", str(3 ** 700), "--level", "1"], 2),  # q^2 + q past the float range
+        (["local-sl2", "--q", "3", "--level", "3100"], 3),  # group order past the int-to-str limit
+        (["local-sl2", "--q", "1000000000000000003", "--level", "1"], 3),  # a prime near 10^18
+        (["orbit", "--samples", "300000000"], 3),
+    ],
+    ids=["q-float-range", "level-3100", "q-prime-1e18", "orbit-3e8"],
+)
+def test_oversized_inputs_exit_before_work(capsys, argv, expected):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == expected
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -264,6 +286,8 @@ def test_witten_argv_fuzz(series, rank, bound):
 @given(q=st.integers(-2, 30), level=st.integers(-1, 6), grid=st.one_of(st.none(), S_GRID))
 @example(q=3, level=2, grid="nan,inf,1")
 @example(q=27, level=6, grid="2,2.5,3")
+@example(q=3 ** 700, level=1, grid=None)
+@example(q=3, level=3100, grid=None)
 def test_local_sl2_argv_fuzz(q, level, grid):
     """Every local-sl2 argv ends in exit 0, 2 or 3, never in a traceback."""
     argv = ["local-sl2", "--q", str(q), "--level", str(level)]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repzeta.linalg import (
     charpoly_mod_p,
     det_int,
-    kernel_generators_local,
     kernel_mod_p,
     mat_inv_mod,
     mat_mul_mod,
@@ -168,31 +167,44 @@ def test_poly_roots():
     assert poly_roots_mod_p([10, -7 % 13, 1], 13) == [2, 5]
 
 
+def columns(rows):
+    return [list(col) for col in zip(*rows)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2),
     st.lists(st.integers(min_value=-40, max_value=40), min_size=9, max_size=9),
 )
 def test_smith_local_reconstruction(pidx, entries):
+    """V is invertible and A*V = U^-1 * diag(p^e) for an invertible U.
+
+    Column t of A*V is p^e_t times a vector c_t; the c_t with e_t < M are
+    independent mod p, so they extend to an invertible U^-1.
+    """
     p = (2, 3, 5)[pidx]
     precision = 4
     pm = p ** precision
     a = [entries[0:3], entries[3:6], entries[6:9]]
     smith = smith_local(a, p, precision)
-    ua = mat_mul_mod([list(r) for r in smith.left], a, pm)
-    uav = mat_mul_mod(ua, [list(r) for r in smith.right], pm)
-    expected = [
-        [(p ** smith.exponents[i] if i == j else 0) % pm for j in range(3)] for i in range(3)
-    ]
-    assert uav == expected
     assert list(smith.exponents) == sorted(smith.exponents)
-    # transforms invertible over Z/p^M
-    mat_inv_mod([list(r) for r in smith.left], pm)
-    mat_inv_mod([list(r) for r in smith.right], pm)
+    v = [list(r) for r in smith.right]
+    assert det_int(v) % p  # invertible mod p, hence over Z/p^M
+    quotients = []
+    for e, col in zip(smith.exponents, columns(mat_mul_mod(a, v, pm))):
+        assert all(x % p ** e == 0 for x in col)
+        if e < precision:
+            quotients.append([x // p ** e for x in col])
+    reduced, _ = rref_mod_p(quotients, p)
+    assert len(reduced) == len(quotients)
 
 
 def test_kernel_generators_against_brute_force():
-    """Brute-force kernel counts over small rings validate the Smith route."""
+    """Brute-force kernel counts over small rings validate the Smith route.
+
+    The kernel has p^(sum e) elements, and p^(M-e_t) times column t of V
+    lies in it.
+    """
     rng = random.Random(4)
     for _ in range(25):
         p = rng.choice([2, 3])
@@ -204,12 +216,10 @@ def test_kernel_generators_against_brute_force():
         for vec in product(range(pm), repeat=n):
             if all(sum(r * v for r, v in zip(row, vec)) % pm == 0 for row in a):
                 brute += 1
-        gens = kernel_generators_local(a, p, precision)
-        size = 1
-        for e, _ in gens:
-            size *= p ** e
-        assert size == brute
-        for _, vec in gens:
+        smith = smith_local(a, p, precision)
+        assert p ** sum(smith.exponents) == brute
+        for e, col in zip(smith.exponents, columns(smith.right)):
+            vec = [x * p ** (precision - e) for x in col]
             for row in a:
                 assert sum(r * v for r, v in zip(row, vec)) % pm == 0
 
@@ -240,9 +250,10 @@ def local_square_matrices(draw):
 @example((5, 3, [[5, 10], [5, 10]]))
 @example((2, 1, [[1]]))
 def test_full_order_kernel_generators_independent_mod_p(case):
-    """Generators of order p^M are columns of the invertible Smith factor V,
-    so they reduce mod p to independent vectors."""
+    """Kernel generators of order p^M are columns of the invertible Smith
+    factor V, so they reduce mod p to independent vectors."""
     p, precision, rows = case
-    full = [vec for e, vec in kernel_generators_local(rows, p, precision) if e == precision]
+    smith = smith_local(rows, p, precision)
+    full = [col for e, col in zip(smith.exponents, columns(smith.right)) if e == precision]
     reduced, _ = rref_mod_p(full, p)
     assert len(reduced) == len(full)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from repzeta import local_sl2
+from repzeta.errors import BudgetExceededError
 from repzeta.local_sl2 import (
     evaluate_local,
     evaluate_local_exact,
@@ -31,14 +33,16 @@ def test_factor_head_q5():
     assert census.total_count == 9
 
 
-@pytest.mark.parametrize("q", [1, 2, 4, 8, 15, 21])
+@pytest.mark.parametrize(
+    "q", [1, 2, 4, 8, 15, 21, pytest.param(3 ** 700, id="3^700")]  # 3^700: q^2 + q past float
+)
 def test_rejects_non_odd_prime_powers(q):
     with pytest.raises(ValueError):
         sl2_local_factor(q)
 
 
 def test_accepts_odd_prime_powers():
-    for q in (3, 5, 7, 9, 11, 13, 27, 25, 49):
+    for q in (3, 5, 7, 9, 11, 13, 27, 25, 49, 3 ** 300):
         assert sl2_local_factor(q).q == q
 
 
@@ -99,6 +103,15 @@ def test_level_census_examples():
     assert dict(lc3.by_level)[3] == ((12, 36), (18, 12), (36, 6))
     with pytest.raises(ValueError):
         level_census(3, 0)
+
+
+def test_level_census_order_bits_budget(monkeypatch):
+    """The level is bounded through 3k * bits(q), an upper bound on the group order's bits."""
+    monkeypatch.setattr(local_sl2, "ORDER_BITS_BUDGET", 60)
+    assert level_census(3, 10).census.mass == sl2_quotient_order(3, 10)  # 3 * 10 * 2 = 60 bits
+    with pytest.raises(BudgetExceededError):
+        level_census(3, 11)
+    assert sl2_quotient_order(3, 10).bit_length() <= 60
 
 
 def test_irrep_count_values():

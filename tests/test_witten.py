@@ -153,9 +153,8 @@ def test_tail_fraction_above_abscissa_shrinks():
 
 def test_census_cumulative_counts():
     census = enumerate_dimensions(build_root_datum("A", 2), 100)
-    cum = census.cumulative()
-    assert cum[0] == (1, 1)
-    assert cum[-1][1] == census.total_count
+    assert census.entries[0] == (1, 1) and census.count_upto(1) == 1
+    assert census.count_upto(census.entries[-1][0]) == census.total_count
     assert census.count_upto(3) == 3  # trivial + two copies of degree 3
 
 
