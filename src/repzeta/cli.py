@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
+import operator
 import random
 import sys
 import time
@@ -23,8 +23,7 @@ from . import __version__
 from .arith import prime_power
 from .census import DegreeCensus
 from .errors import BudgetExceededError
-from .euler_global import DivergenceScan, divergence_scan, euler_partial_product, sandwich_check
-from .euler_global import EulerProductSpec
+from .euler_global import euler_report
 from .finite_oracle import character_degrees, sl2_group
 from .isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from .local_sl2 import (
@@ -43,38 +42,81 @@ from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
 SAMPLE_BUDGET = 20_000  # orbit samples per run
 
 
+def _scalar(v: Any) -> str:
+    """One scalar as `json.dumps` writes it, a float rounded to 12 significant digits first."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        v = float(f"{v:.12g}")
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _table_rows(rows: list[Any] | tuple[Any, ...], head: str, indent: str) -> list[str] | None:
+    """A flat table's rows, one piece each, rendered column by column; None for any other shape.
+
+    `head` and `indent` are those of the table's own line.  A flat table
+    is a list or tuple of dicts that all have the same non-empty keys and
+    only scalar values.
+    """
+    first = rows[0]
+    if not isinstance(first, dict) or not first:
+        return None
+    keys = first.keys()
+    if not all(isinstance(row, dict) and row.keys() == keys for row in rows):
+        return None
+    names = sorted(keys)
+    columns = []
+    for name in names:
+        column = [row[name] for row in rows]
+        types = set(map(type, column))
+        if types == {int}:  # bool stays apart: its type is not int
+            columns.append(map(int.__repr__, column))
+        elif any(issubclass(t, (dict, list, tuple)) for t in types):
+            return None
+        else:
+            columns.append(map(_scalar, column))
+    inner = indent + "  "
+    field = inner + "  "
+    template = "," + inner + "{" + field + ("," + field).join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names
+    ) + inner + "}"
+    rendered = list(map(template.__mod__, zip(*columns)))
+    rendered[0] = head + "[" + rendered[0][1:]  # the first row takes the table's head, no comma
+    return rendered
+
+
 def _to_json(value: Any) -> str:
     """The report as `json.dumps(..., sort_keys=True, indent=2)` writes it.
 
     One pass, floats rounded to 12 significant digits as they are written;
-    every scalar renders exactly as the `json` module renders it.  Each
-    output line is one piece, so the pieces take little more memory than
-    the text they join into.
+    every scalar renders exactly as the `json` module renders it.  A flat
+    table (a non-empty list or tuple of dicts that all have the same keys
+    and only scalar values) is rendered column by column, each column in
+    one `map` (`int.__repr__` when every value's type is `int`) and each
+    row in one piece from a row template built once from the sorted keys.
+    Every other value takes the recursive path, each output line one
+    piece.  So the pieces take little more memory than the text they join
+    into.
     """
     parts: list[str] = []
     append = parts.append
 
     def write(head: str, v: Any, indent: str) -> None:
         # head: the text before v on its line (separator, indent, key)
-        if isinstance(v, str):
-            append(head + encode_basestring_ascii(v))
-        elif v is None:
-            append(head + "null")
-        elif isinstance(v, bool):
-            append(head + ("true" if v else "false"))
-        elif isinstance(v, int):
-            append(head + int.__repr__(v))
-        elif isinstance(v, float):
-            v = float(f"{v:.12g}")
-            if v != v:
-                append(head + "NaN")
-            elif v == math.inf:
-                append(head + "Infinity")
-            elif v == -math.inf:
-                append(head + "-Infinity")
-            else:
-                append(head + float.__repr__(v))
-        elif isinstance(v, dict):
+        if isinstance(v, dict):
             if not v:
                 append(head + "{}")
                 return
@@ -88,6 +130,11 @@ def _to_json(value: Any) -> str:
             if not v:
                 append(head + "[]")
                 return
+            rows = _table_rows(v, head, indent)
+            if rows is not None:
+                parts.extend(rows)
+                append(indent + "]")
+                return
             inner = indent + "  "
             sep = head + "[" + inner
             for item in v:
@@ -95,7 +142,7 @@ def _to_json(value: Any) -> str:
                 sep = "," + inner
             append(indent + "]")
         else:
-            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+            append(head + _scalar(v))
 
     write("", value, "\n")
     return "".join(parts)
@@ -109,6 +156,20 @@ def _fmt_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def _write_csv(fh: Any, table: list[dict[str, Any]], columns: list[str]) -> None:
+    """The header row, then the table column by column.
+
+    `csv.writer` takes an all-int column as it is; other columns go through `_fmt_cell`.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    cells = []
+    for get in map(operator.itemgetter, columns):
+        all_int = set(map(type, map(get, table))) == {int}
+        cells.append(map(get, table) if all_int else map(_fmt_cell, map(get, table)))
+    writer.writerows(zip(*cells))
 
 
 def _census_rows(census: DegreeCensus) -> list[dict[str, Any]]:
@@ -149,20 +210,20 @@ def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
 
 def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     factor = sl2_local_factor(args.q)
-    lc = level_census(args.q, args.level)
+    lc = level_census(factor, args.level)
     expected_order = sl2_quotient_order(args.q, args.level)
     result: dict[str, Any] = {
         "q": args.q,
         "level": args.level,
         "head_terms": [list(tm) for tm in factor.head_terms],
         "tail_terms": [list(tm) for tm in factor.tail_terms],
-        "irrep_count": irrep_count(args.q, args.level),
+        "irrep_count": irrep_count(factor, args.level),
         "mass": lc.census.mass,
         "group_order": expected_order,
         "mass_matches_order": lc.census.mass == expected_order,
         "values": {f"{s:.12g}": evaluate_local(factor, s) for s in args.s_grid},
         "bounds": {
-            f"{s:.12g}": list(factor_bounds_check(args.q, s))
+            f"{s:.12g}": list(factor_bounds_check(factor, s))
             for s in args.s_grid
             if 2.0 <= s <= 3.0
         },
@@ -185,9 +246,10 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     # cross-link with the closed formula when the modulus is an odd prime power
     pp = prime_power(args.modulus)
     if pp is not None and pp[0] % 2 == 1:
-        formula = level_census(*pp)
+        factor = sl2_local_factor(pp[0])
+        formula = level_census(factor, pp[1])
         result["formula_census_matches"] = formula.census.entries == census.entries
-        result["formula_irrep_count"] = irrep_count(*pp)
+        result["formula_irrep_count"] = irrep_count(factor, pp[1])
     result["table"] = _census_rows(census)
     return result, ["degree", "multiplicity", "R_n"]
 
@@ -270,17 +332,10 @@ def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
 
 
 def cmd_euler(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
-    rows = []
-    for s in args.s_grid:
-        value = euler_partial_product(
-            EulerProductSpec(prime_bound=args.prime_bound), s, scan=s <= 2.0
-        )
-        entry: dict[str, Any] = {"s": s, "partial_product": value}
-        entry["sandwich_ok"] = sandwich_check(args.prime_bound, s) if 2.0 < s <= 3.0 else None
-        rows.append(entry)
-    result: dict[str, Any] = {"prime_bound": args.prime_bound, "table": rows}
-    if args.scan_grid:
-        scan: DivergenceScan = divergence_scan(args.scan_grid)
+    rows, scan = euler_report(args.prime_bound, args.s_grid, args.scan_grid or ())
+    table = [{"s": s, "partial_product": value, "sandwich_ok": ok} for s, value, ok in rows]
+    result: dict[str, Any] = {"prime_bound": args.prime_bound, "table": table}
+    if scan is not None:
         result["divergence_scan"] = {
             "prime_bounds": list(scan.prime_bounds),
             "products": list(scan.products),
@@ -366,20 +421,15 @@ def _emit(report: dict[str, Any], columns: list[str], args: argparse.Namespace) 
         return
     # csv: table to --out (metadata, sans table, to stdout as JSON), or table
     # to stdout and metadata to stderr, so stdout stays pure CSV
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in report["result"]["table"]:
-        writer.writerow([_fmt_cell(row[c]) for c in columns])
     meta = {k: v for k, v in report.items() if k != "result"}
     meta["result"] = {k: v for k, v in report["result"].items() if k != "table"}
     meta_text = _to_json(meta) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            _write_csv(fh, report["result"]["table"], columns)
         sys.stdout.write(meta_text)
     else:
-        sys.stdout.write(buf.getvalue())
+        _write_csv(sys.stdout, report["result"]["table"], columns)
         sys.stderr.write(meta_text)
 
 

@@ -32,6 +32,9 @@ class LocalFactorSL2:
 
     head_terms keeps the formula's terms in order, including coefficients
     that vanish for small q (the (q+1)-term at q=3), for traceability.
+    `sl2_local_factor` checks q as it builds one; the level census,
+    irreducible count and sandwich bounds take the factor, so a report
+    checks q once.
     """
 
     q: int
@@ -98,10 +101,9 @@ def sl2_quotient_order(q: int, k: int) -> int:
     return q ** (3 * (k - 1)) * (q ** 3 - q)
 
 
-def irrep_count(q: int, k: int) -> int:
+def irrep_count(factor: LocalFactorSL2, k: int) -> int:
     """Number of irreducibles of SL2(O/pi^k): (q+4) + (q^2+3q)(q^(k-1)-1)/(q-1)."""
-    if q % 2 == 0 or prime_power(q) is None:
-        raise ValueError(f"q={q}: need an odd prime power >= 3")
+    q = factor.q
     if k < 1:
         raise ValueError("level k must be >= 1")
     return (q + 4) + (q * q + 3 * q) * (q ** (k - 1) - 1) // (q - 1)
@@ -117,11 +119,12 @@ class LevelCensus:
     by_level: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
-def level_census(q: int, k: int) -> LevelCensus:
+def level_census(factor: LocalFactorSL2, k: int) -> LevelCensus:
     """The census at level k; past ORDER_BITS_BUDGET bits of q^(3k) it raises.
 
     q^(3k) bounds the group order, the largest number of the census.
     """
+    q = factor.q
     if k < 1:
         raise ValueError("level k must be >= 1")
     if 3 * k * q.bit_length() > ORDER_BITS_BUDGET:
@@ -129,7 +132,6 @@ def level_census(q: int, k: int) -> LevelCensus:
             f"level {k} at q={q} needs about {3 * k * q.bit_length()} bits for the group "
             f"order; the budget is {ORDER_BITS_BUDGET}"
         )
-    factor = sl2_local_factor(q)
     per_level: list[tuple[int, tuple[tuple[int, int], ...]]] = [
         (1, tuple((d, m) for d, m in factor.head_terms if m))
     ]
@@ -141,25 +143,23 @@ def level_census(q: int, k: int) -> LevelCensus:
         pairs.extend(fam)
     census = DegreeCensus.from_pairs(pairs, max(d for d, _ in pairs))
     lc = LevelCensus(q=q, level=k, census=census, by_level=tuple(per_level))
-    if census.total_count != irrep_count(q, k):
+    if census.total_count != irrep_count(factor, k):
         raise AssertionError(f"q={q}, k={k}: census count differs from irrep_count")
     if census.mass != sl2_quotient_order(q, k):
         raise AssertionError(f"q={q}, k={k}: census mass differs from the group order")
     return lc
 
 
-def factor_bounds_check(q: int, s: float) -> tuple[bool, bool]:
+def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
     """Sandwich at one place: (1-q^(1-s))^(-1/2) < Z_q(s) < (1-q^(1-s))^(-100).
 
     Proven for odd q and s in [2, 3].  At integer s the comparison is done
     in exact rational arithmetic (the -1/2 power by squaring); otherwise in
     double precision.
     """
-    if q % 2 == 0 or prime_power(q) is None:
-        raise ValueError(f"q={q}: need an odd prime power >= 3")
     if not (2.0 <= s <= 3.0):
         raise ValueError("the sandwich bounds are stated only for s in [2, 3]")
-    factor = sl2_local_factor(q)
+    q = factor.q
     if float(s).is_integer():
         si = int(s)
         z = evaluate_local_exact(factor, si)

@@ -28,3 +28,24 @@ def subprocess_env():
     src = os.path.dirname(os.path.dirname(repzeta.__file__))
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test.
+
+    It returns a list that gets each call's first argument.
+    """
+
+    def install(module, name):
+        seen = []
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            seen.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return seen
+
+    return install

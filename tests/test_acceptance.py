@@ -22,7 +22,8 @@ from repzeta.isotropic_census import (
     distinct_class_count,
     gamma_estimate,
 )
-from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl2_quotient_order
+from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl2_local_factor
+from repzeta.local_sl2 import sl2_quotient_order
 from repzeta.orbit_method import centralizer_index_oracle, kernel_cokernel_size, make_orbit_datum
 from repzeta.orbit_method import orbit_dimension
 from repzeta.rootsys import all_irreducible_types, build_root_datum, group_dimension
@@ -116,15 +117,16 @@ def test_c5_sl2_formula_vs_dixon_oracle():
         groups = {m: sl2_group(m) for m in (3, 5, 9)}
         for modulus, (q, k) in ((3, (3, 1)), (9, (3, 2)), (5, (5, 1))):
             dixon = character_degrees(groups[modulus])
-            assert dixon.entries == level_census(q, k).census.entries
-        assert conjugacy_classes(groups[3]).count == 7 == irrep_count(3, 1)
-        assert conjugacy_classes(groups[9]).count == 25 == irrep_count(3, 2)
-        assert conjugacy_classes(sl2_group(27)).count == 79 == irrep_count(3, 3)
+            assert dixon.entries == level_census(sl2_local_factor(q), k).census.entries
+        assert conjugacy_classes(groups[3]).count == 7 == irrep_count(sl2_local_factor(3), 1)
+        assert conjugacy_classes(groups[9]).count == 25 == irrep_count(sl2_local_factor(3), 2)
+        assert conjugacy_classes(sl2_group(27)).count == 79 == irrep_count(sl2_local_factor(3), 3)
         for q in (3, 5, 7, 9, 11, 13):
+            factor = sl2_local_factor(q)
             for k in range(1, 7):
-                lc = level_census(q, k)
+                lc = level_census(factor, k)
                 assert lc.census.mass == sl2_quotient_order(q, k)
-                assert lc.census.total_count == irrep_count(q, k)
+                assert lc.census.total_count == irrep_count(factor, k)
 
 
 def test_c6_orbit_dimension_vs_smith_oracle():
@@ -217,7 +219,7 @@ def test_c10_sandwich_and_divergence():
         odd_primes = [p for p in range(3, 98) if all(p % f for f in range(2, p))]
         for q in odd_primes:
             for tenths in range(20, 31):
-                assert factor_bounds_check(q, tenths / 10.0) == (True, True)
+                assert factor_bounds_check(sl2_local_factor(q), tenths / 10.0) == (True, True)
         scan = divergence_scan((100, 1000, 10_000))
         assert scan.strictly_increasing
         assert scan.growth_ratio > 1.15

@@ -1,9 +1,13 @@
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from argparse import Namespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from repzeta import arith, cli, euler_global, isotropic_census, local_sl2, witten
 from repzeta.cli import main
+from repzeta.euler_global import odd_primes_upto
+from repzeta.local_sl2 import evaluate_local, sl2_local_factor
 
 
 def run_cli(capsys, argv):
@@ -188,8 +194,13 @@ def test_walk_and_sieve_budget_exit_code(capsys, monkeypatch, module, constant, 
         (["local-sl2", "--q", "3", "--level", "3100"], 3),  # group order past the int-to-str limit
         (["local-sl2", "--q", "1000000000000000003", "--level", "1"], 3),  # a prime near 10^18
         (["orbit", "--samples", "300000000"], 3),
+        # euler checks each argument in order before it sieves: the grid's order comes first
+        (["euler", "--prime-bound", "100", "--scan-grid", "2000000,100"], 2),
+        (["euler", "--prime-bound", "2000000", "--s-grid", "2.5,0.5"], 3),
+        (["euler", "--prime-bound", "2000000", "--s-grid", "0.5,2.5"], 2),
     ],
-    ids=["q-float-range", "level-3100", "q-prime-1e18", "orbit-3e8"],
+    ids=["q-float-range", "level-3100", "q-prime-1e18", "orbit-3e8", "euler-scan-order",
+         "euler-sieve-before-second-s", "euler-first-s-before-sieve"],
 )
 def test_oversized_inputs_exit_before_work(capsys, argv, expected):
     code = main(argv)
@@ -311,6 +322,44 @@ def test_alt_argv_fuzz(kmax, s):
         assert all(row["mass_ok"] for row in table)
 
 
+def _reference_log_product(bound, s):
+    """Reference for the Euler table: a fresh factor and value for each odd prime <= bound."""
+    return math.fsum(
+        math.log(evaluate_local(sl2_local_factor(p), s)) for p in odd_primes_upto(bound)
+    )
+
+
+def _reference_product(bound, s):
+    try:
+        return math.exp(_reference_log_product(bound, s))
+    except OverflowError:
+        return math.inf
+
+
+def _reference_sandwich(bound, s):
+    log_zeta = math.fsum(-math.log(-math.expm1((1.0 - s) * math.log(p)))
+                         for p in odd_primes_upto(bound))
+    return 0.5 * log_zeta < _reference_log_product(bound, s) < 100.0 * log_zeta
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@contextlib.contextmanager
+def written_reports():
+    """The reports `cli._to_json` is given, before any rounding."""
+    written = []
+    writer = cli._to_json
+
+    def spy(value):
+        written.append(value)
+        return writer(value)
+
+    with mock.patch.object(cli, "_to_json", spy):
+        yield written
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     prime_bound=st.integers(-2, 3000),
@@ -321,15 +370,55 @@ def test_alt_argv_fuzz(kmax, s):
 @example(prime_bound=100, grid="2.5,nan,inf", scan="100,1000")
 @example(prime_bound=2, grid="2.5", scan="2,3")
 @example(prime_bound=227, grid="1.0000001", scan=None)  # the product overflows a float
+@example(prime_bound=100, grid="2.5,3", scan="50,1000")  # a scan bound above the prime bound
+@example(prime_bound=2000, grid="2.25,3", scan="10,500")  # scan bounds below it
+@example(prime_bound=500, grid="1.5,2", scan="100,600")  # s <= 2
+@example(prime_bound=500, grid="3.5,7.3", scan="20")  # s > 3
 def test_euler_argv_fuzz(prime_bound, grid, scan):
-    """Every euler argv ends in exit 0, 2 or 3, never in a traceback."""
+    """Every euler argv ends in exit 0, 2 or 3, never in a traceback.
+
+    A report's products, sandwich verdicts and scan equal, unrounded,
+    those of the per-prime loop.
+    """
     argv = ["euler", "--prime-bound", str(prime_bound)]
     argv += [] if grid is None else [f"--s-grid={grid}"]
     argv += [] if scan is None else [f"--scan-grid={scan}"]
-    code, out = run_fuzzed(argv)
+    with written_reports() as written:
+        code, _ = run_fuzzed(argv)
     if code == 0:
-        for row in json.loads(out)["result"]["table"]:
-            assert row["sandwich_ok"] is (True if 2 < row["s"] <= 3 else None)
+        result = written[0]["result"]
+        for row in result["table"]:
+            s = row["s"]
+            assert row["sandwich_ok"] is (True if 2 < s <= 3 else None)
+            assert _same_float(row["partial_product"], _reference_product(prime_bound, s))
+            if 2 < s <= 3:
+                assert row["sandwich_ok"] == _reference_sandwich(prime_bound, s)
+        if "divergence_scan" in result:
+            scan_result = result["divergence_scan"]
+            assert scan_result["products"] == [
+                _reference_product(bound, 2.0) for bound in scan_result["prime_bounds"]
+            ]
+
+
+def test_euler_report_sieves_once(capsys, count_calls):
+    """One sieve per report, and one factor and one value per odd prime and exponent."""
+    sieves = count_calls(euler_global, "odd_primes_upto")
+    factors = count_calls(euler_global, "sl2_local_factor")
+    values = count_calls(euler_global, "evaluate_local")
+    argv = ["euler", "--prime-bound", "1000", "--s-grid", "2.5,3,2.5", "--scan-grid", "100,2000"]
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert sieves == [2000]
+    assert factors == odd_primes_upto(2000)
+    assert len(values) == 3 * len(factors)  # s = 2.5, 3 and the scan's 2
+
+
+def test_local_sl2_tests_q_once(capsys, count_calls):
+    """A local-sl2 report decides q's prime power once, in sl2_local_factor."""
+    calls = count_calls(local_sl2, "prime_power")
+    code, _ = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2"])
+    assert code == 0
+    assert calls == [3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -401,18 +490,34 @@ def reference_json(value):
     ],
     ids=lambda argv: argv[0],
 )
-def test_report_writer_matches_json_dumps(capsys, monkeypatch, argv):
-    written = []
-    writer = cli._to_json
-
-    def spy(value):
-        written.append(value)
-        return writer(value)
-
-    monkeypatch.setattr(cli, "_to_json", spy)
-    code, out = run_cli(capsys, argv)
+def test_report_writer_matches_json_dumps(capsys, argv):
+    with written_reports() as written:
+        code, out = run_cli(capsys, argv)
     assert code == 0 and len(written) == 1
     assert out == reference_json(written[0]) + "\n"
+
+
+FLAT_TABLES = {
+    "bool-and-int": [{"a": True, "b": 1}, {"a": 1, "b": True}, {"a": 0, "b": False}],
+    "floats": [{"x": v, "n": i} for i, v in enumerate(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1 + 0.2, 10.0 ** 20])],
+    "none": [{"v": None, "w": 3}, {"v": 2.5, "w": None}],
+    "strings": [
+        {'p%d "q" \u00e9\u2228': "x % y", "%s": "\U0001d518"},
+        {'p%d "q" \u00e9\u2228': "", "%s": 'a"b\\'},
+    ],
+    "one-row": [{"degree": 1, "multiplicity": 10 ** 40, "R_n": -7}],
+    "tuple": ({"k": 5, "zeta": 1 / 3}, {"k": 6, "zeta": 2 / 3}),
+}
+OTHER_TABLES = {
+    "keys-differ": [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    "key-missing": [{"a": 1, "b": 2}, {"a": 1}],
+    "nested-list": [{"a": 1, "b": [2, 3]}, {"a": 4, "b": [5]}],
+    "nested-dict": [{"a": {"x": 1.5}}, {"a": {"x": 2.5}}],
+    "nested-tuple": [{"a": (1,)}],
+    "empty-rows": [{}, {}],
+    "not-dicts": [{"a": 1}, 2, "x"],
+}
 
 
 def test_report_writer_matches_json_dumps_on_edge_values():
@@ -432,6 +537,32 @@ def test_report_writer_matches_json_dumps_on_edge_values():
     assert cli._to_json(value) == reference_json(value)
     for scalar in (float("nan"), -0.0, 2.0 / 3.0, True, 7, None, "a\"b", [], {}):
         assert cli._to_json(scalar) == reference_json(scalar)
+    # a flat table takes the column path, any other list of rows the recursive one
+    for name, rows in {**FLAT_TABLES, **OTHER_TABLES}.items():
+        assert (cli._table_rows(rows, "", "\n") is not None) == (name in FLAT_TABLES), name
+        for wrapped in (rows, {"result": {"table": rows, "n": len(rows)}}, [rows, rows]):
+            assert cli._to_json(wrapped) == reference_json(wrapped), name
+
+
+def test_csv_table_matches_per_cell_writer(capsys):
+    """The column-wise CSV table equals csv.writer over `_fmt_cell` of each cell."""
+    columns = ["n", "x", "flag", "maybe", "mixed"]
+    table = [
+        {"n": 10 ** 40, "x": 1 / 3, "flag": True, "maybe": None, "mixed": 1},
+        {"n": -3, "x": float("nan"), "flag": False, "maybe": 7, "mixed": True},
+        {"n": 0, "x": -0.0, "flag": True, "maybe": 2.5, "mixed": None},
+        {"n": 12, "x": 1e-300, "flag": False, "maybe": "a,b\"c", "mixed": 0},
+    ]
+    report = {"tool": "repzeta", "result": {"table": table, "rows": len(table)}}
+    cli._emit(report, columns, Namespace(format="csv", out=None))
+    captured = capsys.readouterr()
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in table:
+        writer.writerow([cli._fmt_cell(row[c]) for c in columns])
+    assert captured.out == buf.getvalue()
+    assert json.loads(captured.err) == {"tool": "repzeta", "result": {"rows": 4}}
 
 
 def test_out_file(tmp_path, capsys):

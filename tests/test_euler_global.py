@@ -9,11 +9,29 @@ from repzeta.euler_global import (
     divergence_scan,
     euler_partial_product,
     odd_primes_upto,
-    riemann_zeta_ref,
     sandwich_check,
 )
 from repzeta.local_sl2 import evaluate_local, sl2_local_factor
 from repzeta.rootsys import build_root_datum
+
+
+def riemann_zeta_ref(s: float) -> float:
+    """zeta(s) for s > 1 by Euler-Maclaurin; relative error below 1e-10.
+
+    Direct sum to M = 100 plus the integral term, half-term, and three
+    Bernoulli corrections; the first omitted term bounds the error.
+    """
+    if s <= 1:
+        raise ValueError("zeta reference needs s > 1")
+    m = 100
+    total = math.fsum(float(n) ** (-s) for n in range(1, m + 1))
+    total += m ** (1.0 - s) / (s - 1.0)
+    total -= 0.5 * m ** (-s)
+    # Bernoulli corrections B2/2! s M^{-s-1}, B4/4! s(s+1)(s+2) M^{-s-3}, ...
+    total += (1.0 / 12.0) * s * m ** (-s - 1.0)
+    total -= (1.0 / 720.0) * s * (s + 1.0) * (s + 2.0) * m ** (-s - 3.0)
+    total += (1.0 / 30240.0) * s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * m ** (-s - 5.0)
+    return total
 
 
 def test_odd_primes():
@@ -134,7 +152,7 @@ def test_sieve_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         odd_primes_upto(101)
     with pytest.raises(BudgetExceededError):
-        EulerProductSpec(prime_bound=1000).primes()
+        euler_partial_product(EulerProductSpec(prime_bound=1000), 2.5)
 
 
 def test_product_past_the_float_range_is_inf():
@@ -142,3 +160,23 @@ def test_product_past_the_float_range_is_inf():
     s = 1.0000001
     assert math.isfinite(euler_partial_product(EulerProductSpec(prime_bound=223), s, scan=True))
     assert euler_partial_product(EulerProductSpec(prime_bound=227), s, scan=True) == math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_partial_product(EulerProductSpec(prime_bound=1000), 2.5),
+        lambda: sandwich_check(1000, 2.5),
+        lambda: divergence_scan((10, 100, 1000)),
+    ],
+    ids=["product", "sandwich", "scan"],
+)
+def test_one_sieve_and_one_factor_per_prime(count_calls, call):
+    """Each function sieves once and builds one factor and one value per odd prime <= 1000."""
+    sieves = count_calls(euler_global, "odd_primes_upto")
+    factors = count_calls(euler_global, "sl2_local_factor")
+    values = count_calls(euler_global, "evaluate_local")
+    call()
+    assert sieves == [1000]
+    assert factors == odd_primes_upto(1000)
+    assert len(values) == len(odd_primes_upto(1000))

@@ -92,57 +92,59 @@ def test_exact_evaluation_matches_float():
 
 
 def test_level_census_examples():
-    lc1 = level_census(3, 1)
+    lc1 = level_census(sl2_local_factor(3), 1)
     assert lc1.census.entries == ((1, 3), (2, 3), (3, 1))
     assert lc1.census.total_count == 7 and lc1.census.mass == 24
-    lc2 = level_census(3, 2)
+    lc2 = level_census(sl2_local_factor(3), 2)
     assert lc2.census.entries == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 2))
     assert lc2.census.total_count == 25 and lc2.census.mass == 648
-    lc3 = level_census(3, 3)
+    lc3 = level_census(sl2_local_factor(3), 3)
     assert lc3.census.total_count == 79 and lc3.census.mass == 17496
     assert dict(lc3.by_level)[3] == ((12, 36), (18, 12), (36, 6))
     with pytest.raises(ValueError):
-        level_census(3, 0)
+        level_census(sl2_local_factor(3), 0)
 
 
 def test_level_census_order_bits_budget(monkeypatch):
     """The level is bounded through 3k * bits(q), an upper bound on the group order's bits."""
     monkeypatch.setattr(local_sl2, "ORDER_BITS_BUDGET", 60)
-    assert level_census(3, 10).census.mass == sl2_quotient_order(3, 10)  # 3 * 10 * 2 = 60 bits
+    factor = sl2_local_factor(3)
+    assert level_census(factor, 10).census.mass == sl2_quotient_order(3, 10)  # 3 * 10 * 2 = 60 bits
     with pytest.raises(BudgetExceededError):
-        level_census(3, 11)
+        level_census(factor, 11)
     assert sl2_quotient_order(3, 10).bit_length() <= 60
 
 
 def test_irrep_count_values():
-    assert [irrep_count(3, k) for k in (1, 2, 3)] == [7, 25, 79]
-    assert irrep_count(5, 1) == 9
+    assert [irrep_count(sl2_local_factor(3), k) for k in (1, 2, 3)] == [7, 25, 79]
+    assert irrep_count(sl2_local_factor(5), 1) == 9
 
 
 def test_mass_and_count_identities():
     for q in (3, 5, 7, 9, 11, 13):
+        factor = sl2_local_factor(q)
         for k in range(1, 7):
-            lc = level_census(q, k)
+            lc = level_census(factor, k)
             assert lc.census.mass == sl2_quotient_order(q, k)
-            assert lc.census.total_count == irrep_count(q, k)
+            assert lc.census.total_count == irrep_count(factor, k)
 
 
 def test_truncation_converges_to_analytic_value():
     for q in (3, 5):
         factor = sl2_local_factor(q)
         target = evaluate_local(factor, 2.5)
-        err = abs(level_census(q, 12).census.zeta(2.5) - target)
+        err = abs(level_census(factor, 12).census.zeta(2.5) - target)
         assert err < float(q) ** -6
 
 
 def test_factor_bounds_grid():
     for q in (3, 5, 7, 97):
         for s in (2.0, 2.1, 2.5, 3.0):
-            assert factor_bounds_check(q, s) == (True, True)
+            assert factor_bounds_check(sl2_local_factor(q), s) == (True, True)
     with pytest.raises(ValueError):
-        factor_bounds_check(3, 1.5)
+        factor_bounds_check(sl2_local_factor(3), 1.5)
     with pytest.raises(ValueError):
-        factor_bounds_check(4, 2.5)
+        factor_bounds_check(sl2_local_factor(4), 2.5)
 
 
 def test_exact_bounds_at_integer_s():
@@ -152,7 +154,7 @@ def test_exact_bounds_at_integer_s():
     one_minus = Fraction(2, 3)
     assert z * z * one_minus > 1
     assert z * one_minus ** 100 < 1
-    assert factor_bounds_check(3, 2.0) == (True, True)
+    assert factor_bounds_check(sl2_local_factor(3), 2.0) == (True, True)
 
 
 def test_pole_witness_bounded():
@@ -165,7 +167,10 @@ def test_pole_witness_bounded():
 @pytest.mark.parametrize("broken", ["irrep_count", "sl2_quotient_order"])
 def test_census_identities_checked_under_optimize(broken, subprocess_env):
     """A wrong closed formula fails level_census even under python -O."""
-    code = f"import repzeta.local_sl2 as L; L.{broken} = lambda q, k: 0; L.level_census(3, 2)"
+    code = (
+        f"import repzeta.local_sl2 as L; L.{broken} = lambda q, k: 0; "
+        "L.level_census(L.sl2_local_factor(3), 2)"
+    )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
     )
