@@ -3,7 +3,11 @@
 The family: M_Y = I + p^k diag(X, Z) + upper-right block Y, reduced mod
 p^N with N = 3k + 2t, where the m diagonal entries of diag(X, Z) have
 pairwise difference valuation <= t and the determinant is adjusted to 1.
-One representative is kept per residue of Y mod p^k.
+One representative is kept per residue of Y mod p^k.  The family does not
+store its q^(m^2 k/4) members: member i is built from the base-p^k digits
+of i when it is read, so a sampled census builds only the members it
+samples.  FAMILY_BUDGET still bounds the family's size, which is what an
+exhaustive census walks.
 
 Conjugacy between two family members is decided exactly: the intertwiner
 equation W M1 = M2 W is linear in W, its solution set mod p^N is a
@@ -33,13 +37,44 @@ from typing import Sequence
 
 from .arith import prime_power
 from .errors import BudgetExceededError
-from .linalg import det_int, mat_mul_mod, smith_local, valuation
+from .linalg import det_int, mat_mul_mod, smith_exponents, smith_local, valuation
 
 Mat = tuple[tuple[int, ...], ...]
 
 RANK_BUDGET = 12  # mod-p span dimension an are_conjugate scan may search
 PAIR_BUDGET = 20_000  # are_conjugate calls per class count
 FAMILY_BUDGET = 500_000  # representatives per census family
+
+
+class FamilyMembers(Sequence[Mat]):
+    """The members M_Y of a family, each built from its index when read.
+
+    Member i has for its Y block the base-p^k digits of i, row-major with
+    the last entry fastest: the order of product(range(p^k), repeat=half^2).
+    """
+
+    __slots__ = ("base", "pk", "half")
+
+    def __init__(self, base: Mat, pk: int, half: int) -> None:
+        self.base = base  # the member with Y = 0
+        self.pk = pk
+        self.half = half
+
+    def __len__(self) -> int:
+        return self.pk ** (self.half * self.half)
+
+    def __getitem__(self, index: int) -> Mat:
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("family member index out of range")
+        half = self.half
+        rows = [list(row) for row in self.base]
+        for pos in reversed(range(half * half)):
+            index, digit = divmod(index, self.pk)
+            rows[pos // half][half + pos % half] = digit
+        return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -51,7 +86,7 @@ class CensusFamily:
     modulus_exp: int  # N = 3k + 2t
     x_diag: tuple[int, ...]
     z_diag: tuple[int, ...]
-    y_reps: tuple[Mat, ...]
+    y_reps: FamilyMembers
 
     @property
     def modulus(self) -> int:
@@ -130,14 +165,9 @@ def build_census_family(m: int, q: int, k: int, t: int) -> CensusFamily:
         base[i][i] = (1 + pk * x_diag[i]) % pN
         base[half + i][half + i] = (1 + pk * z_diag[i]) % pN
 
-    reps = []
-    for y_flat in product(range(pk), repeat=half * half):
-        mat = [row[:] for row in base]
-        for idx, val in enumerate(y_flat):
-            mat[idx // half][half + idx % half] = val
-        reps.append(tuple(tuple(r) for r in mat))
+    reps = FamilyMembers(base=tuple(tuple(r) for r in base), pk=pk, half=half)
     family = CensusFamily(
-        m=m, q=q, k=k, t=t, modulus_exp=N, x_diag=x_diag, z_diag=z_diag, y_reps=tuple(reps)
+        m=m, q=q, k=k, t=t, modulus_exp=N, x_diag=x_diag, z_diag=z_diag, y_reps=reps
     )
     for mat in (reps[0], reps[-1]):
         if det_int(mat) % pN != 1:
@@ -268,13 +298,13 @@ def conjugacy_key(mat: Mat, family: CensusFamily) -> tuple[tuple[int, ...], ...]
     p, N = family.q, family.modulus_exp
     pN = p ** N
     pk = p ** family.k
-    key = [smith_local(_intertwiner_system(mat, mat, p, N), p, N).exponents]
+    key = [smith_exponents(_intertwiner_system(mat, mat, p, N), p, N)]
     for d in family.x_diag + family.z_diag:
         c = 1 + pk * d
         shifted = [
             [(x - c if i == j else x) % pN for j, x in enumerate(row)] for i, row in enumerate(mat)
         ]
-        key.append(smith_local(shifted, p, N).exponents)
+        key.append(smith_exponents(shifted, p, N))
     return tuple(key)
 
 
@@ -314,7 +344,7 @@ def distinct_class_count(
     exhaustive = sample is None
     p = family.q
     N = family.modulus_exp
-    reps: list[int] = []
+    reps: list[tuple[int, Mat]] = []  # (member index, member) per class
     buckets: dict[tuple[tuple[int, ...], ...], list[int]] = {}  # key -> class ids
     assignment: list[int] = []
     tested = unknown = 0
@@ -329,8 +359,8 @@ def distinct_class_count(
                     f"class count needs more than {PAIR_BUDGET} conjugacy tests"
                 )
             tested += 1
-            rep_idx = reps[cid]
-            result = are_conjugate(family.y_reps[rep_idx], mat, p, N)
+            rep_idx, rep_mat = reps[cid]
+            result = are_conjugate(rep_mat, mat, p, N)
             if result.status == "conjugate":
                 witnesses.append((idx, rep_idx, result.witness))
                 placed = cid
@@ -339,7 +369,7 @@ def distinct_class_count(
         if placed is None:
             placed = len(reps)
             bucket.append(placed)
-            reps.append(idx)
+            reps.append((idx, mat))
         assignment.append(placed)
     bound = family.class_count_floor()
     certified = exhaustive and unknown == 0 and len(reps) >= bound

@@ -1,10 +1,13 @@
 """Exact linear algebra over Z, Z/m, F_p and Z/p^M.
 
-Everything here is pure-integer arithmetic.  The local Smith form
-(`smith_local`) is the workhorse shared by the centralizer oracle, the
-base-change kernel/cokernel counts and the intertwiner-module solver:
-over the local ring Z/p^M every matrix diagonalizes to diag(p^e1, ...)
-by invertible row/column operations, with nondecreasing exponents.
+Everything here is pure-integer arithmetic.  The local Smith form is
+the workhorse shared by the centralizer oracle, the base-change
+kernel/cokernel counts, the conjugacy keys and the intertwiner-module
+solver: over the local ring Z/p^M every matrix diagonalizes to
+diag(p^e1, ...) by invertible row/column operations, with nondecreasing
+exponents.  `smith_local` also returns the right factor V, which only
+the intertwiner-module solver reads; `smith_exponents` runs the same
+elimination without V for the callers that read the exponents alone.
 """
 
 from __future__ import annotations
@@ -229,8 +232,10 @@ def _pivot(
     return best, best_val
 
 
-def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithLocal:
-    """Diagonalize a square matrix over the local ring Z/p^M.
+def _eliminate(
+    rows: Sequence[Sequence[int]], p: int, precision: int, v: Matrix | None
+) -> tuple[int, ...]:
+    """Local Smith exponents of a square matrix; column operations go to `v` if given.
 
     Pivots are chosen with minimal valuation (first in row-major order on
     ties), which makes the exponent sequence nondecreasing and the whole
@@ -243,10 +248,9 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("smith_local expects a square matrix")
+        raise ValueError("the local Smith form expects a square matrix")
     pm = p ** precision
     a = [[x % pm for x in row] for row in rows]
-    v = identity_matrix(n)
     exps = [precision] * n
     floor = 0
     for t in range(n):
@@ -260,8 +264,9 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[j0] = row[j0], row[t]
         pv = p ** best_val
         unit = a[t][t] // pv
         w = pow(unit, -1, pm)
@@ -271,14 +276,27 @@ def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithL
             if x:
                 q = x // pv
                 a[i] = [(y - q * z) % pm for y, z in zip(a[i], at)]
-        col_ops = [(j, at[j] // pv) for j in range(t + 1, n) if at[j]]
-        if col_ops:
-            for row in v:
-                vt = row[t]
-                if vt:
-                    for j, q in col_ops:
-                        row[j] = (row[j] - q * vt) % pm
+        if v is not None:
+            col_ops = [(j, at[j] // pv) for j in range(t + 1, n) if at[j]]
+            if col_ops:
+                for row in v:
+                    vt = row[t]
+                    if vt:
+                        for j, q in col_ops:
+                            row[j] = (row[j] - q * vt) % pm
         exps[t] = best_val
     if any(exps[i] > exps[i + 1] for i in range(n - 1)):
         raise AssertionError("local Smith exponents not sorted")
-    return SmithLocal(exponents=tuple(exps), right=tuple(tuple(r) for r in v))
+    return tuple(exps)
+
+
+def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithLocal:
+    """Diagonalize a square matrix over the local ring Z/p^M, keeping V."""
+    v = identity_matrix(len(rows))
+    exponents = _eliminate(rows, p, precision, v)
+    return SmithLocal(exponents=exponents, right=tuple(tuple(r) for r in v))
+
+
+def smith_exponents(rows: Sequence[Sequence[int]], p: int, precision: int) -> tuple[int, ...]:
+    """The exponents of `smith_local(rows, p, precision)`, without building V."""
+    return _eliminate(rows, p, precision, None)

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .linalg import det_int, smith_local
+from .linalg import det_int, smith_exponents
 
 Stage = tuple[int, int]  # (rank, positive-root count)
 
@@ -95,56 +95,51 @@ def orbit_dimension(datum: OrbitDatum) -> int:
     return datum.p ** deficiency
 
 
+def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[list[int]]:
+    """The matrix of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
+
+    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
+    Each column is read off the nonzero entries e at (a, b) of its basis
+    element, as [x, E] = sum (x_a - x_b) e E_ab.  A diagonal entry of the
+    bracket at (a, a) counts towards H_a, ..., H_{d-2}, since the H
+    coordinates of a trace-zero diagonal are its partial sums.
+    """
+    x = eigenvalues
+    d = len(x)
+    offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
+    position = {st: idx for idx, st in enumerate(offdiag)}
+    basis = [((s, t, 1),) for s, t in offdiag]
+    basis += [((i, i, 1), (i + 1, i + 1, -1)) for i in range(d - 1)]
+    matrix = [[0] * len(basis) for _ in basis]
+    for col, entries in enumerate(basis):
+        trace = 0
+        for a, b, e in entries:
+            value = p * (x[a] - x[b]) * e
+            if a != b:
+                matrix[position[a, b]][col] += value
+            elif value:
+                trace += value
+                for i in range(a, d - 1):
+                    matrix[len(offdiag) + i][col] += value
+        if trace:
+            raise AssertionError("ad(x) left the trace-zero lattice")
+    return matrix
+
+
 def centralizer_index_oracle(datum: OrbitDatum) -> int:
     """Index of the centralizer of exp(p x) on L/p^k L, by Smith normal form.
 
-    Builds the matrix of p*ad(x) on the trace-zero lattice (basis: the
-    off-diagonal matrix units plus E_ii - E_{i+1,i+1}) and counts its
-    kernel mod p^k from the elementary divisors.  The p*ad normalization
-    reflects that the group is exp(p L).  The result is asserted to be a
-    perfect square (its square root is the orbit dimension).
+    Builds the matrix of p*ad(x) on the trace-zero lattice (`_ad_matrix`)
+    and counts its kernel mod p^k from the elementary divisors.  The p*ad
+    normalization reflects that the group is exp(p L).  The result is
+    asserted to be a perfect square (its square root is the orbit
+    dimension).
     """
     d, p, k = datum.d, datum.p, datum.k
     if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
         raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
-    dim = d * d - 1
-    # basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}
-    offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
-
-    def ad_on_basis(col: int) -> list[int]:
-        mat = [[0] * d for _ in range(d)]
-        if col < len(offdiag):
-            s, t = offdiag[col]
-            mat[s][t] = 1
-        else:
-            i = col - len(offdiag)
-            mat[i][i] = 1
-            mat[i + 1][i + 1] = -1
-        x = datum.eigenvalues
-        bracket = [[0] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(d):
-                bracket[a][b] = x[a] * mat[a][b] - mat[a][b] * x[b]
-        # coordinates of the bracket in the same basis
-        coords = [0] * dim
-        for idx, (s, t) in enumerate(offdiag):
-            coords[idx] = bracket[s][t]
-        partial = 0
-        for i in range(d - 1):
-            partial += bracket[i][i]
-            coords[len(offdiag) + i] = partial
-        if sum(bracket[i][i] for i in range(d)):
-            raise AssertionError("ad(x) left the trace-zero lattice")
-        return coords
-
-    matrix = [[0] * dim for _ in range(dim)]
-    for col in range(dim):
-        coords = ad_on_basis(col)
-        for rowi in range(dim):
-            matrix[rowi][col] = p * coords[rowi]
-    smith = smith_local(matrix, p, k)
-    kernel_exp = sum(smith.exponents)
-    index_exp = dim * k - kernel_exp
+    kernel_exp = sum(smith_exponents(_ad_matrix(datum.eigenvalues, p), p, k))
+    index_exp = (d * d - 1) * k - kernel_exp
     if index_exp % 2:
         raise AssertionError("centralizer index is not a perfect square")
     return p ** index_exp
@@ -169,9 +164,9 @@ def kernel_cokernel_size(T: Sequence[Sequence[int]], p: int, r: int) -> tuple[in
     if det_int(T) == 0:
         raise ValueError("matrix must be injective (nonzero determinant)")
     n = len(T)
-    smith = smith_local(T, p, r)
-    ker = p ** sum(smith.exponents)
-    image_size = p ** sum(r - e for e in smith.exponents)
+    exponents = smith_exponents(T, p, r)
+    ker = p ** sum(exponents)
+    image_size = p ** sum(r - e for e in exponents)
     cok = p ** (n * r) // image_size
     if ker != cok:
         raise AssertionError("kernel/cokernel sizes differ")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -9,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repzeta import isotropic_census
+from repzeta.cli import main
 from repzeta.isotropic_census import (
+    FamilyMembers,
     GammaSeries,
     are_conjugate,
     block_structure_ok,
@@ -35,14 +38,25 @@ CERTIFY_CENSUS8 = (
 )
 
 
+@lru_cache(maxsize=None)
+def cached_family(m, q, k, t):
+    return build_census_family(m, q, k, t)
+
+
+@lru_cache(maxsize=None)
+def cached_partition(m, q, k, t):
+    """The exhaustive class count of a family."""
+    return distinct_class_count(cached_family(m, q, k, t))
+
+
 @pytest.fixture(scope="module")
 def family4311():
-    return build_census_family(4, 3, 1, 1)
+    return cached_family(4, 3, 1, 1)
 
 
 @pytest.fixture(scope="module")
-def partition4311(family4311):
-    return distinct_class_count(family4311)
+def partition4311():
+    return cached_partition(4, 3, 1, 1)
 
 
 def test_family_parameters(family4311):
@@ -58,6 +72,56 @@ def test_family_4321_shape():
     fam = build_census_family(4, 3, 2, 1)
     assert fam.modulus_exp == 8
     assert len(fam.y_reps) == 3 ** 8
+
+
+def eager_members(family):
+    """Every member of a family, enumerated with itertools.product as a tuple."""
+    m, half = family.m, family.m // 2
+    pN, pk = family.modulus, family.q ** family.k
+    diag = family.x_diag + family.z_diag
+    members = []
+    for y_flat in product(range(pk), repeat=half * half):
+        mat = [[(1 + pk * diag[i]) % pN if i == j else 0 for j in range(m)] for i in range(m)]
+        for idx, val in enumerate(y_flat):
+            mat[idx // half][half + idx % half] = val
+        members.append(tuple(tuple(row) for row in mat))
+    return tuple(members)
+
+
+@pytest.mark.parametrize("params", [(2, 3, 2, 1), (4, 3, 1, 1), (4, 5, 1, 1)])
+def test_members_built_on_demand_match_eager_enumeration(params):
+    family = cached_family(*params)
+    members = family.y_reps
+    assert isinstance(members, FamilyMembers)
+    eager = eager_members(family)
+    size = len(eager)
+    assert len(members) == size
+    for i, mat in enumerate(eager):
+        assert members[i] == mat
+        assert members[i - size] == mat
+    assert tuple(members) == eager
+    for index in (size, size + 7, -size - 1):
+        with pytest.raises(IndexError):
+            members[index]
+
+
+def test_sampled_census8_builds_only_sampled_members(monkeypatch, capsys):
+    """census8 --sample builds each sampled member once, plus the two det checks."""
+    built = []
+    build = FamilyMembers.__getitem__
+
+    def counting(self, index):
+        built.append(index)
+        return build(self, index)
+
+    monkeypatch.setattr(FamilyMembers, "__getitem__", counting)
+    sample = 10
+    argv = ["census8", "--m", "4", "--q", "3", "--k", "2", "--t", "1", "--sample", str(sample)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["result"]
+    assert report["representatives"] == 3 ** 8 and report["sampled"] == sample
+    assert len(built) <= sample + report["classes_found"] + 2
+    assert set(built) <= set(range(sample)) | {-1}
 
 
 def test_family_m2_edge():
@@ -245,11 +309,6 @@ def test_rank_budget_yields_unknown(monkeypatch, family4311, partition4311):
     assert not report.certified
 
 
-@lru_cache(maxsize=None)
-def cached_family(m, q, k, t):
-    return build_census_family(m, q, k, t)
-
-
 def unbucketed_class_count(family, sample=None):
     """Oracle: the greedy partition testing each member against every class rep.
 
@@ -347,13 +406,26 @@ def test_key_is_conjugation_invariant(params, data):
 
 def test_exhaustive_4511_certified():
     fam = cached_family(4, 5, 1, 1)
-    report = distinct_class_count(fam)
+    report = cached_partition(4, 5, 1, 1)
     assert report.exhaustive and report.certified
     assert report.unknown_pairs == 0
     assert report.bound == 5
     assert report.classes_found >= report.bound
     assert report.classes_found == scaling_orbit_count(5, 2) == 19
     assert all(block_structure_ok(w, fam) for _, _, w in report.witnesses)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_exhaustive_4q11_meets_closed_count(q):
+    """Exhaustive (4,q,1,1) finds q + 14 classes.
+
+    Block-diagonal conjugators scale Y in M_2(F_q) by rows and columns.
+    The orbits of that action are one per zero pattern whose support is a
+    forest in K_{2,2} (the 15 proper subsets of the four entries) and
+    q - 1 of full support, told apart by the cross-ratio
+    y11 y22 / (y12 y21).  The count is checked here only; no key reads it.
+    """
+    assert cached_partition(4, q, 1, 1).classes_found == q + 14
 
 
 def test_pair_budget_raises(monkeypatch, family4311):

@@ -13,6 +13,7 @@ from repzeta.linalg import (
     mat_mul_mod,
     poly_roots_mod_p,
     rref_mod_p,
+    smith_exponents,
     smith_local,
     valuation,
 )
@@ -225,12 +226,12 @@ def test_kernel_generators_against_brute_force():
 
 
 @st.composite
-def local_square_matrices(draw):
+def local_square_matrices(draw, primes=(2, 3, 5), max_precision=3, max_n=5):
     """(p, M, A) with A square over Z/p^M, some rows zeroed, scaled by p or repeated."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    precision = draw(st.integers(1, 3))
+    p = draw(st.sampled_from(primes))
+    precision = draw(st.integers(1, max_precision))
     pm = p ** precision
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     entry = st.integers(0, pm - 1)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     index = st.integers(0, n - 1)
@@ -257,3 +258,23 @@ def test_full_order_kernel_generators_independent_mod_p(case):
     full = [col for e, col in zip(smith.exponents, columns(smith.right)) if e == precision]
     reduced, _ = rref_mod_p(full, p)
     assert len(reduced) == len(full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(local_square_matrices(primes=(2, 3, 5, 7), max_precision=5, max_n=6))
+@example((7, 5, [[0] * 6 for _ in range(6)]))
+@example((2, 1, [[0]]))
+@example((5, 4, [[25, 50, 0], [0, 125, 5], [625, 0, 0]]))
+def test_smith_exponents_match_smith_local(case):
+    """The V-free elimination gives the exponents of the full one."""
+    p, precision, rows = case
+    assert smith_exponents(rows, p, precision) == smith_local(rows, p, precision).exponents
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
+def test_smith_forms_reject_non_square(rows):
+    with pytest.raises(ValueError) as full:
+        smith_local(rows, 3, 2)
+    with pytest.raises(ValueError) as exponents_only:
+        smith_exponents(rows, 3, 2)
+    assert str(full.value) == str(exponents_only.value)

@@ -98,6 +98,44 @@ def test_dimension_formula_oracle_equality_50_random():
         assert dim * dim * (full // index) == full
 
 
+def dense_ad_matrix(datum):
+    """p*ad(x) on the trace-zero lattice, each column from two dense d x d matrices.
+
+    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
+    """
+    d, p, x = datum.d, datum.p, datum.eigenvalues
+    dim = d * d - 1
+    offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
+    matrix = [[0] * dim for _ in range(dim)]
+    for col in range(dim):
+        mat = [[0] * d for _ in range(d)]
+        if col < len(offdiag):
+            s, t = offdiag[col]
+            mat[s][t] = 1
+        else:
+            i = col - len(offdiag)
+            mat[i][i] = 1
+            mat[i + 1][i + 1] = -1
+        bracket = [[x[a] * mat[a][b] - mat[a][b] * x[b] for b in range(d)] for a in range(d)]
+        assert sum(bracket[i][i] for i in range(d)) == 0
+        coords = [bracket[s][t] for s, t in offdiag]
+        partial = 0
+        for i in range(d - 1):
+            partial += bracket[i][i]
+            coords.append(partial)
+        for row in range(dim):
+            matrix[row][col] = p * coords[row]
+    return matrix
+
+
+def test_ad_matrix_matches_dense_construction():
+    rng = random.Random(31)
+    for d, p, k in product((2, 3, 4), (2, 3, 5, 7), (1, 2, 3)):
+        for _ in range(3):
+            datum = random_datum(rng, d=d, p=p, k=k)
+            assert orbit_method._ad_matrix(datum.eigenvalues, datum.p) == dense_ad_matrix(datum)
+
+
 def test_oracle_budget():
     datum = make_orbit_datum(5, 3, 1, (1, 2, 3, 4, (-10) % 27))
     with pytest.raises(BudgetExceededError):
