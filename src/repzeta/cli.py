@@ -36,7 +36,7 @@ from .local_sl2 import (
 )
 from .orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
 from .rootsys import build_root_datum
-from .symmetric import ak_zeta, an_degrees
+from .symmetric import ak_zeta, an_census, young_levels
 from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
 
 SAMPLE_BUDGET = 20_000  # orbit samples per run
@@ -83,7 +83,7 @@ def _table_rows(rows: list[Any] | tuple[Any, ...], head: str, indent: str) -> li
         column = [row[name] for row in rows]
         types = set(map(type, column))
         if types == {int}:  # bool stays apart: its type is not int
-            columns.append(map(int.__repr__, column))
+            columns.append(column)  # the template's %s writes an int as int.__repr__ does
         elif any(issubclass(t, (dict, list, tuple)) for t in types):
             return None
         else:
@@ -105,8 +105,9 @@ def _to_json(value: Any) -> str:
     every scalar renders exactly as the `json` module renders it.  A flat
     table (a non-empty list or tuple of dicts that all have the same keys
     and only scalar values) is rendered column by column, each column in
-    one `map` (`int.__repr__` when every value's type is `int`) and each
-    row in one piece from a row template built once from the sorted keys.
+    one `map` (none when every value's type is `int`, which the template's
+    `%s` writes as its repr) and each row in one piece from a row
+    template built once from the sorted keys.
     Every other value takes the recursive path, each output line one
     piece.  So the pieces take little more memory than the text they join
     into.
@@ -317,8 +318,10 @@ def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
 
 def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     rows = []
-    for k in range(5, args.kmax + 1):
-        census = an_degrees(k)
+    for k, degrees in young_levels(args.kmax):  # raises past MAX_K before the first level
+        if k < 5:
+            continue
+        census = an_census(k, degrees)
         rows.append(
             {
                 "k": k,

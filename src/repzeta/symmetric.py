@@ -1,15 +1,17 @@
 """Degree censuses of the symmetric and alternating groups.
 
-Symmetric-group degrees come from the hook length formula.  Alternating
-degrees follow the restriction rules: a conjugate pair of partitions
-contributes one irreducible of the shared degree, a self-conjugate
-partition splits into two of half the degree.
+Symmetric-group degrees come from one sweep of Young's branching rule:
+the degree of a partition of k is the sum of the degrees of the
+partitions of k - 1 it covers, so each level is built from the last with
+big-int additions only.  Alternating degrees follow the restriction
+rules: a conjugate pair of partitions contributes one irreducible of the
+shared degree, a self-conjugate partition splits into two of half the
+degree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .census import DegreeCensus
@@ -19,104 +21,72 @@ MAX_K = 36
 Partition = tuple[int, ...]
 
 
-def partitions(k: int) -> Iterator[Partition]:
-    """All partitions of k, descending parts, lexicographically decreasing."""
+def young_levels(kmax: int) -> Iterator[tuple[int, dict[Partition, int]]]:
+    """(k, degrees) for k = 1..kmax: every partition of k with its S_k degree.
 
-    def rec(n: int, maxpart: int) -> Iterator[Partition]:
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maxpart), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-
-    return rec(k, k)
-
-
-def conjugate_partition(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
-
-
-def hook_degree(lam: Partition, conj: Partition | None = None) -> int:
-    """Hook length formula: k! / product of hook lengths.
-
-    `conj` is the conjugate partition of `lam`, for a caller that has it.
+    Level k + 1 adds a box to each addable row of each partition of k,
+    so d_lam is the sum of d_mu over the mu = lam - box.  Each level is
+    checked against the mass identity sum(deg^2) = k!.  A kmax past MAX_K
+    raises ValueError at the first `next`, before any level is built.
     """
-    k = sum(lam)
-    t = conjugate_partition(lam) if conj is None else conj
-    r = math.factorial(k)
-    for i, row in enumerate(lam):
-        for j in range(row):
-            r //= (row - j) + (t[j] - i) - 1
-    return r
-
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """Partitions of k with hook degrees and the conjugation pairing."""
-
-    k: int
-    items: tuple[tuple[Partition, int, Partition], ...]  # (partition, degree, conjugate)
-    self_conjugate: tuple[Partition, ...]
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.items)
-
-
-def build_partition_table(k: int) -> PartitionTable:
-    if not 1 <= k <= MAX_K:
+    if kmax > MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
-    items = []
-    selfconj = []
-    for lam in partitions(k):
-        conj = conjugate_partition(lam)
-        items.append((lam, hook_degree(lam, conj), conj))
-        if conj == lam:
-            selfconj.append(lam)
-    return PartitionTable(k=k, items=tuple(items), self_conjugate=tuple(selfconj))
+    level: dict[Partition, int] = {(1,): 1}
+    for k in range(1, kmax + 1):
+        if k > 1:
+            below, level = level, {}
+            get = level.get
+            for mu, deg in below.items():
+                above = k  # longer than any row of mu, so row 0 is addable
+                for i, row in enumerate(mu):
+                    if row < above:
+                        lam = mu[:i] + (row + 1,) + mu[i + 1 :]
+                        level[lam] = get(lam, 0) + deg
+                    above = row
+                lam = mu + (1,)
+                level[lam] = get(lam, 0) + deg
+        if sum(deg * deg for deg in level.values()) != math.factorial(k):
+            raise AssertionError("S_k mass identity failed")
+        yield k, level
 
 
-def sn_degrees(k: int) -> DegreeCensus:
-    """Exact degree census of S_k; mass identity sum(deg^2) = k!."""
-    table = build_partition_table(k)
-    census = DegreeCensus.from_pairs(
-        ((deg, 1) for _, deg, _ in table.items), max(deg for _, deg, _ in table.items)
-    )
-    if census.mass != math.factorial(k):
-        raise AssertionError("S_k mass identity failed")
-    return census
+def _self_conjugate(lam: Partition) -> bool:
+    """Each row of lam is as long as the column of the same index."""
+    return all(row == sum(part > i for part in lam) for i, row in enumerate(lam))
 
 
-def an_degrees(k: int) -> DegreeCensus:
-    """Exact degree census of A_k; mass identity sum(deg^2) = k!/2.
+def an_census(k: int, degrees: dict[Partition, int]) -> DegreeCensus:
+    """The A_k census from level k of `young_levels`; mass sum(deg^2) = k!/2.
 
-    Non-self-conjugate partitions contribute once per conjugate pair;
-    each self-conjugate partition splits into two halves of equal degree
-    (that degree is always even for k >= 2).
+    A self-conjugate partition splits into two halves of equal degree
+    (that degree is always even for k >= 2).  The other partitions come
+    in conjugate pairs of equal degree, one irreducible per pair.  Only a
+    partition with as many rows as columns can be self-conjugate, so
+    only those are conjugated.
     """
-    if k < 2:
-        raise ValueError("alternating census needs k >= 2")
-    table = build_partition_table(k)
     pairs: list[tuple[int, int]] = []
-    seen: set[Partition] = set()
-    for lam, deg, conj in table.items:
-        if lam in seen:
-            continue
-        if conj == lam:
+    paired: dict[int, int] = {}  # degree -> partitions in conjugate pairs
+    for lam, deg in degrees.items():
+        if lam[0] == len(lam) and _self_conjugate(lam):
             if deg % 2:
                 raise AssertionError(f"self-conjugate partition {lam} has odd degree {deg}")
             pairs.append((deg // 2, 2))
         else:
-            seen.add(conj)
-            pairs.append((deg, 1))
-        seen.add(lam)
+            paired[deg] = paired.get(deg, 0) + 1
+    pairs.extend((deg, count // 2) for deg, count in paired.items())
     census = DegreeCensus.from_pairs(pairs, max(d for d, _ in pairs))
     if 2 * census.mass != math.factorial(k):
         raise AssertionError("A_k mass identity failed")
     return census
+
+
+def an_degrees(k: int) -> DegreeCensus:
+    """Exact degree census of A_k, from the last level of a sweep to k."""
+    if k < 2:
+        raise ValueError("alternating census needs k >= 2")
+    for _, degrees in young_levels(k):
+        pass
+    return an_census(k, degrees)
 
 
 def ak_zeta(k: int, s: float, census: DegreeCensus | None = None) -> float:

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from hook_lengths import sn_degrees
 from repzeta.chains import ExponentVector, chain_product_value, chain_truncated_sum
 from repzeta.chains import suffix_converges
 from repzeta.euler_global import EulerProductSpec, divergence_scan, euler_partial_product
@@ -27,7 +28,7 @@ from repzeta.local_sl2 import sl2_quotient_order
 from repzeta.orbit_method import centralizer_index_oracle, kernel_cokernel_size, make_orbit_datum
 from repzeta.orbit_method import orbit_dimension
 from repzeta.rootsys import all_irreducible_types, build_root_datum, group_dimension
-from repzeta.symmetric import ak_zeta, an_degrees, rbound_check, sn_degrees
+from repzeta.symmetric import ak_zeta, an_degrees, rbound_check
 from repzeta.witten import abscissa_estimate, dyadic_block_sum, enumerate_dimensions
 
 

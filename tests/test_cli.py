@@ -198,9 +198,10 @@ def test_walk_and_sieve_budget_exit_code(capsys, monkeypatch, module, constant, 
         (["euler", "--prime-bound", "100", "--scan-grid", "2000000,100"], 2),
         (["euler", "--prime-bound", "2000000", "--s-grid", "2.5,0.5"], 3),
         (["euler", "--prime-bound", "2000000", "--s-grid", "0.5,2.5"], 2),
+        (["alt", "--kmax", "37"], 2),  # past MAX_K: no level is built
     ],
     ids=["q-float-range", "level-3100", "q-prime-1e18", "orbit-3e8", "euler-scan-order",
-         "euler-sieve-before-second-s", "euler-first-s-before-sieve"],
+         "euler-sieve-before-second-s", "euler-first-s-before-sieve", "alt-kmax-37"],
 )
 def test_oversized_inputs_exit_before_work(capsys, argv, expected):
     code = main(argv)
@@ -507,6 +508,11 @@ FLAT_TABLES = {
         {'p%d "q" \u00e9\u2228': "", "%s": 'a"b\\'},
     ],
     "one-row": [{"degree": 1, "multiplicity": 10 ** 40, "R_n": -7}],
+    "signed-big-ints": [  # all-int columns go into the row template as they are
+        {"n": -(2 ** 64) - 1, "m": 2 ** 64, "z": 0},
+        {"n": -1, "m": 10 ** 30, "z": -(10 ** 25)},
+        {"n": 2 ** 64 + 1, "m": -(2 ** 63), "z": 12},
+    ],
     "tuple": ({"k": 5, "zeta": 1 / 3}, {"k": 6, "zeta": 2 / 3}),
 }
 OTHER_TABLES = {

@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repzeta.census import DegreeCensus
-from repzeta.symmetric import (
-    ak_zeta,
-    an_degrees,
+from hook_lengths import (
+    an_degrees_by_pairing,
     build_partition_table,
     conjugate_partition,
     hook_degree,
     partitions,
-    rbound_check,
     sn_degrees,
 )
+from repzeta.census import DegreeCensus
+from repzeta.symmetric import MAX_K, ak_zeta, an_census, an_degrees, rbound_check, young_levels
 
 
 def test_partition_enumeration_counts():
@@ -44,6 +43,26 @@ def test_an_census_examples():
     assert an_degrees(2).entries == ((1, 1),)
     with pytest.raises(ValueError):
         an_degrees(1)
+    with pytest.raises(ValueError, match=f"1..{MAX_K}"):
+        an_degrees(MAX_K + 1)
+
+
+def test_sweep_degrees_match_hook_lengths():
+    """Every level of the branching sweep to 30 holds exactly the partitions of k
+    with their hook-length degrees."""
+    for k, degrees in young_levels(30):
+        assert degrees == {lam: deg for lam, deg, _ in build_partition_table(k).items}, k
+    assert [k for k, _ in young_levels(4)] == [1, 2, 3, 4]
+    assert list(young_levels(0)) == []
+
+
+def test_an_census_matches_conjugate_pairing():
+    for k in range(2, 31):
+        assert an_degrees(k) == an_degrees_by_pairing(k), k
+    # the same census read from a sweep's level as from an_degrees
+    for k, degrees in young_levels(12):
+        if k >= 2:
+            assert an_census(k, degrees) == an_degrees_by_pairing(k), k
 
 
 def test_mass_identities_up_to_30():
