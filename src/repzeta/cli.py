@@ -4,7 +4,8 @@ Every report carries the tool version, a config echo, the seed, and the
 wall time.  Reports are deterministic for a fixed config and seed up to
 the wall-time field (float sums are correctly rounded, so their order
 does not matter); golden-file comparisons strip wall time.  Exit status:
-0 success, 2 precondition failure, 3 budget exhaustion.
+0 success, 2 precondition failure (an unwritable `--out` included), 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
 
 def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     factor = sl2_local_factor(args.q)
-    lc = level_census(factor, args.level)
+    census = level_census(factor, args.level)
     expected_order = sl2_quotient_order(args.q, args.level)
     result: dict[str, Any] = {
         "q": args.q,
@@ -219,9 +220,9 @@ def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
         "head_terms": [list(tm) for tm in factor.head_terms],
         "tail_terms": [list(tm) for tm in factor.tail_terms],
         "irrep_count": irrep_count(factor, args.level),
-        "mass": lc.census.mass,
+        "mass": census.mass,
         "group_order": expected_order,
-        "mass_matches_order": lc.census.mass == expected_order,
+        "mass_matches_order": census.mass == expected_order,
         "values": {f"{s:.12g}": evaluate_local(factor, s) for s in args.s_grid},
         "bounds": {
             f"{s:.12g}": list(factor_bounds_check(factor, s))
@@ -229,7 +230,7 @@ def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
             if 2.0 <= s <= 3.0
         },
     }
-    result["table"] = _census_rows(lc.census)
+    result["table"] = _census_rows(census)
     return result, ["degree", "multiplicity", "R_n"]
 
 
@@ -249,7 +250,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     if pp is not None and pp[0] % 2 == 1:
         factor = sl2_local_factor(pp[0])
         formula = level_census(factor, pp[1])
-        result["formula_census_matches"] = formula.census.entries == census.entries
+        result["formula_census_matches"] = formula.entries == census.entries
         result["formula_irrep_count"] = irrep_count(factor, pp[1])
     result["table"] = _census_rows(census)
     return result, ["degree", "multiplicity", "R_n"]
@@ -339,14 +340,7 @@ def cmd_euler(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     table = [{"s": s, "partial_product": value, "sandwich_ok": ok} for s, value, ok in rows]
     result: dict[str, Any] = {"prime_bound": args.prime_bound, "table": table}
     if scan is not None:
-        result["divergence_scan"] = {
-            "prime_bounds": list(scan.prime_bounds),
-            "products": list(scan.products),
-            "strictly_increasing": scan.strictly_increasing,
-            "growth_ratio": scan.growth_ratio,
-            "threshold": scan.threshold,
-            "diverging": scan.diverging,
-        }
+        result["divergence_scan"] = scan
     return result, ["s", "partial_product", "sandwich_ok"]
 
 
@@ -461,7 +455,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "wall_time_s": round(time.perf_counter() - started, 6),
         "result": result,
     }
-    _emit(report, columns, args)
+    try:
+        _emit(report, columns, args)
+    except OSError as exc:  # --out names a missing directory or a directory
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -109,20 +109,11 @@ def irrep_count(factor: LocalFactorSL2, k: int) -> int:
     return (q + 4) + (q * q + 3 * q) * (q ** (k - 1) - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
-class LevelCensus:
-    """Exact census of SL2(O/pi^k): head at level 1, scaled tails at 2..k."""
+def level_census(factor: LocalFactorSL2, k: int) -> DegreeCensus:
+    """Exact census of SL2(O/pi^k): head at level 1, tails scaled by q^(j-2) at levels j = 2..k.
 
-    q: int
-    level: int
-    census: DegreeCensus
-    by_level: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-
-def level_census(factor: LocalFactorSL2, k: int) -> LevelCensus:
-    """The census at level k; past ORDER_BITS_BUDGET bits of q^(3k) it raises.
-
-    q^(3k) bounds the group order, the largest number of the census.
+    Past ORDER_BITS_BUDGET bits of q^(3k) it raises; q^(3k) bounds the
+    group order, the largest number of the census.
     """
     q = factor.q
     if k < 1:
@@ -132,22 +123,16 @@ def level_census(factor: LocalFactorSL2, k: int) -> LevelCensus:
             f"level {k} at q={q} needs about {3 * k * q.bit_length()} bits for the group "
             f"order; the budget is {ORDER_BITS_BUDGET}"
         )
-    per_level: list[tuple[int, tuple[tuple[int, int], ...]]] = [
-        (1, tuple((d, m) for d, m in factor.head_terms if m))
-    ]
-    pairs: list[tuple[int, int]] = list(per_level[0][1])
+    pairs = [(d, m) for d, m in factor.head_terms if m]
     for level in range(2, k + 1):
         scale = q ** (level - 2)
-        fam = tuple((d * scale, m * scale) for d, m in factor.tail_terms)
-        per_level.append((level, fam))
-        pairs.extend(fam)
+        pairs.extend((d * scale, m * scale) for d, m in factor.tail_terms)
     census = DegreeCensus.from_pairs(pairs, max(d for d, _ in pairs))
-    lc = LevelCensus(q=q, level=k, census=census, by_level=tuple(per_level))
     if census.total_count != irrep_count(factor, k):
         raise AssertionError(f"q={q}, k={k}: census count differs from irrep_count")
     if census.mass != sl2_quotient_order(q, k):
         raise AssertionError(f"q={q}, k={k}: census mass differs from the group order")
-    return lc
+    return census
 
 
 def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hook_lengths import sn_degrees
 from repzeta.chains import ExponentVector, chain_product_value, chain_truncated_sum
 from repzeta.chains import suffix_converges
-from repzeta.euler_global import EulerProductSpec, divergence_scan, euler_partial_product
+from repzeta.euler_global import euler_report
 from repzeta.finite_oracle import character_degrees, conjugacy_classes
 from repzeta.isotropic_census import (
     GammaSeries,
@@ -118,16 +118,16 @@ def test_c5_sl2_formula_vs_dixon_oracle():
         groups = {m: sl2_group(m) for m in (3, 5, 9)}
         for modulus, (q, k) in ((3, (3, 1)), (9, (3, 2)), (5, (5, 1))):
             dixon = character_degrees(groups[modulus])
-            assert dixon.entries == level_census(sl2_local_factor(q), k).census.entries
+            assert dixon.entries == level_census(sl2_local_factor(q), k).entries
         assert conjugacy_classes(groups[3]).count == 7 == irrep_count(sl2_local_factor(3), 1)
         assert conjugacy_classes(groups[9]).count == 25 == irrep_count(sl2_local_factor(3), 2)
         assert conjugacy_classes(sl2_group(27)).count == 79 == irrep_count(sl2_local_factor(3), 3)
         for q in (3, 5, 7, 9, 11, 13):
             factor = sl2_local_factor(q)
             for k in range(1, 7):
-                lc = level_census(factor, k)
-                assert lc.census.mass == sl2_quotient_order(q, k)
-                assert lc.census.total_count == irrep_count(factor, k)
+                census = level_census(factor, k)
+                assert census.mass == sl2_quotient_order(q, k)
+                assert census.total_count == irrep_count(factor, k)
 
 
 def test_c6_orbit_dimension_vs_smith_oracle():
@@ -221,9 +221,9 @@ def test_c10_sandwich_and_divergence():
         for q in odd_primes:
             for tenths in range(20, 31):
                 assert factor_bounds_check(sl2_local_factor(q), tenths / 10.0) == (True, True)
-        scan = divergence_scan((100, 1000, 10_000))
-        assert scan.strictly_increasing
-        assert scan.growth_ratio > 1.15
-        a = euler_partial_product(EulerProductSpec(prime_bound=1000), 2.25)
-        b = euler_partial_product(EulerProductSpec(prime_bound=10_000), 2.25)
+        _, scan = euler_report(2, [], (100, 1000, 10_000))
+        assert scan["strictly_increasing"]
+        assert scan["growth_ratio"] > 1.15
+        [(_, a, _)], _ = euler_report(1000, [2.25], ())
+        [(_, b, _)], _ = euler_report(10_000, [2.25], ())
         assert abs(b - a) < 10 * 1000 ** (2 - 2.25)

@@ -211,6 +211,36 @@ def test_oversized_inputs_exit_before_work(capsys, argv, expected):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["--prime-bound", "1"], 2, "invalid parameters: prime bound must be >= 2"),
+        (["--prime-bound", "100", "--scan-grid", "1,100"], 2,
+         "invalid parameters: prime bound must be >= 2"),
+        (["--prime-bound", "100", "--s-grid", "2.5,1"], 2,
+         "invalid parameters: every local factor diverges at s <= 1"),
+        (["--prime-bound", "2", "--s-grid", "2.5"], 2,
+         "invalid parameters: need at least one odd prime"),
+        (["--prime-bound", "100", "--scan-grid", "100,100"], 2,
+         "invalid parameters: prime bounds must strictly increase"),
+        (["--prime-bound", "2000000"], 3,
+         "budget exhausted: prime bound 2000000 exceeds the sieve budget 1000000"),
+        (["--prime-bound", "100", "--scan-grid", "100,2000000"], 3,
+         "budget exhausted: prime bound 2000000 exceeds the sieve budget 1000000"),
+        # a bad s and a bad scan: the s is checked first
+        (["--prime-bound", "100", "--s-grid", "0.5", "--scan-grid", "100,50"], 2,
+         "invalid parameters: every local factor diverges at s <= 1"),
+    ],
+    ids=["bound-grid", "bound-scan", "s-at-most-1", "no-odd-prime", "scan-order", "sieve",
+         "scan-sieve", "s-before-scan"],
+)
+def test_euler_rejection_messages(capsys, argv, code, message):
+    assert main(["euler", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def _not_an_int(text):
     try:
         int(text)
@@ -583,6 +613,19 @@ def test_out_file(tmp_path, capsys):
     meta = json.loads(out)
     assert meta["command"] == "witten"
     assert "table" not in meta["result"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, fmt, where):
+    target = tmp_path / "missing" / "report.out" if where == "missing-directory" else tmp_path
+    code = main(["witten", "--series", "A", "--rank", "1", "--bound", "5",
+                 "--format", fmt, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cannot write report: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_module_entry_point(subprocess_env):

@@ -4,15 +4,8 @@ import pytest
 
 from repzeta import euler_global
 from repzeta.errors import BudgetExceededError
-from repzeta.euler_global import (
-    EulerProductSpec,
-    divergence_scan,
-    euler_partial_product,
-    odd_primes_upto,
-    sandwich_check,
-)
+from repzeta.euler_global import euler_report, odd_primes_upto
 from repzeta.local_sl2 import evaluate_local, sl2_local_factor
-from repzeta.rootsys import build_root_datum
 
 
 def riemann_zeta_ref(s: float) -> float:
@@ -34,6 +27,17 @@ def riemann_zeta_ref(s: float) -> float:
     return total
 
 
+def product(bound, s):
+    """The partial product over the odd primes <= bound at s, from a one-row report."""
+    rows, _ = euler_report(bound, [s], ())
+    return rows[0][1]
+
+
+def scan(bounds):
+    """The divergence scan of a report with no s-values, whose prime bound is then unused."""
+    return euler_report(2, [], bounds)[1]
+
+
 def test_odd_primes():
     assert odd_primes_upto(2) == []
     assert odd_primes_upto(20) == [3, 5, 7, 11, 13, 17, 19]
@@ -52,80 +56,55 @@ def test_zeta_reference_against_direct_sums():
 
 
 def test_single_factor_product():
-    spec = EulerProductSpec(prime_bound=3)
-    assert euler_partial_product(spec, 2.5) == pytest.approx(
-        evaluate_local(sl2_local_factor(3), 2.5), rel=1e-12
-    )
+    assert product(3, 2.5) == pytest.approx(evaluate_local(sl2_local_factor(3), 2.5), rel=1e-12)
 
 
 def test_empty_product():
-    assert euler_partial_product(EulerProductSpec(prime_bound=2), 3.0) == 1.0
-
-
-def test_excluded_places():
-    full = euler_partial_product(EulerProductSpec(prime_bound=10), 2.5)
-    without5 = euler_partial_product(
-        EulerProductSpec(prime_bound=10, excluded=frozenset({5})), 2.5
-    )
-    assert without5 == pytest.approx(full / evaluate_local(sl2_local_factor(5), 2.5), rel=1e-12)
+    assert product(2, 3.5) == 1.0
+    with pytest.raises(ValueError, match="need at least one odd prime"):
+        product(2, 3.0)  # the sandwich at s in (2, 3] needs a prime
 
 
 def test_product_against_brute_force():
-    spec = EulerProductSpec(prime_bound=100)
     brute = 1.0
     for p in odd_primes_upto(100):
         brute *= evaluate_local(sl2_local_factor(p), 2.5)
-    assert euler_partial_product(spec, 2.5) == pytest.approx(brute, rel=1e-10)
+    assert product(100, 2.5) == pytest.approx(brute, rel=1e-10)
 
 
-def test_scan_mode_gate():
-    spec = EulerProductSpec(prime_bound=50)
+def test_exponents_at_most_one_rejected():
+    assert product(50, 2.0) > 1.0
     with pytest.raises(ValueError):
-        euler_partial_product(spec, 2.0)
-    assert euler_partial_product(spec, 2.0, scan=True) > 1.0
-    with pytest.raises(ValueError):
-        euler_partial_product(spec, 1.0, scan=True)
-
-
-def test_archimedean_factor():
-    datum = build_root_datum("A", 1)
-    spec = EulerProductSpec(prime_bound=3, archimedean=(datum, 2), archimedean_bound=500)
-    plain = euler_partial_product(EulerProductSpec(prime_bound=3), 3.0)
-    arch = sum(n ** -3.0 for n in range(500, 0, -1))
-    assert euler_partial_product(spec, 3.0) == pytest.approx(plain * arch ** 2, rel=1e-10)
+        product(50, 1.0)
 
 
 def test_sandwich_grid():
-    for s in (2.1, 2.25, 2.5, 2.75, 3.0):
-        for bound in (100, 1000):
-            assert sandwich_check(bound, s), (bound, s)
-    with pytest.raises(ValueError):
-        sandwich_check(100, 2.0)
+    grid = [2.0, 2.1, 2.25, 2.5, 2.75, 3.0]
+    for bound in (100, 1000):
+        rows, _ = euler_report(bound, grid, ())
+        assert [ok for _, _, ok in rows] == [None, True, True, True, True, True], bound
 
 
 def test_monotone_in_prime_bound():
-    values = [
-        euler_partial_product(EulerProductSpec(prime_bound=b), 2.5) for b in (10, 100, 1000)
-    ]
+    values = [product(b, 2.5) for b in (10, 100, 1000)]
     assert values[0] < values[1] < values[2]
 
 
 def test_cauchy_tail():
-    a = euler_partial_product(EulerProductSpec(prime_bound=1000), 2.25)
-    b = euler_partial_product(EulerProductSpec(prime_bound=10_000), 2.25)
+    a = product(1000, 2.25)
+    b = product(10_000, 2.25)
     assert abs(b - a) < 10 * 1000 ** (2 - 2.25)
 
 
 def test_divergence_scan():
-    scan = divergence_scan((100, 1000))
-    assert scan.strictly_increasing and scan.growth_ratio > 1.05
-    single = divergence_scan((500,))
-    assert single.diverging is None
-    full = divergence_scan((100, 1000, 10_000))
-    assert full.diverging and full.growth_ratio > 1.15
-    assert list(full.products) == sorted(full.products)
+    two = scan((100, 1000))
+    assert two["strictly_increasing"] and two["growth_ratio"] > 1.05
+    assert scan((500,))["diverging"] is None
+    full = scan((100, 1000, 10_000))
+    assert full["diverging"] and full["growth_ratio"] > 1.15
+    assert full["products"] == sorted(full["products"])
     with pytest.raises(ValueError):
-        divergence_scan((100, 100))
+        scan((100, 100))
 
 
 def test_boundary_blowup_window():
@@ -138,9 +117,7 @@ def test_boundary_blowup_window():
     bound = 1000
     primes = odd_primes_upto(bound)
     for s in (2.05, 2.1, 2.2):
-        log_prod = math.log(
-            euler_partial_product(EulerProductSpec(prime_bound=bound), s, scan=True)
-        )
+        log_prod = math.log(product(bound, s))
         log_zeta_partial = -sum(math.log(1.0 - float(p) ** (1.0 - s)) for p in primes)
         assert (0.5 - 0.1) * log_zeta_partial < log_prod < 100.0 * log_zeta_partial
         assert 0.5 * log_zeta_partial < log_prod  # the exact sandwich lower edge
@@ -152,31 +129,27 @@ def test_sieve_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         odd_primes_upto(101)
     with pytest.raises(BudgetExceededError):
-        euler_partial_product(EulerProductSpec(prime_bound=1000), 2.5)
+        product(1000, 2.5)
 
 
 def test_product_past_the_float_range_is_inf():
     # near the pole a factor is about 1 / ((s - 1) log p): 47 of them stay finite, 48 do not
     s = 1.0000001
-    assert math.isfinite(euler_partial_product(EulerProductSpec(prime_bound=223), s, scan=True))
-    assert euler_partial_product(EulerProductSpec(prime_bound=227), s, scan=True) == math.inf
+    assert math.isfinite(product(223, s))
+    assert product(227, s) == math.inf
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: euler_partial_product(EulerProductSpec(prime_bound=1000), 2.5),
-        lambda: sandwich_check(1000, 2.5),
-        lambda: divergence_scan((10, 100, 1000)),
-    ],
+    "s_grid,scan_bounds",
+    [([3.5], ()), ([2.5], ()), ([], (10, 100, 1000))],
     ids=["product", "sandwich", "scan"],
 )
-def test_one_sieve_and_one_factor_per_prime(count_calls, call):
-    """Each function sieves once and builds one factor and one value per odd prime <= 1000."""
+def test_one_sieve_and_one_factor_per_prime(count_calls, s_grid, scan_bounds):
+    """A rows-only or scan-only report: one sieve to 1000, one factor and value per odd prime."""
     sieves = count_calls(euler_global, "odd_primes_upto")
     factors = count_calls(euler_global, "sl2_local_factor")
     values = count_calls(euler_global, "evaluate_local")
-    call()
+    euler_report(1000, s_grid, scan_bounds)
     assert sieves == [1000]
     assert factors == odd_primes_upto(1000)
     assert len(values) == len(odd_primes_upto(1000))

@@ -100,7 +100,7 @@ def test_dixon_degrees_match_formula(sl2_groups):
     cases = ((3, (3, 1)), (9, (3, 2)), (5, (5, 1)), (25, (5, 2)), (49, (7, 2)))
     for modulus, (q, k) in cases:
         census = character_degrees(sl2_groups[modulus])
-        assert census.entries == level_census(sl2_local_factor(q), k).census.entries
+        assert census.entries == level_census(sl2_local_factor(q), k).entries
         assert census.mass == sl2_groups[modulus].order
         assert census.total_count == conjugacy_classes(sl2_groups[modulus]).count
 
@@ -108,7 +108,7 @@ def test_dixon_degrees_match_formula(sl2_groups):
 def test_dixon_degrees_match_formula_level3(sl2_z27):
     # order 17496, 79 classes; degree 12 merges the level-2 and level-3 families
     census = character_degrees(sl2_z27)
-    assert census.entries == level_census(sl2_local_factor(3), 3).census.entries
+    assert census.entries == level_census(sl2_local_factor(3), 3).entries
     assert dict(census.entries)[12] == 38
 
 

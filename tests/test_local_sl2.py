@@ -92,15 +92,15 @@ def test_exact_evaluation_matches_float():
 
 
 def test_level_census_examples():
-    lc1 = level_census(sl2_local_factor(3), 1)
-    assert lc1.census.entries == ((1, 3), (2, 3), (3, 1))
-    assert lc1.census.total_count == 7 and lc1.census.mass == 24
-    lc2 = level_census(sl2_local_factor(3), 2)
-    assert lc2.census.entries == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 2))
-    assert lc2.census.total_count == 25 and lc2.census.mass == 648
-    lc3 = level_census(sl2_local_factor(3), 3)
-    assert lc3.census.total_count == 79 and lc3.census.mass == 17496
-    assert dict(lc3.by_level)[3] == ((12, 36), (18, 12), (36, 6))
+    c1 = level_census(sl2_local_factor(3), 1)
+    assert c1.entries == ((1, 3), (2, 3), (3, 1))
+    assert c1.total_count == 7 and c1.mass == 24
+    c2 = level_census(sl2_local_factor(3), 2)
+    assert c2.entries == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 2))
+    assert c2.total_count == 25 and c2.mass == 648
+    c3 = level_census(sl2_local_factor(3), 3)
+    assert c3.total_count == 79 and c3.mass == 17496
+    assert c3.entries == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 38), (18, 12), (36, 6))
     with pytest.raises(ValueError):
         level_census(sl2_local_factor(3), 0)
 
@@ -109,7 +109,7 @@ def test_level_census_order_bits_budget(monkeypatch):
     """The level is bounded through 3k * bits(q), an upper bound on the group order's bits."""
     monkeypatch.setattr(local_sl2, "ORDER_BITS_BUDGET", 60)
     factor = sl2_local_factor(3)
-    assert level_census(factor, 10).census.mass == sl2_quotient_order(3, 10)  # 3 * 10 * 2 = 60 bits
+    assert level_census(factor, 10).mass == sl2_quotient_order(3, 10)  # 3 * 10 * 2 = 60 bits
     with pytest.raises(BudgetExceededError):
         level_census(factor, 11)
     assert sl2_quotient_order(3, 10).bit_length() <= 60
@@ -124,16 +124,16 @@ def test_mass_and_count_identities():
     for q in (3, 5, 7, 9, 11, 13):
         factor = sl2_local_factor(q)
         for k in range(1, 7):
-            lc = level_census(factor, k)
-            assert lc.census.mass == sl2_quotient_order(q, k)
-            assert lc.census.total_count == irrep_count(factor, k)
+            census = level_census(factor, k)
+            assert census.mass == sl2_quotient_order(q, k)
+            assert census.total_count == irrep_count(factor, k)
 
 
 def test_truncation_converges_to_analytic_value():
     for q in (3, 5):
         factor = sl2_local_factor(q)
         target = evaluate_local(factor, 2.5)
-        err = abs(level_census(factor, 12).census.zeta(2.5) - target)
+        err = abs(level_census(factor, 12).zeta(2.5) - target)
         assert err < float(q) ** -6
 
 

@@ -33,3 +33,58 @@ def test_readme_budget_table_matches_constants():
     }
     assert "isotropic_census.PAIR_BUDGET" in constants  # the scan found the constants
     assert rows == constants
+
+
+def _unreferenced_in_src():
+    """'module.function' and 'module.Class.method' of each public function no src/ code names.
+
+    A use is a name, an attribute or an import anywhere in src/ outside
+    the function's own body.  Properties are data and are skipped.
+    """
+    defs = []
+    refs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((path.stem, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list
+                    ):
+                        defs.append((path.stem, f"{node.name}.{item.name}", item))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path.stem, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.stem, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                refs.append((path.stem, node.name, node.lineno))
+    unreferenced = set()
+    for module, qualname, node in defs:
+        name = node.name
+        if name.startswith("_"):
+            continue
+        if not any(
+            ref == name and (where != module or not node.lineno <= line <= node.end_lineno)
+            for where, ref, line in refs
+        ):
+            unreferenced.add(f"{module}.{qualname}")
+    return unreferenced
+
+
+def _readme_test_only_list():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Reached only by tests\n", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for item in re.split(r"\n- ", section)[1:]:
+        names += re.findall(r"`([\w.]+)`", item.split(":", 1)[0])
+    return names
+
+
+def test_readme_lists_every_function_reached_only_by_tests():
+    listed = _readme_test_only_list()
+    assert len(listed) == len(set(listed))
+    assert "local_sl2.LocalFactorSL2.head_census" in listed  # methods are parsed too
+    assert set(listed) == _unreferenced_in_src()
