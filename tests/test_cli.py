@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 from argparse import Namespace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -473,13 +474,59 @@ def test_determinism_modulo_wall_time(capsys):
 
 
 def test_golden_report(capsys):
-    from pathlib import Path
-
     golden_path = Path(__file__).parent / "golden" / "local_sl2_q3_k2.json"
     _, out = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2"])
     got = strip_wall_time(json.loads(out))
     expected = strip_wall_time(json.loads(golden_path.read_text()))
     assert got == expected
+
+
+GOLDEN = Path(__file__).parent / "golden"
+WITTEN_CSV = ["witten", "--series", "G", "--rank", "2", "--bound", "200", "--format", "csv"]
+
+
+def _drop_wall_time(text):
+    return "".join(line for line in text.splitlines(True) if '"wall_time_s": ' not in line)
+
+
+@pytest.mark.parametrize(
+    "argv,stdout,stderr,out_file",
+    [
+        (["witten", "--series", "A", "--rank", "2", "--bound", "50"], "witten_a2_50.json", None,
+         None),
+        (WITTEN_CSV, "witten_g2_200.csv", "witten_g2_200_meta.json", None),
+        (WITTEN_CSV + ["--out"], "witten_g2_200_out_meta.json", None, "witten_g2_200.csv"),
+        (["alt", "--kmax", "4"], "alt_kmax4.json", None, None),  # no k >= 5: an empty table
+        (["alt", "--kmax", "7", "--s", "0.7"], "alt_kmax7.json", None, None),
+        (["euler", "--prime-bound", "100", "--s-grid=", "--scan-grid", "100,1000"],
+         "euler_empty_grid.json", None, None),
+        (["euler", "--prime-bound", "100", "--s-grid", "1.5,2.5,3"], "euler_p100.json", None,
+         None),
+        (["orbit", "--samples", "4", "--seed", "5"], "orbit_s4.json", None, None),
+        (["census8", "--m", "2", "--q", "3", "--k", "1", "--t", "1"], "census8_2311.json", None,
+         None),
+        (["oracle", "--modulus", "9"], "oracle_m9.json", None, None),
+        (["local-sl2", "--q", "5", "--level", "2", "--s-grid", "2,2.5,3"],
+         "local_sl2_q5_k2.json", None, None),
+        (["local-sl2", "--q", "3", "--level", "2"], "local_sl2_q3_k2.json", None, None),
+    ],
+    ids=["witten-json", "witten-csv-stdout", "witten-csv-out", "alt-empty", "alt", "euler-empty",
+         "euler", "orbit", "census8", "oracle", "local-sl2-q5", "local-sl2-q3"],
+)
+def test_golden_report_bytes(tmp_path, capsys, argv, stdout, stderr, out_file):
+    """Every stream of a report equals its golden file byte for byte, bar the wall-time line."""
+    target = tmp_path / "table.csv"
+    code = main(argv + [str(target)] if out_file else argv)
+    captured = capsys.readouterr()
+    assert code == 0
+
+    def golden(name):
+        return _drop_wall_time(GOLDEN.joinpath(name).read_bytes().decode("utf-8"))
+
+    assert _drop_wall_time(captured.out) == golden(stdout)
+    assert _drop_wall_time(captured.err) == (golden(stderr) if stderr else "")
+    if out_file:
+        assert target.read_bytes() == GOLDEN.joinpath(out_file).read_bytes()
 
 
 def test_csv_metadata_to_stderr_without_out(capsys):
