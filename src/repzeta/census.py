@@ -8,7 +8,11 @@ entry.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -46,7 +50,7 @@ class DegreeCensus:
 
     @property
     def total_count(self) -> int:
-        return sum(m for _, m in self.entries)
+        return self.running_count[-1] if self.entries else 0
 
     @property
     def mass(self) -> int:
@@ -68,11 +72,12 @@ class DegreeCensus:
         """
         return math.fsum(m * float(d) ** (-s) for d, m in self.entries)
 
+    @cached_property
+    def running_count(self) -> tuple[int, ...]:
+        """R_n at each census degree, in entry order: the running sum of the multiplicities."""
+        return tuple(accumulate(map(itemgetter(1), self.entries)))
+
     def count_upto(self, n: int) -> int:
-        """R_n: number of irreducibles of degree <= n."""
-        total = 0
-        for deg, mult in self.entries:
-            if deg > n:
-                break
-            total += mult
-        return total
+        """R_n: number of irreducibles of degree <= n, by bisection of the census degrees."""
+        i = bisect_right(self.entries, n, key=itemgetter(0))
+        return self.running_count[i - 1] if i else 0

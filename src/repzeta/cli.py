@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
-import operator
+import os
 import random
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Sequence
 
 from . import __version__
@@ -65,60 +67,66 @@ def _scalar(v: Any) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _table_rows(rows: list[Any] | tuple[Any, ...], head: str, indent: str) -> list[str] | None:
-    """A flat table's rows, one piece each, rendered column by column; None for any other shape.
+class Table(dict):
+    """A report table: column name -> sequence of scalars, the columns in CSV order.
 
-    `head` and `indent` are those of the table's own line.  A flat table
-    is a list or tuple of dicts that all have the same non-empty keys and
-    only scalar values.
+    Every column has one value per row.  `_to_json` writes a table as
+    `json.dumps` writes the list of its rows (each a dict), and
+    `_write_csv` writes its names as the header row.
     """
-    first = rows[0]
-    if not isinstance(first, dict) or not first:
-        return None
-    keys = first.keys()
-    if not all(isinstance(row, dict) and row.keys() == keys for row in rows):
-        return None
-    names = sorted(keys)
-    columns = []
-    for name in names:
-        column = [row[name] for row in rows]
-        types = set(map(type, column))
-        if types == {int}:  # bool stays apart: its type is not int
-            columns.append(column)  # the template's %s writes an int as int.__repr__ does
-        elif any(issubclass(t, (dict, list, tuple)) for t in types):
-            return None
-        else:
-            columns.append(map(_scalar, column))
-    inner = indent + "  "
-    field = inner + "  "
-    template = "," + inner + "{" + field + ("," + field).join(
-        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names
-    ) + inner + "}"
-    rendered = list(map(template.__mod__, zip(*columns)))
-    rendered[0] = head + "[" + rendered[0][1:]  # the first row takes the table's head, no comma
-    return rendered
+
+    def add_row(self, *values: Any) -> None:
+        for column, value in zip(self.values(), values, strict=True):
+            column.append(value)
+
+
+def _census_table(census: DegreeCensus) -> Table:
+    """degree, multiplicity and R_n per census entry; R_n is the census's own running count."""
+    return Table(
+        degree=list(map(itemgetter(0), census.entries)),
+        multiplicity=list(map(itemgetter(1), census.entries)),
+        R_n=census.running_count,
+    )
 
 
 def _to_json(value: Any) -> str:
     """The report as `json.dumps(..., sort_keys=True, indent=2)` writes it.
 
     One pass, floats rounded to 12 significant digits as they are written;
-    every scalar renders exactly as the `json` module renders it.  A flat
-    table (a non-empty list or tuple of dicts that all have the same keys
-    and only scalar values) is rendered column by column, each column in
-    one `map` (none when every value's type is `int`, which the template's
-    `%s` writes as its repr) and each row in one piece from a row
-    template built once from the sorted keys.
-    Every other value takes the recursive path, each output line one
-    piece.  So the pieces take little more memory than the text they join
-    into.
+    every scalar renders exactly as the `json` module renders it.  A
+    `Table` is written as the list of its rows, column by column: each
+    column in one `map` (none when every value's type is `int`, which the
+    template's `%s` writes as its repr) and each row in one piece from a
+    row template built once from the sorted column names.
+    Every other value, a list of dicts included, takes the recursive path,
+    each output line one piece.  So the pieces take little more memory
+    than the text they join into.
     """
     parts: list[str] = []
     append = parts.append
 
     def write(head: str, v: Any, indent: str) -> None:
         # head: the text before v on its line (separator, indent, key)
-        if isinstance(v, dict):
+        if isinstance(v, Table):
+            names = sorted(v)
+            columns = [v[name] for name in names]
+            if not columns or not columns[0]:
+                append(head + "[]")
+                return
+            inner = indent + "  "
+            field = inner + "  "
+            template = "," + inner + "{" + field + ("," + field).join(
+                encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names
+            ) + inner + "}"
+            rendered = list(map(template.__mod__, zip(*(
+                # bool stays apart: its type is not int
+                column if set(map(type, column)) == {int} else map(_scalar, column)
+                for column in columns
+            ))))
+            rendered[0] = head + "[" + rendered[0][1:]  # the first row takes the head, no comma
+            parts.extend(rendered)
+            append(indent + "]")
+        elif isinstance(v, dict):
             if not v:
                 append(head + "{}")
                 return
@@ -131,11 +139,6 @@ def _to_json(value: Any) -> str:
         elif isinstance(v, (list, tuple)):
             if not v:
                 append(head + "[]")
-                return
-            rows = _table_rows(v, head, indent)
-            if rows is not None:
-                parts.extend(rows)
-                append(indent + "]")
                 return
             inner = indent + "  "
             sep = head + "[" + inner
@@ -160,30 +163,20 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(fh: Any, table: list[dict[str, Any]], columns: list[str]) -> None:
-    """The header row, then the table column by column.
+def _write_csv(fh: Any, table: Table) -> None:
+    """The column names as the header row, then the rows.
 
     `csv.writer` takes an all-int column as it is; other columns go through `_fmt_cell`.
     """
     writer = csv.writer(fh)
-    writer.writerow(columns)
-    cells = []
-    for get in map(operator.itemgetter, columns):
-        all_int = set(map(type, map(get, table))) == {int}
-        cells.append(map(get, table) if all_int else map(_fmt_cell, map(get, table)))
-    writer.writerows(zip(*cells))
+    writer.writerow(table)
+    writer.writerows(zip(*(
+        column if set(map(type, column)) == {int} else map(_fmt_cell, column)
+        for column in table.values()
+    )))
 
 
-def _census_rows(census: DegreeCensus) -> list[dict[str, Any]]:
-    rows = []
-    r_n = 0
-    for deg, mult in census.entries:
-        r_n += mult
-        rows.append({"degree": deg, "multiplicity": mult, "R_n": r_n})
-    return rows
-
-
-def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+def cmd_witten(args: argparse.Namespace) -> dict[str, Any]:
     datum = build_root_datum(args.series, args.rank)
     census = enumerate_dimensions(datum, args.bound)
     result: dict[str, Any] = {
@@ -206,11 +199,11 @@ def cmd_witten(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
         }
     else:
         result["abscissa"] = None
-    result["table"] = _census_rows(census)
-    return result, ["degree", "multiplicity", "R_n"]
+    result["table"] = _census_table(census)
+    return result
 
 
-def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
     factor = sl2_local_factor(args.q)
     census = level_census(factor, args.level)
     expected_order = sl2_quotient_order(args.q, args.level)
@@ -230,11 +223,11 @@ def cmd_local_sl2(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
             if 2.0 <= s <= 3.0
         },
     }
-    result["table"] = _census_rows(census)
-    return result, ["degree", "multiplicity", "R_n"]
+    result["table"] = _census_table(census)
+    return result
 
 
-def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+def cmd_oracle(args: argparse.Namespace) -> dict[str, Any]:
     if args.group != "sl2":
         raise ValueError(f"unknown group family {args.group!r}; only 'sl2' is available")
     group = sl2_group(args.modulus)
@@ -252,18 +245,17 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
         formula = level_census(factor, pp[1])
         result["formula_census_matches"] = formula.entries == census.entries
         result["formula_irrep_count"] = irrep_count(factor, pp[1])
-    result["table"] = _census_rows(census)
-    return result, ["degree", "multiplicity", "R_n"]
+    result["table"] = _census_table(census)
+    return result
 
 
-def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+def cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.samples > SAMPLE_BUDGET:
         raise BudgetExceededError(f"{args.samples} samples exceed the budget {SAMPLE_BUDGET}")
     rng = random.Random(args.seed)
-    rows = []
-    all_match = True
+    table = Table(d=[], p=[], k=[], eigenvalues=[], dimension=[], centralizer_index=[], match=[])
     for _ in range(args.samples):
         d = rng.choice((2, 3))
         p = rng.choice((3, 5, 7))
@@ -274,31 +266,19 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
         datum = make_orbit_datum(d, p, k, eigs)
         dim = orbit_dimension(datum)
         index = centralizer_index_oracle(datum)
-        match = dim * dim == index
-        all_match = all_match and match
-        rows.append(
-            {
-                "d": d,
-                "p": p,
-                "k": k,
-                "eigenvalues": ";".join(str(e) for e in datum.eigenvalues),
-                "dimension": dim,
-                "centralizer_index": index,
-                "match": match,
-            }
-        )
-    result = {"samples": args.samples, "all_match": all_match, "table": rows}
-    return result, ["d", "p", "k", "eigenvalues", "dimension", "centralizer_index", "match"]
+        eigenvalues = ";".join(str(e) for e in datum.eigenvalues)
+        table.add_row(d, p, k, eigenvalues, dim, index, dim * dim == index)
+    return {"samples": args.samples, "all_match": all(table["match"]), "table": table}
 
 
-def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+def cmd_census8(args: argparse.Namespace) -> dict[str, Any]:
     if args.sample is not None and args.sample < 1:
         raise ValueError(f"--sample must be >= 1, got {args.sample}")
     family = build_census_family(args.m, args.q, args.k, args.t)
     sample = None if args.sample is None else list(range(min(args.sample, len(family.y_reps))))
     report = distinct_class_count(family, sample=sample)
     structure_ok = all(block_structure_ok(w, family) for _, _, w in report.witnesses)
-    result = {
+    return {
         "m": args.m,
         "q": args.q,
         "k": args.k,
@@ -312,36 +292,30 @@ def cmd_census8(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
         "exhaustive": report.exhaustive,
         "unknown_pairs": report.unknown_pairs,
         "conjugator_blocks_ok": structure_ok,
-        "table": [{"member": i, "class_id": cid} for i, cid in enumerate(report.assignments)],
+        "table": Table(member=range(len(report.assignments)), class_id=report.assignments),
     }
-    return result, ["member", "class_id"]
 
 
-def cmd_alt(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
-    rows = []
+def cmd_alt(args: argparse.Namespace) -> dict[str, Any]:
+    table = Table(k=[], zeta=[], irreducibles=[], mass_ok=[])
     for k, degrees in young_levels(args.kmax):  # raises past MAX_K before the first level
         if k < 5:
             continue
         census = an_census(k, degrees)
-        rows.append(
-            {
-                "k": k,
-                "zeta": ak_zeta(k, args.s, census=census),
-                "irreducibles": census.total_count,
-                "mass_ok": 2 * census.mass == math.factorial(k),
-            }
-        )
-    result = {"s": args.s, "kmax": args.kmax, "table": rows}
-    return result, ["k", "zeta", "irreducibles", "mass_ok"]
+        mass_ok = 2 * census.mass == math.factorial(k)
+        table.add_row(k, ak_zeta(k, args.s, census=census), census.total_count, mass_ok)
+    return {"s": args.s, "kmax": args.kmax, "table": table}
 
 
-def cmd_euler(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
+def cmd_euler(args: argparse.Namespace) -> dict[str, Any]:
     rows, scan = euler_report(args.prime_bound, args.s_grid, args.scan_grid or ())
-    table = [{"s": s, "partial_product": value, "sandwich_ok": ok} for s, value, ok in rows]
+    table = Table(s=[], partial_product=[], sandwich_ok=[])
+    for row in rows:
+        table.add_row(*row)
     result: dict[str, Any] = {"prime_bound": args.prime_bound, "table": table}
     if scan is not None:
         result["divergence_scan"] = scan
-    return result, ["s", "partial_product", "sandwich_ok"]
+    return result
 
 
 def _float_list(text: str) -> list[float]:
@@ -407,7 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict[str, Any], columns: list[str], args: argparse.Namespace) -> None:
+def _unwritable(path: str) -> OSError | None:
+    """The error that opening `path` for writing would raise, or None; found without opening it."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not (os.access(path, os.W_OK) if os.path.exists(path)
+              else os.access(parent, os.W_OK | os.X_OK)):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
+
+
+def _emit(report: dict[str, Any], args: argparse.Namespace) -> None:
     if args.format == "json":
         text = _to_json(report) + "\n"
         if args.out:
@@ -423,19 +412,24 @@ def _emit(report: dict[str, Any], columns: list[str], args: argparse.Namespace) 
     meta_text = _to_json(meta) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, report["result"]["table"], columns)
+            _write_csv(fh, report["result"]["table"])
         sys.stdout.write(meta_text)
     else:
-        _write_csv(sys.stdout, report["result"]["table"], columns)
+        _write_csv(sys.stdout, report["result"]["table"])
         sys.stderr.write(meta_text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # before any work, and without creating or truncating a file a failed run would leave behind
+    problem = _unwritable(args.out) if args.out else None
+    if problem is not None:
+        print(f"cannot write report: {problem}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
-        result, columns = args.func(args)
+        result = args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -456,8 +450,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "result": result,
     }
     try:
-        _emit(report, columns, args)
-    except OSError as exc:  # --out names a missing directory or a directory
+        _emit(report, args)
+    except OSError as exc:  # --out became unwritable while the report was computed
         print(f"cannot write report: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from repzeta.census import DegreeCensus
 from repzeta.local_sl2 import level_census, sl2_local_factor
 from repzeta.rootsys import build_root_datum
 from repzeta.symmetric import an_degrees
-from repzeta.witten import enumerate_dimensions
+from repzeta.witten import FIT_POINTS, abscissa_estimate, enumerate_dimensions
 
 
 def test_validation():
@@ -32,6 +33,57 @@ def test_cumulative_and_count_upto():
     assert census.count_upto(0) == 0
     assert census.count_upto(3) == 3
     assert census.count_upto(100) == 7
+
+
+def linear_count_upto(census, n):
+    return sum(m for d, m in census.entries if d <= n)
+
+
+def scan_fit_samples(census):
+    """The sample points of an abscissa fit that counts R_n by a linear scan."""
+    n_hi = census.bound
+    n_lo = max(1.0, math.sqrt(n_hi))
+    samples = []
+    for i in range(FIT_POINTS):
+        n = max(1, round(n_lo * (n_hi / n_lo) ** (i / (FIT_POINTS - 1))))
+        r_n = linear_count_upto(census, n)
+        if r_n:
+            samples.append((math.log(n), math.log(r_n)))
+    return tuple(samples)
+
+
+CENSUSES = {
+    "A1 at 100": lambda: enumerate_dimensions(build_root_datum("A", 1), 100),
+    "A2 at 2000": lambda: enumerate_dimensions(build_root_datum("A", 2), 2000),
+    "A3 at 2000": lambda: enumerate_dimensions(build_root_datum("A", 3), 2000),
+    "B2 at 2000": lambda: enumerate_dimensions(build_root_datum("B", 2), 2000),
+    "G2 at 5000": lambda: enumerate_dimensions(build_root_datum("G", 2), 5000),
+    "SL2(Z/3^4)": lambda: level_census(sl2_local_factor(3), 4),
+    # no degree <= sqrt(bound) = 20, so the fit skips its first points, where R_n = 0
+    "above sqrt(bound)": lambda: DegreeCensus(
+        entries=tuple((d, d % 3 + 1) for d in range(50, 400, 37)), bound=400
+    ),
+}
+
+
+@pytest.mark.parametrize("which", list(CENSUSES))
+def test_count_upto_matches_linear_scan(which):
+    census = CENSUSES[which]()
+    last = census.entries[-1][0]
+    assert [census.count_upto(n) for n in range(last + 3)] == [
+        linear_count_upto(census, n) for n in range(last + 3)
+    ]
+    assert census.running_count == tuple(census.count_upto(d) for d, _ in census.entries)
+    assert census.total_count == linear_count_upto(census, last)
+
+
+@pytest.mark.parametrize("which", list(CENSUSES))
+def test_abscissa_samples_match_linear_scan(which):
+    census = CENSUSES[which]()
+    samples = abscissa_estimate(census).sample_points
+    assert samples == scan_fit_samples(census)
+    if which == "above sqrt(bound)":
+        assert len(samples) < FIT_POINTS
 
 
 @pytest.mark.parametrize("which", ["A2 at 10^4", "A20"])

@@ -419,12 +419,14 @@ def test_euler_argv_fuzz(prime_bound, grid, scan):
         code, _ = run_fuzzed(argv)
     if code == 0:
         result = written[0]["result"]
-        for row in result["table"]:
-            s = row["s"]
-            assert row["sandwich_ok"] is (True if 2 < s <= 3 else None)
-            assert _same_float(row["partial_product"], _reference_product(prime_bound, s))
+        table = result["table"]
+        for s, product, sandwich_ok in zip(
+            table["s"], table["partial_product"], table["sandwich_ok"], strict=True
+        ):
+            assert sandwich_ok is (True if 2 < s <= 3 else None)
+            assert _same_float(product, _reference_product(prime_bound, s))
             if 2 < s <= 3:
-                assert row["sandwich_ok"] == _reference_sandwich(prime_bound, s)
+                assert sandwich_ok == _reference_sandwich(prime_bound, s)
         if "divergence_scan" in result:
             scan_result = result["divergence_scan"]
             assert scan_result["products"] == [
@@ -541,9 +543,14 @@ def test_csv_metadata_to_stderr_without_out(capsys):
 
 
 def _round12(value):
-    """Reference for the report writer: the rounding step it replaced."""
+    """Reference for the report writer: the rounding step it replaced.
+
+    A `Table` becomes the list of its rows, each a dict, as the reports held them before.
+    """
     if isinstance(value, float):
         return float(f"{value:.12g}")
+    if isinstance(value, cli.Table):
+        return [_round12(dict(zip(value, row))) for row in zip(*value.values())]
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -620,29 +627,65 @@ def test_report_writer_matches_json_dumps_on_edge_values():
     assert cli._to_json(value) == reference_json(value)
     for scalar in (float("nan"), -0.0, 2.0 / 3.0, True, 7, None, "a\"b", [], {}):
         assert cli._to_json(scalar) == reference_json(scalar)
-    # a flat table takes the column path, any other list of rows the recursive one
+    # a list of rows takes the recursive path, flat or not
     for name, rows in {**FLAT_TABLES, **OTHER_TABLES}.items():
-        assert (cli._table_rows(rows, "", "\n") is not None) == (name in FLAT_TABLES), name
         for wrapped in (rows, {"result": {"table": rows, "n": len(rows)}}, [rows, rows]):
             assert cli._to_json(wrapped) == reference_json(wrapped), name
+
+
+def as_table(rows):
+    """The `Table` of a flat table's rows: one column per key, in the first row's key order."""
+    return cli.Table((name, [row[name] for row in rows]) for name in rows[0])
+
+
+EDGE_TABLES = {
+    **{name: as_table(rows) for name, rows in FLAT_TABLES.items()},
+    "zero-rows": cli.Table(degree=[], multiplicity=[], R_n=[]),
+    "no-columns": cli.Table(),
+    "tuple-and-range": cli.Table(member=range(3), class_id=(0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_TABLES))
+def test_table_writer_matches_json_dumps_on_edge_columns(name):
+    """A `Table` is written as `json.dumps` writes the list of its rows."""
+    table = EDGE_TABLES[name]
+    for wrapped in (table, {"result": {"table": table, "n": 1}}, [table, table]):
+        assert cli._to_json(wrapped) == reference_json(wrapped)
+    if name in FLAT_TABLES:
+        assert cli._to_json(table) == reference_json(FLAT_TABLES[name])
+
+
+@pytest.mark.parametrize("name", list(EDGE_TABLES))
+def test_table_csv_matches_per_cell_writer_on_edge_columns(name):
+    """The column-wise CSV table equals csv.writer over `_fmt_cell` of each cell."""
+    table = EDGE_TABLES[name]
+    got = io.StringIO()
+    cli._write_csv(got, table)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(table)
+    for row in zip(*table.values()):
+        writer.writerow(map(cli._fmt_cell, row))
+    assert got.getvalue() == expected.getvalue()
 
 
 def test_csv_table_matches_per_cell_writer(capsys):
     """The column-wise CSV table equals csv.writer over `_fmt_cell` of each cell."""
     columns = ["n", "x", "flag", "maybe", "mixed"]
-    table = [
+    rows = [
         {"n": 10 ** 40, "x": 1 / 3, "flag": True, "maybe": None, "mixed": 1},
         {"n": -3, "x": float("nan"), "flag": False, "maybe": 7, "mixed": True},
         {"n": 0, "x": -0.0, "flag": True, "maybe": 2.5, "mixed": None},
         {"n": 12, "x": 1e-300, "flag": False, "maybe": "a,b\"c", "mixed": 0},
     ]
-    report = {"tool": "repzeta", "result": {"table": table, "rows": len(table)}}
-    cli._emit(report, columns, Namespace(format="csv", out=None))
+    report = {"tool": "repzeta", "result": {"table": as_table(rows), "rows": len(rows)}}
+    cli._emit(report, Namespace(format="csv", out=None))
     captured = capsys.readouterr()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for row in table:
+    for row in rows:
         writer.writerow([cli._fmt_cell(row[c]) for c in columns])
     assert captured.out == buf.getvalue()
     assert json.loads(captured.err) == {"tool": "repzeta", "result": {"rows": 4}}
@@ -662,17 +705,50 @@ def test_out_file(tmp_path, capsys):
     assert "table" not in meta["result"]
 
 
+def unwritable_out_run(tmp_path, capsys, argv, fmt, where):
+    """Run argv into an unwritable --out; assert exit 2 and the message that open gives."""
+    target = tmp_path / "missing" / "report.out" if where == "missing-directory" else tmp_path
+    code = main(argv + ["--format", fmt, "--out", str(target)])
+    captured = capsys.readouterr()
+    with pytest.raises(OSError) as opened:
+        open(target, "w", encoding="utf-8")
+    assert code == 2
+    assert captured.err == f"cannot write report: {opened.value}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_unwritable_out_exits_2(tmp_path, capsys, fmt, where):
-    target = tmp_path / "missing" / "report.out" if where == "missing-directory" else tmp_path
-    code = main(["witten", "--series", "A", "--rank", "1", "--bound", "5",
-                 "--format", fmt, "--out", str(target)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("cannot write report: ")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, fmt, where):
+    """An unwritable --out is rejected before the handler runs."""
+
+    def no_report(args):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "cmd_oracle", no_report)  # the report would take seconds
+    unwritable_out_run(tmp_path, capsys, ["oracle", "--modulus", "49"], fmt, where)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_out_unwritable_at_the_write_exits_2(tmp_path, capsys, monkeypatch, fmt, where):
+    """An --out that turns unwritable while the report is computed is caught at the write."""
+    monkeypatch.setattr(cli, "_unwritable", lambda path: None)
+    argv = ["witten", "--series", "A", "--rank", "1", "--bound", "5"]
+    unwritable_out_run(tmp_path, capsys, argv, fmt, where)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv,expected", [(["orbit", "--samples", "0"], 2),
+                                           (["orbit", "--samples", "300000000"], 3)])
+def test_failed_run_leaves_out_untouched(tmp_path, capsys, fmt, argv, expected):
+    """A run that exits 2 or 3 neither creates nor truncates its --out file."""
+    new, old = tmp_path / "new.out", tmp_path / "old.out"
+    old.write_text("kept")
+    assert main(argv + ["--format", fmt, "--out", str(new)]) == expected
+    assert main(argv + ["--format", fmt, "--out", str(old)]) == expected
+    assert capsys.readouterr().out == ""
+    assert not new.exists() and old.read_text() == "kept"
 
 
 def test_module_entry_point(subprocess_env):
