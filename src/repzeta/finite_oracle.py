@@ -91,7 +91,6 @@ class FiniteMatrixGroup:
     n: int
     generators: tuple[Flat, ...]
     elements: tuple[Flat, ...]
-    index: dict[Flat, int] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -122,9 +121,8 @@ def generate_group(
             raise ValueError(f"generator with determinant {d} is not invertible mod {modulus}")
         gens.append(flat)
     ident = _identity(n)
-    seen = {ident: 0}
-    order_list = [ident]
-    queue = [ident]
+    seen = {ident}
+    queue = [ident]  # the BFS queue is also the element list: nothing leaves it
     head = 0
     while head < len(queue):
         cur = queue[head]
@@ -132,20 +130,18 @@ def generate_group(
         for g in gens:
             nxt = _mul(cur, g, n, modulus)
             if nxt not in seen:
-                if len(order_list) >= GROUP_BUDGET:
+                if len(queue) >= GROUP_BUDGET:
                     raise BudgetExceededError(
                         f"group enumeration exceeded budget {GROUP_BUDGET}; "
-                        f"reached {len(order_list)} elements"
+                        f"reached {len(queue)} elements"
                     )
-                seen[nxt] = len(order_list)
-                order_list.append(nxt)
+                seen.add(nxt)
                 queue.append(nxt)
     return FiniteMatrixGroup(
         modulus=modulus,
         n=n,
         generators=tuple(gens),
-        elements=tuple(order_list),
-        index=seen,
+        elements=tuple(queue),
     )
 
 

@@ -30,7 +30,6 @@ certified on GL-classes is valid for the SL census.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
@@ -382,47 +381,6 @@ def distinct_class_count(
         assignments=tuple(assignment),
         witnesses=tuple(witnesses),
     )
-
-
-@dataclass(frozen=True)
-class GammaSeries:
-    """Class counts gamma_bar(U/U_k) for consecutive levels of one family."""
-
-    q: int
-    delta: int  # dim of the ambient group
-    counts: tuple[tuple[int, int], ...]  # (k, gamma_bar_k)
-
-    def __post_init__(self) -> None:
-        values = [g for _, g in self.counts]
-        if any(g < 1 for g in values):
-            raise ValueError("class counts must be positive")
-        if any(a > b for a, b in zip(values, values[1:])):
-            raise ValueError("class counts must be nondecreasing in the level")
-
-
-@dataclass(frozen=True)
-class GammaEstimate:
-    gamma: float  # last-increment slope log_q(g_k / g_{k-1})
-    gamma_cumulative: float  # log_q(g_k) / k
-    crude_rho_bound: float  # 2 gamma / (delta - gamma)
-
-
-def gamma_estimate(series: GammaSeries) -> GammaEstimate:
-    """Growth-rate estimate and the crude abscissa lower bound 2g/(d-g).
-
-    The increment form cancels the k-offset constant hidden in the
-    cumulative ratio; both are reported.
-    """
-    if len(series.counts) < 2:
-        raise ValueError("need at least two (k, count) points")
-    (k_prev, g_prev), (k_last, g_last) = series.counts[-2], series.counts[-1]
-    if k_last <= k_prev:
-        raise ValueError("levels must increase")
-    lq = math.log(series.q)
-    gamma = math.log(g_last / g_prev) / ((k_last - k_prev) * lq)
-    cumulative = math.log(g_last) / (k_last * lq)
-    bound = 2 * gamma / (series.delta - gamma) if series.delta > gamma else math.inf
-    return GammaEstimate(gamma=gamma, gamma_cumulative=cumulative, crude_rho_bound=bound)
 
 
 def block_structure_ok(

@@ -22,7 +22,6 @@ from .arith import prime_power
 from .census import DegreeCensus
 from .errors import BudgetExceededError
 
-POLE_EPSILONS = (0.1, 0.05, 0.025)  # offsets eps of the pole witness Z_q(1 + eps)
 ORDER_BITS_BUDGET = 10_000  # bits of |SL2(O/pi^k)| in a level census; bounds the level
 
 
@@ -40,11 +39,6 @@ class LocalFactorSL2:
     q: int
     head_terms: tuple[tuple[int, int], ...]  # (degree, multiplicity)
     tail_terms: tuple[tuple[int, int], ...]  # (base degree, base multiplicity)
-
-    def head_census(self) -> DegreeCensus:
-        pairs = [(d, m) for d, m in self.head_terms if m > 0]
-        bound = max(d for d, _ in pairs)
-        return DegreeCensus.from_pairs(pairs, bound)
 
 
 def sl2_local_factor(q: int) -> LocalFactorSL2:
@@ -155,9 +149,3 @@ def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
     z = evaluate_local(factor, s)
     x = _one_minus_ratio(q, s)
     return (z > x ** -0.5, z < x ** -100.0)
-
-
-def pole_witness(q: int) -> list[float]:
-    """Values eps * Z_q(1 + eps) over POLE_EPSILONS; bounded as eps shrinks (a simple pole)."""
-    factor = sl2_local_factor(q)
-    return [eps * evaluate_local(factor, 1.0 + eps) for eps in POLE_EPSILONS]

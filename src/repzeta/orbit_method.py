@@ -15,16 +15,14 @@ p*ad(x), and the two must agree as dimension^2 * |kernel| = p^((d^2-1)k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .linalg import det_int, smith_exponents
+from .linalg import smith_exponents
 
 Stage = tuple[int, int]  # (rank, positive-root count)
 
 ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
-CENSUS_BUDGET = 20_000  # trace-zero vectors per census_vs_bound
 
 
 def _partition_by_valuation(
@@ -143,107 +141,3 @@ def centralizer_index_oracle(datum: OrbitDatum) -> int:
     if index_exp % 2:
         raise AssertionError("centralizer index is not a perfect square")
     return p ** index_exp
-
-
-def chain_count_bound(chain: Sequence[Stage], d: int, q: int) -> int:
-    """q^(sum over the given stages of ((d-1) - rank))."""
-    exponent = 0
-    for rank, _ in chain:
-        if rank > d - 1:
-            raise ValueError("stage rank exceeds d - 1")
-        exponent += (d - 1) - rank
-    return q ** exponent
-
-
-def kernel_cokernel_size(T: Sequence[Sequence[int]], p: int, r: int) -> tuple[int, int]:
-    """(|ker|, |cok|) of an injective integer map tensored with Z/p^r.
-
-    Kernel from the elementary divisors directly; cokernel through the
-    image index.  The two must be equal (the exact-sequence count).
-    """
-    if det_int(T) == 0:
-        raise ValueError("matrix must be injective (nonzero determinant)")
-    n = len(T)
-    exponents = smith_exponents(T, p, r)
-    ker = p ** sum(exponents)
-    image_size = p ** sum(r - e for e in exponents)
-    cok = p ** (n * r) // image_size
-    if ker != cok:
-        raise AssertionError("kernel/cokernel sizes differ")
-    return (ker, cok)
-
-
-@dataclass(frozen=True)
-class ChainGroup:
-    """One fiber of the census: every vector sharing the full stage chain."""
-
-    stages: tuple[Stage, ...]  # summaries for i = 0..k (stage 0 included)
-    size: int
-    bound: int  # exact per-step lifting bound
-    bound_rank_only: int  # q^(sum (d-1-rank)); ignores the mod-p trace degeneracy
-    trace_degenerate: bool
-
-
-@dataclass(frozen=True)
-class CensusBoundReport:
-    d: int
-    p: int
-    k: int
-    vector_count: int
-    groups: tuple[ChainGroup, ...]
-    all_within: bool
-
-
-def census_vs_bound(d: int, p: int, k: int) -> CensusBoundReport:
-    """Group all trace-zero vectors mod p^k by their full stage chain.
-
-    Grouping uses the actual partitions at stages i = 0..k (stage 0, the
-    congruence mod p^k itself, is what the lift-counting argument
-    consumes).  Each group size is compared with the exact lifting bound:
-    step i contributes p^(#blocks - 1), or p^(#blocks) when every block
-    size is divisible by p so the trace condition degenerates.  The
-    rank-only bound q^(sum((d-1) - rank)) agrees except in those
-    degenerate steps.
-    """
-    if d > 3:
-        raise ValueError("census enumeration supports d <= 3")
-    total = p ** (k * (d - 1))
-    if total > CENSUS_BUDGET:
-        raise BudgetExceededError(f"{total} vectors exceed the census budget {CENSUS_BUDGET}")
-    mod = p ** k
-    sizes: dict[tuple, int] = {}
-    for prefix in product(range(mod), repeat=d - 1):
-        last = (-sum(prefix)) % mod
-        vec = prefix + (last,)
-        key = tuple(_partition_by_valuation(vec, p, k - i) for i in range(0, k + 1))
-        sizes[key] = sizes.get(key, 0) + 1
-    groups = []
-    all_within = True
-    for key, size in sorted(sizes.items()):
-        partitions = key
-        summaries = tuple(_stage_summary(blocks, d) for blocks in partitions)
-        # lift step i = 1..k consumes the partition at stage k - i
-        exponent = 0
-        degenerate = False
-        for i in range(1, k + 1):
-            blocks = partitions[k - i]
-            indep = any(len(b) % p for b in blocks)
-            if not indep:
-                degenerate = True
-            exponent += len(blocks) - (1 if indep else 0)
-        bound = p ** exponent
-        rank_only = chain_count_bound(summaries, d, p)
-        within = size <= bound
-        all_within = all_within and within
-        groups.append(
-            ChainGroup(
-                stages=summaries,
-                size=size,
-                bound=bound,
-                bound_rank_only=rank_only,
-                trace_degenerate=degenerate,
-            )
-        )
-    return CensusBoundReport(
-        d=d, p=p, k=k, vector_count=total, groups=tuple(groups), all_within=all_within
-    )

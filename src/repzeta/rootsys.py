@@ -3,16 +3,17 @@
 A RootDatum stores, for each positive coroot, the row of its values on
 the fundamental weights.  Those rows are exactly the coefficients of the
 coroot in the simple-coroot basis, so they are enumerated by root-string
-closure on the dual Cartan matrix.  Everything downstream (the Weyl
-dimension formula, Levi filters, the rank/kappa ratio) works from these
-integer rows alone.
+closure on the dual Cartan matrix.  Everything downstream (the census
+walk in `witten`, the rank/kappa ratio) works from these integer rows
+alone.  `weyl_dimension` is the plain product formula on the same rows;
+only tests call it, as the oracle of the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -224,34 +225,3 @@ def rank_kappa_ratio(datum: RootDatum) -> Fraction:
     if ratio != Fraction(2, datum.coxeter_number):
         raise AssertionError("r/kappa != 2/h")
     return ratio
-
-
-def levi_subsystem(datum: RootDatum, simple_subset: Iterable[int]) -> tuple[int, int]:
-    """(rank, kappa) of the Levi subsystem spanned by a subset of simple roots.
-
-    Indices are 1-based.  A positive root lies in the Levi iff its support
-    is contained in the subset; the subset's simple roots stay independent,
-    so the rank is just the subset size.
-    """
-    subset = set(simple_subset)
-    for i in subset:
-        if not isinstance(i, int) or i < 1 or i > datum.rank:
-            raise ValueError(f"simple-root index {i} out of range 1..{datum.rank}")
-    if not subset:
-        return (0, 0)
-    allowed = {i - 1 for i in subset}
-    count = 0
-    for row in datum.positive_roots:
-        if all(j in allowed for j, c in enumerate(row) if c):
-            count += 1
-    return (len(subset), count)
-
-
-def all_irreducible_types(max_rank: int = 8) -> list[tuple[str, int]]:
-    """Every valid (series, rank) pair with rank <= max_rank."""
-    out: list[tuple[str, int]] = []
-    for series in SERIES:
-        for rank in range(1, max_rank + 1):
-            if _VALID_RANKS[series](rank):
-                out.append((series, rank))
-    return out

@@ -106,17 +106,15 @@ def ak_zeta(k: int, s: float, census: DegreeCensus | None = None) -> float:
 def rbound_check(census: DegreeCensus, s: float) -> bool:
     """Verify R_n <= c*n^s + 1 with c = Z(s) - 1 at every census degree.
 
-    The census must come from a perfect group (the caller asserts it);
-    the right-hand side gets a hair of upward slack so float rounding can
-    never produce a spurious failure.
+    R_n is the census's `running_count`.  The census must come from a
+    perfect group (the caller asserts it); the right-hand side gets a
+    hair of upward slack so float rounding can never produce a spurious
+    failure.
     """
     if not 0 < s < 1:
         raise ValueError("the bound is stated for 0 < s < 1")
     c = census.zeta(s) - 1.0
-    running = 0
-    for deg, mult in census.entries:
-        running += mult
-        rhs = c * float(deg) ** s * (1.0 + 1e-12) + 1.0 + 1e-9
-        if running > rhs:
-            return False
-    return True
+    return all(
+        running <= c * float(deg) ** s * (1.0 + 1e-12) + 1.0 + 1e-9
+        for (deg, _), running in zip(census.entries, census.running_count)
+    )

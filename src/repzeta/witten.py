@@ -1,4 +1,4 @@
-"""Witten zeta data: degree censuses of G(C), dyadic block sums, abscissa fits.
+"""Witten zeta data: degree censuses of G(C) and abscissa fits.
 
 The census enumerator walks highest-weight vectors depth-first and cuts a
 branch as soon as the dimension exceeds the bound; this is complete
@@ -8,23 +8,20 @@ and, when coordinate i steps up by one, adds alpha^vee(w_i) to each value
 it touches, so a node costs one product and one exact division.  Every
 step of every coordinate is a node, and a walk of more than NODE_BUDGET
 nodes raises BudgetExceededError.
-Truncated zeta values of a census are `DegreeCensus.zeta`.  It and the
-dyadic block sums use `math.fsum`, which rounds correctly, so neither
-depends on the order of its terms.
+Truncated zeta values of a census are `DegreeCensus.zeta`, which uses
+`math.fsum`, so it does not depend on the order of the terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError
-from .rootsys import RootDatum, weyl_dimension
+from .rootsys import RootDatum
 
 NODE_BUDGET = 2_000_000  # lattice nodes per census walk
-DYADIC_BLOCK_BUDGET = 1 << 21  # terms per dyadic block
 FIT_POINTS = 16  # geometric sample points of an abscissa fit
 FIT_MIN_DISTINCT = 8  # distinct degrees a census needs for an abscissa fit
 
@@ -126,18 +123,4 @@ def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
         standard_error=stderr,
         sample_points=tuple(samples),
         window=f"{FIT_POINTS} geometric points in [{n_lo:.6g}, {n_hi}]",
-    )
-
-
-def dyadic_block_sum(datum: RootDatum, s: float, j: int) -> float:
-    """Sum of dim^(-s) over the dyadic block 2^j < a_i <= 2^(j+1) (all i)."""
-    if j < 0 or j > 12:
-        raise ValueError("dyadic block index must satisfy 0 <= j <= 12")
-    size = (2 ** j) ** datum.rank
-    if size > DYADIC_BLOCK_BUDGET:
-        raise BudgetExceededError(f"dyadic block has {size} terms; budget is {DYADIC_BLOCK_BUDGET}")
-    lo, hi = 2 ** j + 1, 2 ** (j + 1)
-    return math.fsum(
-        float(weyl_dimension(datum, coeffs)) ** (-s)
-        for coeffs in product(range(lo, hi + 1), repeat=datum.rank)
     )

@@ -12,24 +12,19 @@ import time
 from fractions import Fraction
 
 from hook_lengths import sn_degrees
+from paper_checks import GammaSeries, all_irreducible_types, dyadic_block_sum, gamma_estimate
+from paper_checks import kernel_cokernel_size
 from repzeta.chains import ExponentVector, chain_product_value, chain_truncated_sum
 from repzeta.chains import suffix_converges
 from repzeta.euler_global import euler_report
 from repzeta.finite_oracle import character_degrees, conjugacy_classes
-from repzeta.isotropic_census import (
-    GammaSeries,
-    block_structure_ok,
-    build_census_family,
-    distinct_class_count,
-    gamma_estimate,
-)
+from repzeta.isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl2_local_factor
 from repzeta.local_sl2 import sl2_quotient_order
-from repzeta.orbit_method import centralizer_index_oracle, kernel_cokernel_size, make_orbit_datum
-from repzeta.orbit_method import orbit_dimension
-from repzeta.rootsys import all_irreducible_types, build_root_datum, group_dimension
+from repzeta.orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
+from repzeta.rootsys import build_root_datum, group_dimension
 from repzeta.symmetric import ak_zeta, an_degrees, rbound_check
-from repzeta.witten import abscissa_estimate, dyadic_block_sum, enumerate_dimensions
+from repzeta.witten import abscissa_estimate, enumerate_dimensions
 
 
 class Criterion:

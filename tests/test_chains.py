@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_checks import all_irreducible_types, levi_subsystem
 from repzeta.chains import (
     ChainSpec,
     ExponentVector,
@@ -15,7 +16,7 @@ from repzeta.chains import (
     chain_truncated_sum,
     suffix_converges,
 )
-from repzeta.rootsys import all_irreducible_types, build_root_datum, levi_subsystem
+from repzeta.rootsys import build_root_datum
 
 
 def convergent_vector(rng, k):

@@ -475,14 +475,6 @@ def test_determinism_modulo_wall_time(capsys):
     assert strip_wall_time(json.loads(out1)) == strip_wall_time(json.loads(out2))
 
 
-def test_golden_report(capsys):
-    golden_path = Path(__file__).parent / "golden" / "local_sl2_q3_k2.json"
-    _, out = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2"])
-    got = strip_wall_time(json.loads(out))
-    expected = strip_wall_time(json.loads(golden_path.read_text()))
-    assert got == expected
-
-
 GOLDEN = Path(__file__).parent / "golden"
 WITTEN_CSV = ["witten", "--series", "G", "--rank", "2", "--bound", "200", "--format", "csv"]
 

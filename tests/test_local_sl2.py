@@ -14,7 +14,6 @@ from repzeta.local_sl2 import (
     factor_bounds_check,
     irrep_count,
     level_census,
-    pole_witness,
     sl2_local_factor,
     sl2_quotient_order,
 )
@@ -23,12 +22,12 @@ from repzeta.local_sl2 import (
 def test_factor_head_q3():
     factor = sl2_local_factor(3)
     # the (q+1)-term vanishes at q = 3; two degree-1 terms merge with the trivial
-    assert factor.head_census().entries == ((1, 3), (2, 3), (3, 1))
+    assert level_census(factor, 1).entries == ((1, 3), (2, 3), (3, 1))
     assert sum(m for _, m in factor.head_terms) == 7
 
 
 def test_factor_head_q5():
-    census = sl2_local_factor(5).head_census()
+    census = level_census(sl2_local_factor(5), 1)
     assert census.entries == ((1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
     assert census.total_count == 9
 
@@ -158,8 +157,9 @@ def test_exact_bounds_at_integer_s():
 
 
 def test_pole_witness_bounded():
+    """eps * Z_q(1 + eps) stays bounded as eps shrinks."""
     for q in (3, 5, 13):
-        values = pole_witness(q)
+        values = [eps * evaluate_local(sl2_local_factor(q), 1 + eps) for eps in (0.1, 0.05, 0.025)]
         assert max(values) / min(values) < 1.5
         assert all(math.isfinite(v) and v > 0 for v in values)
 

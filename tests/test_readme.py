@@ -7,6 +7,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repzeta"
 README = ROOT / "README.md"
 ROW = re.compile(r"^\s*\| `(\w+)\.(\w+_BUDGET)` \| ([^|]+?) \|", re.MULTILINE)
+FIXED = re.compile(r"`(\w+)\.([A-Z_]+)` \(([^)]+)\)")
 
 
 def _readme_value(text):
@@ -33,6 +34,22 @@ def test_readme_budget_table_matches_constants():
     }
     assert "isotropic_census.PAIR_BUDGET" in constants  # the scan found the constants
     assert rows == constants
+
+
+def test_readme_fixed_parameters_match_constants():
+    """Each `module.NAME` (value) of README's fixed-parameters sentence is that constant."""
+    text = README.read_text(encoding="utf-8")
+    sentence = text.split("Fixed parameters are", 1)[1].split("\n- ", 1)[0]
+    stated = FIXED.findall(sentence)
+    assert {f"{module}.{name}" for module, name, _ in stated} == {
+        "witten.FIT_POINTS",
+        "witten.FIT_MIN_DISTINCT",
+        "euler_global.BOUNDARY_S",
+        "euler_global.DIVERGENCE_THRESHOLD",
+    }
+    for module, name, value in stated:
+        actual = getattr(importlib.import_module(f"repzeta.{module}"), name)
+        assert actual == ast.literal_eval(value), (module, name)
 
 
 def _unreferenced_in_src():
@@ -86,5 +103,5 @@ def _readme_test_only_list():
 def test_readme_lists_every_function_reached_only_by_tests():
     listed = _readme_test_only_list()
     assert len(listed) == len(set(listed))
-    assert "local_sl2.LocalFactorSL2.head_census" in listed  # methods are parsed too
+    assert "rootsys.weyl_dimension" in listed  # the section was parsed
     assert set(listed) == _unreferenced_in_src()

