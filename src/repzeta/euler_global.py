@@ -67,7 +67,7 @@ def euler_report(
     if s_grid and prime_bound < 2:
         raise ValueError("prime bound must be >= 2")
     for s in s_grid:
-        if s <= 1:
+        if not s > 1:  # also rejects NaN
             raise ValueError("every local factor diverges at s <= 1")
         _check_sieve(prime_bound)
         if 2 < s <= 3 and prime_bound < 3:

@@ -7,10 +7,15 @@ class); character degrees come from the Burnside-Dixon algorithm run
 modulo a prime l = 1 (mod exponent(G)) with l > 2*sqrt(|G|), so every
 step is exact integer arithmetic.
 
+Only the BFS multiplies elements.  It keeps each element's index, the
+index of each element times each generator (the right tables) and its
+tree (parent and generator step), so conjugation tables and class-matrix
+rows are read from those tables by index.
+
 The eigenspace split never builds a full class matrix (Schneider's
 refinement): a subspace kept in reduced-echelon form is acted on through
 the class-matrix rows at its pivot columns only, and each row costs |C_i|
-products.  A subspace on which a class matrix acts as a scalar lambda*I
+table walks.  A subspace on which a class matrix acts as a scalar lambda*I
 is kept as it is: its characteristic polynomial has the one root lambda,
 the kernel of the zero matrix is the whole subspace, and the rref of an
 echelon basis is that basis, so the split would return it unchanged.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Sequence
 
 from .arith import prime_power
@@ -76,6 +81,10 @@ def _mul(a: Flat, b: Flat, n: int, m: int) -> Flat:
 
 
 def _inv(a: Flat, n: int, m: int) -> Flat:
+    if n == 2:
+        a0, a1, a2, a3 = a
+        dinv = pow((a0 * a3 - a1 * a2) % m, -1, m)  # raises ValueError when det is not a unit
+        return (a3 * dinv % m, -a1 * dinv % m, -a2 * dinv % m, a0 * dinv % m)
     return _to_flat(mat_inv_mod(_to_rows(a, n), m), m)
 
 
@@ -83,28 +92,66 @@ def _identity(n: int) -> Flat:
     return tuple(1 if i % (n + 1) == 0 else 0 for i in range(n * n))
 
 
-@dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """Fully enumerated matrix group over Z/m, elements in BFS order."""
+    """Fully enumerated matrix group over Z/m, elements in BFS order.
 
-    modulus: int
-    n: int
-    generators: tuple[Flat, ...]
-    elements: tuple[Flat, ...]
+    `index` maps each element to its position in `elements`; `right[s][k]`
+    is the index of elements[k] * generators[s]; for k >= 1,
+    elements[k] = elements[parent[k]] * generators[step[k]].
+    """
+
+    __slots__ = ("modulus", "n", "generators", "elements", "index", "right", "parent", "step")
+
+    def __init__(
+        self,
+        modulus: int,
+        n: int,
+        generators: tuple[Flat, ...],
+        elements: tuple[Flat, ...],
+        index: dict[Flat, int],
+        right: tuple[list[int], ...],
+        parent: list[int],
+        step: list[int],
+    ) -> None:
+        self.modulus = modulus
+        self.n = n
+        self.generators = generators
+        self.elements = elements
+        self.index = index
+        self.right = right
+        self.parent = parent
+        self.step = step
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
 class ClassData:
-    """Conjugacy classes: representatives (BFS order), sizes, count."""
+    """Conjugacy classes: representatives (BFS order), sizes, count.
 
-    representatives: tuple[Flat, ...]
-    sizes: tuple[int, ...]
-    count: int
-    class_of: dict[Flat, int] = field(repr=False, compare=False)
+    `class_of` maps an element to its class, `class_ids[k]` is the class of
+    element index k, and `rep_indices[j]` the element index of
+    representatives[j].
+    """
+
+    __slots__ = ("representatives", "sizes", "count", "class_of", "class_ids", "rep_indices")
+
+    def __init__(
+        self,
+        representatives: tuple[Flat, ...],
+        sizes: tuple[int, ...],
+        count: int,
+        class_of: dict[Flat, int],
+        class_ids: list[int],
+        rep_indices: tuple[int, ...],
+    ) -> None:
+        self.representatives = representatives
+        self.sizes = sizes
+        self.count = count
+        self.class_of = class_of
+        self.class_ids = class_ids
+        self.rep_indices = rep_indices
 
 
 def generate_group(
@@ -121,27 +168,40 @@ def generate_group(
             raise ValueError(f"generator with determinant {d} is not invertible mod {modulus}")
         gens.append(flat)
     ident = _identity(n)
-    seen = {ident}
+    index = {ident: 0}
     queue = [ident]  # the BFS queue is also the element list: nothing leaves it
+    parent = [0]
+    step = [-1]  # the identity is the root: no step leads to it
+    products: list[int] = []  # products[k * r + s]: index of e_k * g_s
+    r = len(gens)
     head = 0
     while head < len(queue):
         cur = queue[head]
-        head += 1
         for g in gens:
             nxt = _mul(cur, g, n, modulus)
-            if nxt not in seen:
+            k = index.get(nxt)
+            if k is None:
                 if len(queue) >= GROUP_BUDGET:
                     raise BudgetExceededError(
                         f"group enumeration exceeded budget {GROUP_BUDGET}; "
                         f"reached {len(queue)} elements"
                     )
-                seen.add(nxt)
+                k = len(queue)
+                index[nxt] = k
                 queue.append(nxt)
+                parent.append(head)
+                step.append(len(products) - head * r)
+            products.append(k)
+        head += 1
     return FiniteMatrixGroup(
         modulus=modulus,
         n=n,
         generators=tuple(gens),
         elements=tuple(queue),
+        index=index,
+        right=tuple(products[s::r] for s in range(r)),
+        parent=parent,
+        step=step,
     )
 
 
@@ -154,34 +214,70 @@ def sl2_group(modulus: int) -> FiniteMatrixGroup:
     return generate_group(modulus, 2, sl2_generators(modulus))
 
 
-def conjugacy_classes(group: FiniteMatrixGroup) -> ClassData:
-    """Orbit sweeps: class of x = orbit of x under conjugation by generators."""
+def _word(group: FiniteMatrixGroup, k: int) -> list[int]:
+    """Generator steps s_1..s_L of the BFS tree path: elements[k] = g_s1 * ... * g_sL."""
+    word = []
+    while k:
+        word.append(group.step[k])
+        k = group.parent[k]
+    word.reverse()
+    return word
+
+
+def _conjugation_tables(group: FiniteMatrixGroup) -> list[list[int]]:
+    """tables[s][k] is the index of g_s^-1 e_k g_s.
+
+    The table of left multiplication by g^-1 follows the BFS tree,
+    g^-1 e_k = (g^-1 e_parent[k]) g_step[k], and conjugation by g is that
+    table followed by g's right table.
+    """
     n, m = group.n, group.modulus
-    gen_pairs = [(g, _inv(g, n, m)) for g in group.generators]
-    class_of: dict[Flat, int] = {}
-    reps: list[Flat] = []
+    right, index = group.right, group.index
+    links = list(zip(group.parent, group.step))[1:]
+    tables = []
+    for g, row in zip(group.generators, right):
+        left = [index[_inv(g, n, m)]]
+        for p, s in links:
+            left.append(right[s][left[p]])
+        tables.append(list(map(row.__getitem__, left)))
+    return tables
+
+
+def conjugacy_classes(group: FiniteMatrixGroup) -> ClassData:
+    """Orbit sweeps: class of x = orbit of x under conjugation by generators.
+
+    The sweep runs on element indices and reads the conjugation tables.
+    """
+    conj = _conjugation_tables(group)
+    class_ids = [-1] * group.order
+    reps: list[int] = []
     sizes: list[int] = []
-    for x in group.elements:
-        if x in class_of:
+    for x in range(group.order):
+        if class_ids[x] >= 0:
             continue
         cid = len(reps)
         reps.append(x)
-        class_of[x] = cid
+        class_ids[x] = cid
         orbit = [x]
         head = 0
         while head < len(orbit):
             y = orbit[head]
             head += 1
-            for g, ginv in gen_pairs:
-                z = _mul(_mul(ginv, y, n, m), g, n, m)
-                if z not in class_of:
-                    class_of[z] = cid
+            for table in conj:
+                z = table[y]
+                if class_ids[z] < 0:
+                    class_ids[z] = cid
                     orbit.append(z)
         sizes.append(len(orbit))
     if sum(sizes) != group.order:
         raise AssertionError("class sizes do not sum to the group order")
     return ClassData(
-        representatives=tuple(reps), sizes=tuple(sizes), count=len(reps), class_of=class_of
+        representatives=tuple(group.elements[k] for k in reps),
+        sizes=tuple(sizes),
+        count=len(reps),
+        class_of=dict(zip(group.elements, class_ids)),
+        class_ids=class_ids,
+        rep_indices=tuple(reps),
     )
 
 
@@ -215,7 +311,8 @@ def dixon_prime(order: int, exponent: int) -> int:
 def _class_row(
     group: FiniteMatrixGroup,
     classes: ClassData,
-    members: list[list[Flat]],
+    members: list[list[int]],
+    words: list[list[int]],
     i: int,
     j: int,
     ell: int,
@@ -224,15 +321,19 @@ def _class_row(
 
     h_k a_ij^k and h_j a_{i*k}^j both count the pairs (x, z) in C_i x C_k
     with x^-1 z in C_j, so (M_i)[j][k] = (h_j/h_k) #{u in C_i : u rep_j in C_k}:
-    |C_i| products and no inversions.
+    |C_i| products u rep_j and no inversions.  None is multiplied out:
+    `members[i]` holds the element indices of C_i, and each is walked
+    through the right tables along rep_j's BFS word `words[j]`.
     """
-    n, m = group.n, group.modulus
-    z = classes.representatives[j]
-    counts = [0] * classes.count
-    for u in members[i]:
-        counts[classes.class_of[_mul(u, z, n, m)]] += 1
-    hj = classes.sizes[j]
-    return [hj * cnt // hk % ell for cnt, hk in zip(counts, classes.sizes)]
+    cur = members[i]
+    for s in words[j]:
+        cur = list(map(group.right[s].__getitem__, cur))
+    sizes = classes.sizes
+    hj = sizes[j]
+    row = [0] * classes.count
+    for k, cnt in Counter(map(classes.class_ids.__getitem__, cur)).items():
+        row[k] = hj * cnt // sizes[k] % ell
+    return row
 
 
 def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
@@ -258,9 +359,10 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     exponent = group_exponent(group, classes)
     ell = dixon_prime(order, exponent)
 
-    members: list[list[Flat]] = [[] for _ in range(c)]
-    for x in group.elements:
-        members[classes.class_of[x]].append(x)
+    members: list[list[int]] = [[] for _ in range(c)]
+    for k, cid in enumerate(classes.class_ids):
+        members[cid].append(k)
+    words = [_word(group, k) for k in classes.rep_indices]
 
     # split subspaces; each is (reduced-echelon basis rows, pivot columns)
     start = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
@@ -280,7 +382,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
             # echelon basis are its entries at the pivots: act[s][t] = row(p_s) . b_t
             for p in pivots:
                 if p not in rows:
-                    rows[p] = _class_row(group, classes, members, i, p, ell)
+                    rows[p] = _class_row(group, classes, members, words, i, p, ell)
             act = [[sum(map(operator.mul, rows[p], b)) % ell for b in basis] for p in pivots]
             lam = act[0][0]
             if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
@@ -288,18 +390,15 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
                 new_subspaces.append((basis, pivots))
                 continue
             roots = poly_roots_mod_p(charpoly_mod_p(act, ell), ell)
+            basis_columns = list(zip(*basis))
             split_dim = 0
             for lam in roots:
                 shifted = [[(act[r][t] - (lam if r == t else 0)) % ell for t in range(dim)]
                            for r in range(dim)]
-                ambient = []
-                for kvec in kernel_mod_p(shifted, ell):
-                    amb = [0] * c
-                    for t, coef in enumerate(kvec):
-                        if coef:
-                            for idx in range(c):
-                                amb[idx] = (amb[idx] + coef * basis[t][idx]) % ell
-                    ambient.append(amb)
+                ambient = [
+                    [sum(map(operator.mul, kvec, col)) % ell for col in basis_columns]
+                    for kvec in kernel_mod_p(shifted, ell)
+                ]
                 if not ambient:
                     continue
                 eig_basis, eig_pivots = rref_mod_p(ambient, ell)

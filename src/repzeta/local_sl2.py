@@ -72,7 +72,7 @@ def _one_minus_ratio(q: int, s: float) -> float:
 
 def evaluate_local(factor: LocalFactorSL2, s: float) -> float:
     """Head sum plus tail/(1 - q^(1-s)); needs s > 1 for the tail to converge."""
-    if s <= 1:
+    if not s > 1:  # also rejects NaN
         raise ValueError("s must exceed 1 (the tail ratio is q^(1-s))")
     head = math.fsum(m * float(d) ** (-s) for d, m in factor.head_terms if m)
     tail = math.fsum(m * float(d) ** (-s) for d, m in factor.tail_terms)

@@ -96,7 +96,7 @@ def ak_zeta(k: int, s: float, census: DegreeCensus | None = None) -> float:
     """
     if k < 5:
         raise ValueError("the trend API needs k >= 5 (simple alternating groups)")
-    if s <= 0:
+    if not s > 0:  # also rejects NaN
         raise ValueError("s must be positive")
     if census is None:
         census = an_degrees(k)

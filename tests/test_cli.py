@@ -242,6 +242,25 @@ def test_euler_rejection_messages(capsys, argv, code, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["local-sl2", "--q", "3", "--level", "1", "--s-grid", "nan"],
+         "invalid parameters: s must exceed 1 (the tail ratio is q^(1-s))"),
+        (["euler", "--prime-bound", "10", "--s-grid", "nan"],
+         "invalid parameters: every local factor diverges at s <= 1"),
+        (["alt", "--kmax", "5", "--s", "nan"], "invalid parameters: s must be positive"),
+    ],
+    ids=["local-sl2", "euler", "alt"],
+)
+def test_nan_exponent_rejected(capsys, argv, message):
+    """NaN fails every comparison, so it passes no s > 1 or s > 0 check and exits 2."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def _not_an_int(text):
     try:
         int(text)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +10,12 @@ from repzeta.errors import BudgetExceededError
 import repzeta.finite_oracle as finite_oracle
 from repzeta.finite_oracle import (
     _class_row,
+    _conjugation_tables,
     _identity,
     _inv,
     _mul,
     _to_rows,
+    _word,
     abelianization_order,
     character_degrees,
     conjugacy_classes,
@@ -21,6 +26,7 @@ from repzeta.finite_oracle import (
 )
 from repzeta.linalg import mat_mul_mod
 from repzeta.local_sl2 import level_census, sl2_local_factor
+from tuple_classes import tuple_conjugacy_classes, tuple_inverse
 
 
 def sl_order(p, k):
@@ -139,25 +145,26 @@ def test_class_row_against_pair_count(make_group):
     classes = conjugacy_classes(g)
     c = classes.count
     ell = dixon_prime(g.order, group_exponent(g, classes))
-    members = [[x for x in g.elements if classes.class_of[x] == i] for i in range(c)]
+    members = [[k for k, x in enumerate(g.elements) if classes.class_of[x] == i] for i in range(c)]
+    words = [_word(g, k) for k in classes.rep_indices]
     rep_index = {rep: k for k, rep in enumerate(classes.representatives)}
     for i in range(c):
         for j in range(c):
             counts = [0] * c
             for x in members[i]:
                 for y in members[j]:
-                    k = rep_index.get(_mul(x, y, n, m))
+                    k = rep_index.get(_mul(g.elements[x], g.elements[y], n, m))
                     if k is not None:
                         counts[k] += 1
-            assert _class_row(g, classes, members, i, j, ell) == [v % ell for v in counts]
+            assert _class_row(g, classes, members, words, i, j, ell) == [v % ell for v in counts]
 
 
 @pytest.mark.parametrize("bad_call", [0, 10, 40])
 def test_corrupted_class_row_is_caught(monkeypatch, sl2_groups, bad_call):
     calls = []
 
-    def corrupted(group, classes, members, i, j, ell):
-        row = _class_row(group, classes, members, i, j, ell)
+    def corrupted(group, classes, members, words, i, j, ell):
+        row = _class_row(group, classes, members, words, i, j, ell)
         if len(calls) == bad_call:
             row = [(row[0] + 1) % ell] + row[1:]
         calls.append((i, j))
@@ -194,6 +201,88 @@ def test_dixon_on_3x3_groups(make_group, order, class_count, degrees, abelianiza
     assert census.entries == degrees
     assert census.total_count == class_count
     assert abelianization_order(g) == abelianization == dict(degrees)[1]
+
+
+OTHER_GROUPS = {
+    "Q8": quaternion_group,
+    "Heis(F3)": heisenberg_group,
+    "SL3(F2)": sl3_f2,
+    "trivial": lambda: generate_group(7, 2, []),
+}
+
+
+@pytest.fixture(
+    params=[*range(2, 17), 25, 27, *OTHER_GROUPS],
+    ids=lambda p: f"SL2(Z/{p})" if isinstance(p, int) else p,
+)
+def oracle_group(request):
+    """SL2(Z/m) for a modulus m, or a named group; 25 and 27 are the session's."""
+    if request.param in OTHER_GROUPS:
+        return OTHER_GROUPS[request.param]()
+    if request.param == 25:
+        return request.getfixturevalue("sl2_groups")[25]
+    if request.param == 27:
+        return request.getfixturevalue("sl2_z27")
+    return sl2_group(request.param)
+
+
+def test_indexed_classes_match_tuple_sweep(oracle_group):
+    """The index-table sweep finds the tuple-product sweep's classes, in its order."""
+    g = oracle_group
+    classes = conjugacy_classes(g)
+    reps, sizes, class_of = tuple_conjugacy_classes(g)
+    assert list(classes.representatives) == reps
+    assert list(classes.sizes) == sizes
+    assert classes.count == len(reps)
+    assert classes.class_of == class_of
+    assert classes.class_ids == [class_of[x] for x in g.elements]
+    assert [g.elements[k] for k in classes.rep_indices] == reps
+
+
+def test_right_tables_match_products(oracle_group):
+    g = oracle_group
+    assert g.index == {x: k for k, x in enumerate(g.elements)}
+    assert len(g.right) == len(g.generators)
+    for gen, row in zip(g.generators, g.right):
+        assert row == [g.index[_mul(x, gen, g.n, g.modulus)] for x in g.elements]
+
+
+def test_bfs_tree_rebuilds_every_element(oracle_group):
+    g = oracle_group
+    assert g.elements[0] == _identity(g.n)
+    assert _word(g, 0) == []
+    for k in range(1, g.order):
+        assert g.parent[k] < k
+        gen = g.generators[g.step[k]]
+        assert _mul(g.elements[g.parent[k]], gen, g.n, g.modulus) == g.elements[k]
+        x = _identity(g.n)
+        for s in _word(g, k):
+            x = _mul(x, g.generators[s], g.n, g.modulus)
+        assert x == g.elements[k]
+
+
+def test_conjugation_tables_are_permutations(oracle_group):
+    g = oracle_group
+    tables = _conjugation_tables(g)
+    assert len(tables) == len(g.generators)
+    for gen, table in zip(g.generators, tables):
+        assert sorted(table) == list(range(g.order))
+        ginv = tuple_inverse(gen, g.n, g.modulus)
+        conj = [_mul(_mul(ginv, x, g.n, g.modulus), gen, g.n, g.modulus) for x in g.elements]
+        assert table == [g.index[y] for y in conj]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_fused_inverse_matches_mat_inv_mod(m):
+    """Every 2x2 matrix over Z/m: the fused inverse, or the same ValueError."""
+    for a in itertools.product(range(m), repeat=4):
+        if math.gcd(a[0] * a[3] - a[1] * a[2], m) == 1:
+            assert _inv(a, 2, m) == tuple_inverse(a, 2, m)
+        else:
+            with pytest.raises(ValueError):
+                tuple_inverse(a, 2, m)
+            with pytest.raises(ValueError):
+                _inv(a, 2, m)
 
 
 def test_degree_one_count_is_abelianization(sl2_groups):

@@ -1,0 +1,119 @@
+"""The closed formulas and their brute-force oracles share no kernel.
+
+Each formula is checked against an oracle computed another way; if the
+two sides reached the same kernel, a fault in it would pass both and
+the cross-check would be circular.  The sides are read from the import
+graph of `src/repzeta`, built with `ast`, so nothing is imported.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repzeta"
+
+FORMULA = {"witten", "rootsys", "local_sl2", "symmetric", "euler_global"}
+ORACLE = {"finite_oracle", "linalg", "isotropic_census"}
+SHARED = {"census", "arith", "errors"}  # data types, prime helpers and errors, no kernel
+
+# orbit_method holds both sides: the orbit dimension from the psi chain,
+# and the centralizer-index oracle through linalg's Smith form
+ORBIT_FORMULA = ("make_orbit_datum", "orbit_dimension")
+ORBIT_ORACLE = "centralizer_index_oracle"
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _modules():
+    return {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _imports(module, modules):
+    """The repzeta modules that `module` imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:  # from .x import y
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "repzeta":  # from . import x
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("repzeta."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("repzeta."))
+    return found & modules
+
+
+def _reach(graph, start):
+    """Every module reached from `start` through one or more imports."""
+    seen = set()
+    todo = list(graph[start])
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph[name])
+    return seen
+
+
+def _graph():
+    modules = _modules()
+    return {module: _imports(module, modules) for module in modules}
+
+
+def test_sides_are_named_modules():
+    modules = _modules()
+    assert FORMULA | ORACLE | SHARED <= modules
+    assert not FORMULA & ORACLE and not (FORMULA | ORACLE) & SHARED
+    graph = _graph()
+    assert "linalg" in graph["finite_oracle"]  # the scan sees relative imports
+    assert "rootsys" in graph["witten"]
+
+
+def test_formula_modules_never_reach_an_oracle():
+    graph = _graph()
+    for module in sorted(FORMULA):
+        assert not _reach(graph, module) & ORACLE, module
+
+
+def test_oracle_modules_never_reach_a_formula():
+    graph = _graph()
+    for module in sorted(ORACLE):
+        assert not _reach(graph, module) & FORMULA, module
+
+
+def test_the_sides_meet_only_in_shared_modules():
+    graph = _graph()
+    for formula in sorted(FORMULA):
+        for oracle in sorted(ORACLE):
+            common = (_reach(graph, formula) | {formula}) & (_reach(graph, oracle) | {oracle})
+            assert common <= SHARED, (formula, oracle)
+
+
+def _functions(tree):
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_orbit_dimension_names_no_linalg_function():
+    """Neither the orbit-dimension formula nor a function of its module it calls."""
+    linalg = set(_functions(_tree("linalg")))
+    functions = _functions(_tree("orbit_method"))
+    assert linalg & _names(functions[ORBIT_ORACLE])  # the oracle side does name one
+    todo, seen = list(ORBIT_FORMULA), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = _names(functions[name])
+        assert not names & linalg, name
+        todo.extend(names & set(functions))
+    assert {"psi_chain", "_partition_by_valuation", "_stage_summary"} <= seen
