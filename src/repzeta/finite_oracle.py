@@ -130,26 +130,23 @@ class FiniteMatrixGroup:
 class ClassData:
     """Conjugacy classes: representatives (BFS order), sizes, count.
 
-    `class_of` maps an element to its class, `class_ids[k]` is the class of
-    element index k, and `rep_indices[j]` the element index of
-    representatives[j].
+    `class_ids[k]` is the class of element index k, and `rep_indices[j]`
+    the element index of representatives[j].
     """
 
-    __slots__ = ("representatives", "sizes", "count", "class_of", "class_ids", "rep_indices")
+    __slots__ = ("representatives", "sizes", "count", "class_ids", "rep_indices")
 
     def __init__(
         self,
         representatives: tuple[Flat, ...],
         sizes: tuple[int, ...],
         count: int,
-        class_of: dict[Flat, int],
         class_ids: list[int],
         rep_indices: tuple[int, ...],
     ) -> None:
         self.representatives = representatives
         self.sizes = sizes
         self.count = count
-        self.class_of = class_of
         self.class_ids = class_ids
         self.rep_indices = rep_indices
 
@@ -275,7 +272,6 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ClassData:
         representatives=tuple(group.elements[k] for k in reps),
         sizes=tuple(sizes),
         count=len(reps),
-        class_of=dict(zip(group.elements, class_ids)),
         class_ids=class_ids,
         rep_indices=tuple(reps),
     )
@@ -413,7 +409,8 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
         raise AssertionError("class algebra did not split into 1-dim eigenspaces")
 
     inverse_class = [
-        classes.class_of[_inv(rep, group.n, group.modulus)] for rep in classes.representatives
+        classes.class_ids[group.index[_inv(rep, group.n, group.modulus)]]
+        for rep in classes.representatives
     ]
     h_inv = [pow(h % ell, -1, ell) for h in classes.sizes]
     degrees: list[int] = []

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import prime_power
 from .errors import BudgetExceededError
@@ -211,8 +211,7 @@ def conjugacy_module(
     ]
 
 
-@dataclass(frozen=True)
-class ConjugacyResult:
+class ConjugacyResult(NamedTuple):
     status: str  # "conjugate" | "not_conjugate" | "unknown"
     witness: Mat | None = None
 

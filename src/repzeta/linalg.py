@@ -12,8 +12,7 @@ elimination without V for the callers that read the exponents alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Matrix = list[list[int]]
 
@@ -195,8 +194,7 @@ def poly_roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
 # local Smith form over Z/p^M
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithLocal:
+class SmithLocal(NamedTuple):
     """U*A*V = diag(p^e_0, ..., p^e_{n-1}) mod p^M for some invertible U.
 
     Exponents are nondecreasing.  Exponent M is a cap: it means the true

@@ -14,36 +14,29 @@ p*ad(x), and the two must agree as dimension^2 * |kernel| = p^((d^2-1)k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 from .linalg import smith_exponents
 
 Stage = tuple[int, int]  # (rank, positive-root count)
+Entry = tuple[int, int, int, tuple[int, ...]]  # (a, b, e, rows) of a basis element
 
 ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
 
 
-def _partition_by_valuation(
-    eigenvalues: Sequence[int], p: int, threshold: int
-) -> tuple[tuple[int, ...], ...]:
-    """Blocks of indices whose pairwise differences have valuation >= threshold.
+def _stage(eigenvalues: Sequence[int], d: int, mod: int) -> Stage:
+    """(rank, kappa) of the root subsystem joining indices congruent mod `mod`.
 
-    Congruence mod p^threshold is an equivalence, so this is a set
-    partition of {0..d-1}.
+    Congruence is an equivalence, so its blocks partition {0..d-1}: the
+    rank is d - #blocks and kappa is the sum of C(size, 2).  Only the
+    block sizes matter, so the blocks are counted by residue.
     """
-    mod = p ** threshold
-    blocks: dict[int, list[int]] = {}
-    for idx, value in enumerate(eigenvalues):
-        blocks.setdefault(value % mod, []).append(idx)
-    return tuple(tuple(b) for b in sorted(blocks.values()))
-
-
-def _stage_summary(blocks: tuple[tuple[int, ...], ...], d: int) -> Stage:
-    rank = d - len(blocks)
-    kappa = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
-    return (rank, kappa)
+    counts: dict[int, int] = {}
+    for value in eigenvalues:
+        residue = value % mod
+        counts[residue] = counts.get(residue, 0) + 1
+    return (d - len(counts), sum(c * (c - 1) for c in counts.values()) // 2)
 
 
 def psi_chain(eigenvalues: Sequence[int], d: int, p: int, k: int) -> tuple[Stage, ...]:
@@ -56,16 +49,13 @@ def psi_chain(eigenvalues: Sequence[int], d: int, p: int, k: int) -> tuple[Stage
         raise ValueError("eigenvalues must sum to zero (mod p^k): trace-zero data")
     stages = []
     for i in range(1, k + 1):
-        blocks = _partition_by_valuation(eigenvalues, p, k - i)
-        stages.append(_stage_summary(blocks, d))
-    full = (d - 1, d * (d - 1) // 2)
-    if stages[-1] != full:
+        stages.append(_stage(eigenvalues, d, p ** (k - i)))
+    if stages[-1] != (d - 1, d * (d - 1) // 2):
         raise AssertionError("stage k must be the full system")
     return tuple(stages)
 
 
-@dataclass(frozen=True)
-class OrbitDatum:
+class OrbitDatum(NamedTuple):
     """Split eigenvalue data (integers mod p^(k+2), zero trace) plus its chain."""
 
     d: int
@@ -82,8 +72,7 @@ def make_orbit_datum(d: int, p: int, k: int, eigenvalues: Sequence[int]) -> Orbi
     eigs = tuple(x % mod for x in eigenvalues)
     if sum(eigs) % mod:
         raise ValueError("eigenvalues must sum to zero mod p^(k+2)")
-    chain = psi_chain(eigs, d, p, k)
-    return OrbitDatum(d=d, p=p, k=k, eigenvalues=eigs, chain=chain)
+    return OrbitDatum(d, p, k, eigs, psi_chain(eigs, d, p, k))
 
 
 def orbit_dimension(datum: OrbitDatum) -> int:
@@ -93,32 +82,44 @@ def orbit_dimension(datum: OrbitDatum) -> int:
     return datum.p ** deficiency
 
 
+def _ad_layout(d: int) -> tuple[tuple[Entry, ...], ...]:
+    """The trace-zero basis of degree d, as (a, b, e, rows) entries per column.
+
+    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
+    Each entry e at (a, b) of a basis element lists the rows its bracket
+    term lands in: the position of E_ab when a != b, and H_a, ..., H_{d-2}
+    for a diagonal entry, since the H coordinates of a trace-zero diagonal
+    are its partial sums.
+    """
+    offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
+    diagonal = [tuple(range(len(offdiag) + a, len(offdiag) + d - 1)) for a in range(d)]
+    basis = [((s, t, 1, (row,)),) for row, (s, t) in enumerate(offdiag)]
+    basis += [((i, i, 1, diagonal[i]), (i + 1, i + 1, -1, diagonal[i + 1])) for i in range(d - 1)]
+    return tuple(basis)
+
+
+# one layout per degree the oracle accepts; it depends on d alone
+_AD_LAYOUTS = {d: _ad_layout(d) for d in range(2, ORACLE_DEGREE_BUDGET + 1)}
+
+
 def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[list[int]]:
     """The matrix of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
 
-    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
-    Each column is read off the nonzero entries e at (a, b) of its basis
-    element, as [x, E] = sum (x_a - x_b) e E_ab.  A diagonal entry of the
-    bracket at (a, a) counts towards H_a, ..., H_{d-2}, since the H
-    coordinates of a trace-zero diagonal are its partial sums.
+    Each column is read off its basis element's entries in `_AD_LAYOUTS`,
+    as [x, E] = sum (x_a - x_b) e E_ab.
     """
     x = eigenvalues
-    d = len(x)
-    offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
-    position = {st: idx for idx, st in enumerate(offdiag)}
-    basis = [((s, t, 1),) for s, t in offdiag]
-    basis += [((i, i, 1), (i + 1, i + 1, -1)) for i in range(d - 1)]
+    basis = _AD_LAYOUTS[len(x)]
     matrix = [[0] * len(basis) for _ in basis]
     for col, entries in enumerate(basis):
         trace = 0
-        for a, b, e in entries:
+        for a, b, e, rows in entries:
             value = p * (x[a] - x[b]) * e
-            if a != b:
-                matrix[position[a, b]][col] += value
-            elif value:
-                trace += value
-                for i in range(a, d - 1):
-                    matrix[len(offdiag) + i][col] += value
+            if value:
+                if a == b:
+                    trace += value
+                for row in rows:
+                    matrix[row][col] += value
         if trace:
             raise AssertionError("ad(x) left the trace-zero lattice")
     return matrix

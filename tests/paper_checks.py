@@ -15,7 +15,6 @@ from collections import Counter, namedtuple
 from itertools import combinations, product
 
 from repzeta.linalg import det_int, smith_exponents
-from repzeta.orbit_method import _partition_by_valuation, _stage_summary
 from repzeta.rootsys import weyl_dimension
 
 GammaSeries = namedtuple("GammaSeries", "q delta counts")  # counts: (k, class count of U/U_k)
@@ -33,6 +32,24 @@ def gamma_estimate(series):
     gamma = math.log(g_last / g_prev) / ((k_last - k_prev) * math.log(series.q))
     bound = 2 * gamma / (series.delta - gamma) if series.delta > gamma else math.inf
     return GammaEstimate(gamma, bound)
+
+
+def partition_by_valuation(eigenvalues, p, threshold):
+    """Blocks of indices whose pairwise differences have valuation >= threshold.
+
+    Congruence mod p^threshold is an equivalence, so this is a set
+    partition of {0..d-1}, sorted so that it can serve as a key.
+    """
+    mod = p ** threshold
+    blocks = {}
+    for idx, value in enumerate(eigenvalues):
+        blocks.setdefault(value % mod, []).append(idx)
+    return tuple(tuple(b) for b in sorted(blocks.values()))
+
+
+def stage_summary(blocks, d):
+    """(rank, kappa) of the root subsystem whose blocks are given."""
+    return (d - len(blocks), sum(len(b) * (len(b) - 1) // 2 for b in blocks))
 
 
 def chain_count_bound(chain, d, q):
@@ -54,10 +71,10 @@ def census_vs_bound(d, p, k):
     sizes = Counter()
     for prefix in product(range(mod), repeat=d - 1):
         vec = prefix + (-sum(prefix) % mod,)
-        sizes[tuple(_partition_by_valuation(vec, p, k - i) for i in range(k + 1))] += 1
+        sizes[tuple(partition_by_valuation(vec, p, k - i) for i in range(k + 1))] += 1
     groups = []
     for partitions, size in sorted(sizes.items()):
-        stages = tuple(_stage_summary(blocks, d) for blocks in partitions)
+        stages = tuple(stage_summary(blocks, d) for blocks in partitions)
         steps = partitions[:k]
         free = [any(len(b) % p for b in blocks) for blocks in steps]
         bound = p ** sum(len(blocks) - f for blocks, f in zip(steps, free))

@@ -145,7 +145,7 @@ def test_class_row_against_pair_count(make_group):
     classes = conjugacy_classes(g)
     c = classes.count
     ell = dixon_prime(g.order, group_exponent(g, classes))
-    members = [[k for k, x in enumerate(g.elements) if classes.class_of[x] == i] for i in range(c)]
+    members = [[k for k in range(g.order) if classes.class_ids[k] == i] for i in range(c)]
     words = [_word(g, k) for k in classes.rep_indices]
     rep_index = {rep: k for k, rep in enumerate(classes.representatives)}
     for i in range(c):
@@ -234,7 +234,7 @@ def test_indexed_classes_match_tuple_sweep(oracle_group):
     assert list(classes.representatives) == reps
     assert list(classes.sizes) == sizes
     assert classes.count == len(reps)
-    assert classes.class_of == class_of
+    assert dict(zip(g.elements, classes.class_ids)) == class_of
     assert classes.class_ids == [class_of[x] for x in g.elements]
     assert [g.elements[k] for k in classes.rep_indices] == reps
 

@@ -116,4 +116,4 @@ def test_orbit_dimension_names_no_linalg_function():
         names = _names(functions[name])
         assert not names & linalg, name
         todo.extend(names & set(functions))
-    assert {"psi_chain", "_partition_by_valuation", "_stage_summary"} <= seen
+    assert {"psi_chain", "_stage"} <= seen

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from paper_checks import census_vs_bound, chain_count_bound, kernel_cokernel_size
+from paper_checks import partition_by_valuation, stage_summary
 from repzeta import orbit_method
 from repzeta.errors import BudgetExceededError
 from repzeta.linalg import valuation
@@ -54,6 +55,27 @@ def test_psi_chain_monotone_and_entry_stage():
                 for i in range(1, datum.k + 1):
                     in_stage = val >= datum.k - i
                     assert in_stage == (i >= entry)
+
+
+def block_chain(eigenvalues, d, p, k):
+    """psi_chain's stages from the actual blocks of each stage partition."""
+    return tuple(
+        stage_summary(partition_by_valuation(eigenvalues, p, k - i), d) for i in range(1, k + 1)
+    )
+
+
+def test_psi_chain_matches_block_partitions():
+    """Every trace-zero vector mod p^k, and a random lift of each mod p^(k+2)."""
+    rng = random.Random(17)
+    for d, p, k in product((2, 3), (2, 3, 5), (1, 2, 3)):
+        mod, lift = p ** k, p ** (k + 2)
+        for prefix in product(range(mod), repeat=d - 1):
+            vec = prefix + (-sum(prefix) % mod,)
+            assert psi_chain(vec, d, p, k) == block_chain(vec, d, p, k), (vec, p, k)
+            lifted = [x + mod * rng.randrange(p * p) for x in prefix]
+            lifted.append(-sum(lifted) % lift)
+            datum = make_orbit_datum(d, p, k, lifted)
+            assert datum.chain == block_chain(datum.eigenvalues, d, p, k), (lifted, p, k)
 
 
 def test_orbit_dimension_examples():
