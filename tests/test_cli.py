@@ -250,11 +250,17 @@ def test_euler_rejection_messages(capsys, argv, code, message):
         (["euler", "--prime-bound", "10", "--s-grid", "nan"],
          "invalid parameters: every local factor diverges at s <= 1"),
         (["alt", "--kmax", "5", "--s", "nan"], "invalid parameters: s must be positive"),
+        # kmax < 5 computes no row, so s is checked before the sweep
+        (["alt", "--kmax", "4", "--s", "nan"], "invalid parameters: s must be positive"),
+        (["alt", "--kmax", "4", "--s=-1"], "invalid parameters: s must be positive"),
     ],
-    ids=["local-sl2", "euler", "alt"],
+    ids=["local-sl2", "euler", "alt", "alt-no-row-nan", "alt-no-row-negative"],
 )
 def test_nan_exponent_rejected(capsys, argv, message):
-    """NaN fails every comparison, so it passes no s > 1 or s > 0 check and exits 2."""
+    """NaN fails every comparison, so it passes no s > 1 or s > 0 check and exits 2.
+
+    A negative s exits 2 with the same message.
+    """
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n"

@@ -8,6 +8,7 @@ PACKAGE = ROOT / "src" / "repzeta"
 README = ROOT / "README.md"
 ROW = re.compile(r"^\s*\| `(\w+)\.(\w+_BUDGET)` \| ([^|]+?) \|", re.MULTILINE)
 FIXED = re.compile(r"`(\w+)\.([A-Z_]+)` \(([^)]+)\)")
+NAMED_TEST = re.compile(r"`tests/(test_\w+\.py)::(test_\w+)`")
 
 
 def _readme_value(text):
@@ -50,6 +51,25 @@ def test_readme_fixed_parameters_match_constants():
     for module, name, value in stated:
         actual = getattr(importlib.import_module(f"repzeta.{module}"), name)
         assert actual == ast.literal_eval(value), (module, name)
+
+
+def test_readme_pairing_table_names_collected_tests():
+    """Every test the pairing table names is a top-level test function of a collected file.
+
+    pytest collects `test_*` functions of the `tests/test_*.py` files, so a
+    name that passes here is collected; one per row at least.
+    """
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Pairings\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("|")][2:]  # past the header
+    assert len(rows) == 8  # the section was parsed
+    for row in rows:
+        named = NAMED_TEST.findall(row.split(" | ")[2])
+        assert named, row
+        for filename, test in named:
+            tree = ast.parse((ROOT / "tests" / filename).read_text(encoding="utf-8"))
+            tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert test in tests, f"{filename}::{test}"
 
 
 def _unreferenced_in_src():

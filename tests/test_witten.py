@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from paper_checks import dyadic_block_sum
+from paper_checks import all_irreducible_types, dyadic_block_sum
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsys import build_root_datum, weyl_dimension
@@ -67,6 +67,13 @@ NAIVE_CASES = [
     # coroot rows with coefficient 2
     ("B", 3, 3000, 9),
     ("D", 4, 3000, 8),
+    # every type with a diagram involution: the walk counts one weight of each mirror pair twice
+    ("A", 4, 500, 9),
+    ("A", 5, 300, 6),
+    ("A", 6, 200, 4),
+    ("D", 5, 1000, 5),
+    ("D", 6, 500, 4),
+    ("E", 6, 3000, 3),  # the sigma-pair 27, 27* and the sigma-fixed 78
 ]
 
 
@@ -79,6 +86,20 @@ def test_enumeration_matches_naive_cube_oracle(series, rank, bound, cap):
     assert census.entries == naive_census(datum, bound, cap).entries
     # the walk works on a copy of rho_values, so the datum is unchanged and a second walk agrees
     assert enumerate_dimensions(datum, bound) == census
+
+
+@pytest.mark.parametrize(
+    "series,rank", all_irreducible_types(8), ids=[f"{s}{r}" for s, r in all_irreducible_types(8)]
+)
+def test_diagram_involution(series, rank):
+    datum = build_root_datum(series, rank)
+    sigma = witten._diagram_involution(datum)
+    assert sorted(sigma) == list(range(rank))
+    assert all(sigma[sigma[k]] == k for k in range(rank))
+    rows = set(datum.positive_roots)
+    assert {tuple(row[k] for k in sigma) for row in rows} == rows
+    identity = series in ("B", "C", "F", "G") or (series, rank) in {("A", 1), ("E", 7), ("E", 8)}
+    assert (sigma == tuple(range(rank))) == identity
 
 
 def test_partial_sum_against_direct_oracles():
@@ -144,24 +165,50 @@ def test_census_cumulative_counts():
     assert census.count_upto(3) == 3  # trivial + two copies of degree 3
 
 
+# the Dynkin-diagram involution of each type with one, as coordinate pairs (i, j), i < j;
+# named here rather than read from the walk, so the node count is independent of it
+DIAGRAM_PAIRS = {
+    "A": lambda r: [(i, r - 1 - i) for i in range(r // 2)],
+    "D": lambda r: [(r - 2, r - 1)],
+    "E": lambda r: [(0, 5), (2, 4)] if r == 6 else [],
+}
+
+
 def walked_nodes(datum, bound, cap):
     """Nodes of the census walk, counted over the cube a_i < cap of naive_census.
 
-    A weight is a node of the loop over coordinate pos for each pos at or
-    after its last nonzero coordinate (the loop over pos meets it with
-    coordinates pos+1.. at 0).
+    A prefix (a_0..a_pos) is a node of the loop over coordinate pos when its
+    zero-padded dimension is <= bound and it is not past its mirror: over
+    the pairs (i, j) with j <= pos, taken by increasing j, the first with
+    a_i != a_j has a_j < a_i.  A weight in the cube is such a prefix,
+    zero-padded, for each pos at or after its last nonzero coordinate (the
+    loop over pos meets it with coordinates pos+1.. at 0).
     """
+    pairs = sorted(DIAGRAM_PAIRS.get(datum.series, lambda r: [])(datum.rank), key=lambda p: p[1])
     nodes = 0
     for coeffs in product(range(cap), repeat=datum.rank):
-        if weyl_dimension(datum, coeffs) <= bound:
-            last_nonzero = max((i for i, a in enumerate(coeffs) if a), default=0)
-            nodes += datum.rank - last_nonzero
+        if weyl_dimension(datum, coeffs) > bound:
+            continue
+        last_nonzero = max((i for i, a in enumerate(coeffs) if a), default=0)
+        for pos in range(last_nonzero, datum.rank):
+            first = next(((i, j) for i, j in pairs if j <= pos and coeffs[i] != coeffs[j]), None)
+            if first is None or coeffs[first[1]] < coeffs[first[0]]:
+                nodes += 1
     return nodes
 
 
-@pytest.mark.parametrize(
-    "series,rank,bound,cap", [("A", 1, 500, 500), ("A", 2, 500, 31), ("B", 3, 3000, 9)]
-)
+BUDGET_CASES = [
+    ("A", 1, 500, 500),
+    ("A", 2, 500, 31),
+    ("B", 3, 3000, 9),
+    ("A", 3, 60, 6),
+    ("A", 4, 500, 9),
+    ("D", 4, 3000, 8),
+    ("E", 6, 3000, 3),
+]
+
+
+@pytest.mark.parametrize("series,rank,bound,cap", BUDGET_CASES)
 def test_node_budget_is_exact(monkeypatch, series, rank, bound, cap):
     datum = build_root_datum(series, rank)
     census = enumerate_dimensions(datum, bound)
@@ -171,4 +218,3 @@ def test_node_budget_is_exact(monkeypatch, series, rank, bound, cap):
     monkeypatch.setattr(witten, "NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceededError):
         enumerate_dimensions(datum, bound)
-
