@@ -300,7 +300,7 @@ def cmd_alt(args: argparse.Namespace) -> dict[str, Any]:
     if not args.s > 0:  # ak_zeta checks it too, but a kmax below 5 computes no row
         raise ValueError("s must be positive")
     table = Table(k=[], zeta=[], irreducibles=[], mass_ok=[])
-    for k, degrees in young_levels(args.kmax):  # raises past MAX_K before the first level
+    for k, degrees in young_levels(args.kmax):  # raises outside 1..MAX_K before the first level
         if k < 5:
             continue
         census = an_census(k, degrees)

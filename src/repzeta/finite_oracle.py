@@ -19,8 +19,13 @@ table walks.  A subspace on which a class matrix acts as a scalar lambda*I
 is kept as it is: its characteristic polynomial has the one root lambda,
 the kernel of the zero matrix is the whole subspace, and the rref of an
 echelon basis is that basis, so the split would return it unchanged.
-The resulting table is certified by the second orthogonality relation
-over F_l.
+Every basis the split keeps is therefore the identity at its pivot
+columns: the start space is the identity, `rref_mod_p` returns reduced
+echelon form, and a subspace kept whole is unchanged.  So the action
+matrix and the embedding of an eigenvector take dot products over the
+columns off the pivots only (`_through_pivots`), and the first split of
+the start space takes none.  The resulting table is certified by the
+second orthogonality relation over F_l.
 
 Elements are flat row-major tuples; the product of two 2x2 elements is
 one fused expression, and other sizes take the generic loop.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import prime_power
 from .census import DegreeCensus
@@ -332,6 +337,43 @@ def _class_row(
     return row
 
 
+def _through_pivots(
+    basis: list[list[int]], pivots: list[int], rows: dict[int, list[int]], ell: int
+) -> tuple[list[list[int]], Callable[[Sequence[int]], list[int]]]:
+    """The action matrix of a class matrix on a subspace, and the subspace's embedding.
+
+    `basis` is the identity at its pivot columns P (reduced-echelon form)
+    and `rows[p]` is row p of the class matrix M.  M stabilizes the
+    subspace, so the coordinates of M b_t in the basis are its entries at
+    the pivots: act[s][t] = rows[p_s] . b_t = rows[p_s][p_t] plus the sum
+    over the columns k outside P.  `embed(kvec)` is sum_t kvec[t] b_t,
+    whose entry at p_t is kvec[t]; only the columns outside P take a dot
+    product.  On the identity basis (P = every column) neither does any.
+    """
+    pivot_set = set(pivots)
+    off = [k for k in range(len(basis[0])) if k not in pivot_set]
+    off_rows = [[b[k] for k in off] for b in basis]
+    act = []
+    for p in pivots:
+        row = rows[p]
+        row_off = [row[k] for k in off]
+        act.append([
+            (row[q] + sum(map(operator.mul, row_off, b))) % ell
+            for q, b in zip(pivots, off_rows)
+        ])
+    off_columns = list(zip(*off_rows))
+
+    def embed(kvec: Sequence[int]) -> list[int]:
+        vec = [0] * len(basis[0])
+        for p, x in zip(pivots, kvec):
+            vec[p] = x
+        for k, col in zip(off, off_columns):
+            vec[k] = sum(map(operator.mul, kvec, col)) % ell
+        return vec
+
+    return act, embed
+
+
 def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     """Burnside-Dixon character degrees, exact.
 
@@ -340,7 +382,9 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
        its action matrix, read from the class-matrix rows at its pivot
        columns only (Schneider's refinement); an action matrix lambda*I
        keeps the subspace whole, which is exactly what the split returns
-       for it (one root, the whole kernel, the same echelon basis),
+       for it (one root, the whole kernel, the same echelon basis); every
+       kept basis is the identity at its pivots, so the action matrix and
+       each eigenvector's embedding multiply only the off-pivot columns,
     2. read each normalized eigenvector as the central character
        (omega_i = h_i chi(g_i)/d),
     3. recover d from d^2 = |G| / sum_i omega_i omega_{i*} / h_i, unique
@@ -374,29 +418,25 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
             if dim == 1:
                 new_subspaces.append((basis, pivots))
                 continue
-            # M_i stabilizes the subspace, so the coordinates of M_i b in the
-            # echelon basis are its entries at the pivots: act[s][t] = row(p_s) . b_t
             for p in pivots:
                 if p not in rows:
                     rows[p] = _class_row(group, classes, members, words, i, p, ell)
-            act = [[sum(map(operator.mul, rows[p], b)) % ell for b in basis] for p in pivots]
+            act, embed = _through_pivots(basis, pivots, rows, ell)
             lam = act[0][0]
             if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
                 # act = lam*I: the split below would return this subspace unchanged
                 new_subspaces.append((basis, pivots))
                 continue
             roots = poly_roots_mod_p(charpoly_mod_p(act, ell), ell)
-            basis_columns = list(zip(*basis))
             split_dim = 0
             for lam in roots:
                 shifted = [[(act[r][t] - (lam if r == t else 0)) % ell for t in range(dim)]
                            for r in range(dim)]
-                ambient = [
-                    [sum(map(operator.mul, kvec, col)) % ell for col in basis_columns]
-                    for kvec in kernel_mod_p(shifted, ell)
-                ]
+                ambient = [embed(kvec) for kvec in kernel_mod_p(shifted, ell)]
                 if not ambient:
                     continue
+                # the rref puts the new pivots on the leftmost classes, whose
+                # representatives have the shortest BFS words: cheap class rows
                 eig_basis, eig_pivots = rref_mod_p(ambient, ell)
                 if len(eig_basis) != len(ambient):
                     raise AssertionError("eigenspace basis degenerated")

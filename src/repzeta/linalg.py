@@ -178,15 +178,73 @@ def charpoly_mod_p(a: Sequence[Sequence[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over F_p, descending coefficients, den[0] != 0.
+
+    The remainder keeps its leading zeros: it has len(den) - 1 entries.
+    """
+    num = num[:]
+    inv = pow(den[0], -1, p)
+    tail = den[1:]
+    quot = []
+    for i in range(len(num) - len(tail)):
+        q = num[i] * inv % p
+        quot.append(q)
+        if q:
+            for j, d in enumerate(tail, i + 1):
+                num[j] = (num[j] - q * d) % p
+    return quot, num[len(quot):]
+
+
+def _squarefree_part(f: list[int], p: int) -> list[int]:
+    """f / gcd(f, f') over F_p, descending coefficients, 1 <= deg f < p."""
+    n = len(f) - 1
+    a, b = f, [c * (n - i) % p for i, c in enumerate(f[:-1])]
+    while b:
+        r = _poly_divmod(a, b, p)[1]
+        while r and not r[0]:
+            r.pop(0)
+        a, b = b, r
+    return _poly_divmod(f, a, p)[0]
+
+
 def poly_roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
-    """All roots in F_p of a polynomial given in ascending coefficients."""
+    """All roots in F_p of a polynomial given in ascending coefficients.
+
+    Returns them in ascending order, each once; the zero polynomial has
+    every x as a root.  When deg f < p, every multiplicity m of an
+    irreducible factor q of f is at most deg f < p, and q' is nonzero
+    (deg q < p), so q divides f' exactly m - 1 times.  Then f / gcd(f, f')
+    keeps each root of f exactly once, and its degree is the number of
+    distinct roots when f splits.  The scan evaluates that part at
+    x = 0, 1, ... by Horner's rule and divides out X - x at each root; it
+    stops when the part is constant, and reads the root of a linear part
+    as -b/a.  When deg f >= p the squarefree step is skipped, so the scan
+    divides out every power of X - x.
+    """
+    f = [c % p for c in reversed(coeffs)]
+    while f and not f[0]:
+        f.pop(0)
+    if not f:
+        return list(range(p))
+    if len(f) - 1 < p:
+        f = _squarefree_part(f, p)
     roots = []
-    for x in range(p):
+    x = 0
+    while len(f) > 2 and x < p:
         acc = 0
-        for c in reversed(coeffs):
+        for c in f:
             acc = (acc * x + c) % p
         if acc == 0:
             roots.append(x)
+            while True:
+                quot, rem = _poly_divmod(f, [1, -x % p], p)
+                if rem[0]:
+                    break
+                f = quot
+        x += 1
+    if len(f) == 2:
+        roots.append(-f[1] * pow(f[0], -1, p) % p)
     return roots
 
 

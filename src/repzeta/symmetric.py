@@ -26,10 +26,11 @@ def young_levels(kmax: int) -> Iterator[tuple[int, dict[Partition, int]]]:
 
     Level k + 1 adds a box to each addable row of each partition of k,
     so d_lam is the sum of d_mu over the mu = lam - box.  Each level is
-    checked against the mass identity sum(deg^2) = k!.  A kmax past MAX_K
-    raises ValueError at the first `next`, before any level is built.
+    checked against the mass identity sum(deg^2) = k!.  A kmax outside
+    1..MAX_K raises ValueError at the first `next`, before any level is
+    built.
     """
-    if kmax > MAX_K:
+    if not 1 <= kmax <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
     level: dict[Partition, int] = {(1,): 1}
     for k in range(1, kmax + 1):

@@ -147,6 +147,15 @@ def test_sample_counts_below_one_rejected(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_alt_kmax_below_one_rejected(capsys, kmax):
+    """young_levels checks 1 <= kmax <= MAX_K before it builds any level."""
+    assert main(["alt", "--kmax", kmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid parameters: k must be in 1..36\n"
+    assert captured.out == ""
+
+
 def test_exit_code_budget(capsys):
     code = main(["oracle", "--modulus", "125"])
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from repzeta.finite_oracle import (
     _identity,
     _inv,
     _mul,
+    _through_pivots,
     _to_rows,
     _word,
     abelianization_order,
@@ -24,7 +26,7 @@ from repzeta.finite_oracle import (
     group_exponent,
     sl2_group,
 )
-from repzeta.linalg import mat_mul_mod
+from repzeta.linalg import mat_mul_mod, rref_mod_p
 from repzeta.local_sl2 import level_census, sl2_local_factor
 from tuple_classes import tuple_conjugacy_classes, tuple_inverse
 
@@ -103,12 +105,14 @@ def test_class_count_floor():
 
 
 def test_dixon_degrees_match_formula(sl2_groups):
-    cases = ((3, (3, 1)), (9, (3, 2)), (5, (5, 1)), (25, (5, 2)), (49, (7, 2)))
+    cases = ((3, (3, 1)), (9, (3, 2)), (5, (5, 1)), (25, (5, 2)), (49, (7, 2)), (53, (53, 1)))
     for modulus, (q, k) in cases:
-        census = character_degrees(sl2_groups[modulus])
+        # SL2(Z/53), 148,824 elements, is built here and not kept for the session
+        group = sl2_groups[modulus] if modulus in sl2_groups else sl2_group(modulus)
+        census = character_degrees(group)
         assert census.entries == level_census(sl2_local_factor(q), k).entries
-        assert census.mass == sl2_groups[modulus].order
-        assert census.total_count == conjugacy_classes(sl2_groups[modulus]).count
+        assert census.mass == group.order
+        assert census.total_count == conjugacy_classes(group).count
 
 
 def test_dixon_degrees_match_formula_level3(sl2_z27):
@@ -157,6 +161,28 @@ def test_class_row_against_pair_count(make_group):
                     if k is not None:
                         counts[k] += 1
             assert _class_row(g, classes, members, words, i, j, ell) == [v % ell for v in counts]
+
+
+@pytest.mark.parametrize("ell", [73, 1093])
+def test_through_pivots_matches_full_products(ell):
+    """act and the embedding read through the identity columns equal the full dot products."""
+    rng = random.Random(ell)
+    for c in range(1, 13):
+        # the start space (P = every column), 1-dim subspaces and random ones
+        shapes = [([[int(i == j) for j in range(c)] for i in range(c)], list(range(c)))]
+        for d in (1, 1, rng.randint(1, c), rng.randint(1, c)):
+            basis, pivots = rref_mod_p([[rng.randrange(ell) for _ in range(c)] for _ in range(d)], ell)
+            if basis:
+                shapes.append((basis, pivots))
+        for basis, pivots in shapes:
+            rows = {p: [rng.randrange(ell) for _ in range(c)] for p in pivots}
+            act, embed = _through_pivots(basis, pivots, rows, ell)
+            assert act == [[sum(r * x for r, x in zip(rows[p], b)) % ell for b in basis]
+                           for p in pivots]
+            for _ in range(3):
+                kvec = [rng.randrange(ell) for _ in basis]
+                assert embed(kvec) == [sum(k * b[j] for k, b in zip(kvec, basis)) % ell
+                                       for j in range(c)]
 
 
 @pytest.mark.parametrize("bad_call", [0, 10, 40])

@@ -168,6 +168,77 @@ def test_poly_roots():
     assert poly_roots_mod_p([10, -7 % 13, 1], 13) == [2, 5]
 
 
+def scan_roots(coeffs, p):
+    """Oracle: evaluate the polynomial at every x in F_p at its full degree."""
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+    return roots
+
+
+def poly_from_roots(lead, roots, p):
+    """Ascending coefficients of lead * prod (X - r) over F_p."""
+    poly = [lead % p]
+    for r in roots:
+        poly = [(a - r * b) % p for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 73, 337, 1093])
+def test_poly_roots_match_full_scan(p):
+    """The squarefree scan returns the full scan's list on split, non-split,
+    non-monic, unreduced, zero and constant polynomials, and at degree >= p."""
+    rng = random.Random(p)
+    cases = [[], [0], [0, 0, 0], [5], [p], [3, 0, 0], [0, 1], [p - 1, 1]]
+    for _ in range(150):
+        # split, with repeated roots drawn from a few values, any leading coefficient
+        pool = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        roots = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+        split = poly_from_roots(rng.randrange(1, p), roots, p)
+        cases.append(split)
+        # times a random quadratic, irreducible or not, and with unreduced coefficients
+        cases.append(poly_mul(split, [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)], p))
+        cases.append([c + p * rng.randint(-2, 2) for c in split])
+        if p <= 13:  # degree >= p: the squarefree step is skipped
+            high = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+            cases.append(poly_from_roots(rng.randrange(1, p), high * (p // len(high) + 1), p))
+        # random coefficients with zero leading terms
+        cases.append([rng.randrange(p) for _ in range(rng.randint(0, 8))] + [0] * rng.randint(0, 2))
+    for coeffs in cases:
+        assert poly_roots_mod_p(coeffs, p) == scan_roots(coeffs, p), (coeffs, p)
+
+
+def test_poly_roots_match_full_scan_on_dixon_charpolys(monkeypatch):
+    """Every characteristic polynomial the Dixon split of SL2(Z/m), m <= 13, factors."""
+    import repzeta.finite_oracle as finite_oracle
+
+    seen = []
+
+    def record(coeffs, p):
+        seen.append((list(coeffs), p))
+        return poly_roots_mod_p(coeffs, p)
+
+    monkeypatch.setattr(finite_oracle, "poly_roots_mod_p", record)
+    for m in range(2, 14):
+        finite_oracle.character_degrees(finite_oracle.sl2_group(m))
+    assert len(seen) > 50
+    assert max(len(coeffs) for coeffs, _ in seen) > 10
+    for coeffs, p in seen:
+        assert poly_roots_mod_p(coeffs, p) == scan_roots(coeffs, p), (coeffs, p)
+
+
 def columns(rows):
     return [list(col) for col in zip(*rows)]
 

@@ -53,7 +53,9 @@ def test_sweep_degrees_match_hook_lengths():
     for k, degrees in young_levels(30):
         assert degrees == {lam: deg for lam, deg, _ in build_partition_table(k).items}, k
     assert [k for k, _ in young_levels(4)] == [1, 2, 3, 4]
-    assert list(young_levels(0)) == []
+    for kmax in (0, -3, MAX_K + 1):
+        with pytest.raises(ValueError, match=f"1..{MAX_K}"):
+            next(young_levels(kmax))
 
 
 def test_an_census_matches_conjugate_pairing():
