@@ -7,10 +7,14 @@ class); character degrees come from the Burnside-Dixon algorithm run
 modulo a prime l = 1 (mod exponent(G)) with l > 2*sqrt(|G|), so every
 step is exact integer arithmetic.
 
-Only the BFS multiplies elements.  It keeps each element's index, the
-index of each element times each generator (the right tables) and its
-tree (parent and generator step), so conjugation tables and class-matrix
-rows are read from those tables by index.
+Only the BFS multiplies elements.  It keeps the index of each element
+times each generator (the right tables) and its tree (parent and
+generator step), so conjugation tables, class-matrix rows, element
+orders and inverses are read from those tables by index: a generator's
+inverse is the element the generator's right table sends to the
+identity, and a class representative's powers are walked along its BFS
+word through the right tables until they reach the identity, which
+gives its order and, one step before, its inverse.
 
 The eigenspace split never builds a full class matrix (Schneider's
 refinement): a subspace kept in reduced-echelon form is acted on through
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import prime_power
 from .census import DegreeCensus
@@ -86,10 +90,6 @@ def _mul(a: Flat, b: Flat, n: int, m: int) -> Flat:
 
 
 def _inv(a: Flat, n: int, m: int) -> Flat:
-    if n == 2:
-        a0, a1, a2, a3 = a
-        dinv = pow((a0 * a3 - a1 * a2) % m, -1, m)  # raises ValueError when det is not a unit
-        return (a3 * dinv % m, -a1 * dinv % m, -a2 * dinv % m, a0 * dinv % m)
     return _to_flat(mat_inv_mod(_to_rows(a, n), m), m)
 
 
@@ -97,63 +97,37 @@ def _identity(n: int) -> Flat:
     return tuple(1 if i % (n + 1) == 0 else 0 for i in range(n * n))
 
 
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(NamedTuple):
     """Fully enumerated matrix group over Z/m, elements in BFS order.
 
-    `index` maps each element to its position in `elements`; `right[s][k]`
-    is the index of elements[k] * generators[s]; for k >= 1,
+    `right[s][k]` is the index of elements[k] * generators[s]; for k >= 1,
     elements[k] = elements[parent[k]] * generators[step[k]].
     """
 
-    __slots__ = ("modulus", "n", "generators", "elements", "index", "right", "parent", "step")
-
-    def __init__(
-        self,
-        modulus: int,
-        n: int,
-        generators: tuple[Flat, ...],
-        elements: tuple[Flat, ...],
-        index: dict[Flat, int],
-        right: tuple[list[int], ...],
-        parent: list[int],
-        step: list[int],
-    ) -> None:
-        self.modulus = modulus
-        self.n = n
-        self.generators = generators
-        self.elements = elements
-        self.index = index
-        self.right = right
-        self.parent = parent
-        self.step = step
+    modulus: int
+    n: int
+    generators: tuple[Flat, ...]
+    elements: tuple[Flat, ...]
+    right: tuple[list[int], ...]
+    parent: list[int]
+    step: list[int]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-class ClassData:
-    """Conjugacy classes: representatives (BFS order), sizes, count.
+class ClassData(NamedTuple):
+    """Conjugacy classes: sizes and count, representatives in BFS order.
 
     `class_ids[k]` is the class of element index k, and `rep_indices[j]`
-    the element index of representatives[j].
+    the element index of class j's representative.
     """
 
-    __slots__ = ("representatives", "sizes", "count", "class_ids", "rep_indices")
-
-    def __init__(
-        self,
-        representatives: tuple[Flat, ...],
-        sizes: tuple[int, ...],
-        count: int,
-        class_ids: list[int],
-        rep_indices: tuple[int, ...],
-    ) -> None:
-        self.representatives = representatives
-        self.sizes = sizes
-        self.count = count
-        self.class_ids = class_ids
-        self.rep_indices = rep_indices
+    sizes: tuple[int, ...]
+    count: int
+    class_ids: list[int]
+    rep_indices: tuple[int, ...]
 
 
 def generate_group(
@@ -200,7 +174,6 @@ def generate_group(
         n=n,
         generators=tuple(gens),
         elements=tuple(queue),
-        index=index,
         right=tuple(products[s::r] for s in range(r)),
         parent=parent,
         step=step,
@@ -226,19 +199,37 @@ def _word(group: FiniteMatrixGroup, k: int) -> list[int]:
     return word
 
 
+def _order_and_inverse(group: FiniteMatrixGroup, k: int, word: list[int]) -> tuple[int, int]:
+    """The order of elements[k] and the index of its inverse, from the right tables.
+
+    `word` is k's BFS word, so walking an index along it through the right
+    tables multiplies by elements[k]: from k the walk visits the powers
+    x, x^2, ... and stops at the identity (index 0); the power before it
+    is x^-1.
+    """
+    right = group.right
+    order, prev, cur = 1, 0, k
+    while cur:
+        prev = cur
+        for s in word:
+            cur = right[s][cur]
+        order += 1
+    return order, prev
+
+
 def _conjugation_tables(group: FiniteMatrixGroup) -> list[list[int]]:
     """tables[s][k] is the index of g_s^-1 e_k g_s.
 
     The table of left multiplication by g^-1 follows the BFS tree,
-    g^-1 e_k = (g^-1 e_parent[k]) g_step[k], and conjugation by g is that
-    table followed by g's right table.
+    g^-1 e_k = (g^-1 e_parent[k]) g_step[k], from g^-1, the element g's
+    right table sends to the identity; conjugation by g is that table
+    followed by g's right table.
     """
-    n, m = group.n, group.modulus
-    right, index = group.right, group.index
+    right = group.right
     links = list(zip(group.parent, group.step))[1:]
     tables = []
-    for g, row in zip(group.generators, right):
-        left = [index[_inv(g, n, m)]]
+    for row in right:
+        left = [row.index(0)]
         for p, s in links:
             left.append(right[s][left[p]])
         tables.append(list(map(row.__getitem__, left)))
@@ -274,30 +265,11 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ClassData:
     if sum(sizes) != group.order:
         raise AssertionError("class sizes do not sum to the group order")
     return ClassData(
-        representatives=tuple(group.elements[k] for k in reps),
         sizes=tuple(sizes),
         count=len(reps),
         class_ids=class_ids,
         rep_indices=tuple(reps),
     )
-
-
-def element_order(group: FiniteMatrixGroup, x: Flat) -> int:
-    ident = _identity(group.n)
-    y = x
-    k = 1
-    while y != ident:
-        y = _mul(y, x, group.n, group.modulus)
-        k += 1
-    return k
-
-
-def group_exponent(group: FiniteMatrixGroup, classes: ClassData) -> int:
-    """lcm of element orders; order is a class function, so reps suffice."""
-    e = 1
-    for rep in classes.representatives:
-        e = math.lcm(e, element_order(group, rep))
-    return e
 
 
 def dixon_prime(order: int, exponent: int) -> int:
@@ -396,13 +368,13 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     if c > CLASS_BUDGET:
         raise BudgetExceededError(f"{c} conjugacy classes exceed the Dixon budget {CLASS_BUDGET}")
     order = group.order
-    exponent = group_exponent(group, classes)
-    ell = dixon_prime(order, exponent)
-
     members: list[list[int]] = [[] for _ in range(c)]
     for k, cid in enumerate(classes.class_ids):
         members[cid].append(k)
     words = [_word(group, k) for k in classes.rep_indices]
+    # order is a class function, so the representatives' orders give the exponent
+    walks = [_order_and_inverse(group, k, w) for k, w in zip(classes.rep_indices, words)]
+    ell = dixon_prime(order, math.lcm(*(o for o, _ in walks)))
 
     # split subspaces; each is (reduced-echelon basis rows, pivot columns)
     start = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
@@ -448,10 +420,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     if any(len(b) != 1 for b, _ in subspaces):
         raise AssertionError("class algebra did not split into 1-dim eigenspaces")
 
-    inverse_class = [
-        classes.class_ids[group.index[_inv(rep, group.n, group.modulus)]]
-        for rep in classes.representatives
-    ]
+    inverse_class = [classes.class_ids[inv] for _, inv in walks]
     h_inv = [pow(h % ell, -1, ell) for h in classes.sizes]
     degrees: list[int] = []
     table: list[list[int]] = []  # chi(g_i) = d omega_i / h_i, mod l

@@ -17,24 +17,15 @@ from typing import Sequence
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
-_VALID_RANKS = {
-    "A": lambda r: r >= 1,
-    "B": lambda r: r >= 2,
-    "C": lambda r: r >= 3,
-    "D": lambda r: r >= 4,
-    "E": lambda r: r in (6, 7, 8),
-    "F": lambda r: r == 4,
-    "G": lambda r: r == 2,
-}
-
-_RANK_RULE = {
-    "A": "rank >= 1",
-    "B": "rank >= 2",
-    "C": "rank >= 3",
-    "D": "rank >= 4",
-    "E": "rank in {6, 7, 8}",
-    "F": "rank == 4",
-    "G": "rank == 2",
+# series -> (valid rank?, the rule as the error message states it)
+_RANKS = {
+    "A": (lambda r: r >= 1, "rank >= 1"),
+    "B": (lambda r: r >= 2, "rank >= 2"),
+    "C": (lambda r: r >= 3, "rank >= 3"),
+    "D": (lambda r: r >= 4, "rank >= 4"),
+    "E": (lambda r: r in (6, 7, 8), "rank in {6, 7, 8}"),
+    "F": (lambda r: r == 4, "rank == 4"),
+    "G": (lambda r: r == 2, "rank == 2"),
 }
 
 
@@ -165,8 +156,9 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     """Construct the root datum for (series, rank); rejects invalid pairs."""
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
-    if not isinstance(rank, int) or not _VALID_RANKS[series](rank):
-        raise ValueError(f"invalid rank {rank} for series {series}: need {_RANK_RULE[series]}")
+    valid, rule = _RANKS[series]
+    if not isinstance(rank, int) or not valid(rank):
+        raise ValueError(f"invalid rank {rank} for series {series}: need {rule}")
 
     cartan = cartan_matrix(series, rank)
     # coroots of Phi = roots of the dual system (transposed Cartan matrix)

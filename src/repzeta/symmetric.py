@@ -90,17 +90,15 @@ def an_degrees(k: int) -> DegreeCensus:
     return an_census(k, degrees)
 
 
-def ak_zeta(k: int, s: float, census: DegreeCensus | None = None) -> float:
+def ak_zeta(k: int, s: float, census: DegreeCensus) -> float:
     """Finite zeta value of A_k at s; only simple k >= 5 on the trend API.
 
-    `census` is `an_degrees(k)`, for a caller that has computed it already.
+    `census` is the degree census of A_k, `an_census` of a sweep's level k.
     """
     if k < 5:
         raise ValueError("the trend API needs k >= 5 (simple alternating groups)")
     if not s > 0:  # also rejects NaN
         raise ValueError("s must be positive")
-    if census is None:
-        census = an_degrees(k)
     return census.zeta(s)
 
 

@@ -191,7 +191,7 @@ def test_c9_alternating_masses_and_rbound():
 
 def test_c9_alternating_trend_monotone():
     with Criterion("C9b alternating zeta strictly decreasing on 8..30", 30.0):
-        values = [ak_zeta(k, 1.0) for k in range(8, 31)]
+        values = [ak_zeta(k, 1.0, an_degrees(k)) for k in range(8, 31)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -203,7 +203,7 @@ def test_c9_alternating_trend_endpoint():
     The assertion is kept at the stated tolerance and fails honestly.
     """
     with Criterion("C9c alternating zeta endpoint Z_A30(1) < 1.01", 30.0):
-        value = ak_zeta(30, 1.0)
+        value = ak_zeta(30, 1.0, an_degrees(30))
         assert value < 1.01, (
             f"Z_A30(1) = {value:.6f}; the degree-29 standard representation "
             "already contributes 1/29 = 0.0345, so the 1.01 threshold cannot hold"

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -15,6 +14,7 @@ from repzeta.finite_oracle import (
     _identity,
     _inv,
     _mul,
+    _order_and_inverse,
     _through_pivots,
     _to_rows,
     _word,
@@ -23,12 +23,11 @@ from repzeta.finite_oracle import (
     conjugacy_classes,
     dixon_prime,
     generate_group,
-    group_exponent,
     sl2_group,
 )
 from repzeta.linalg import mat_mul_mod, rref_mod_p
 from repzeta.local_sl2 import level_census, sl2_local_factor
-from tuple_classes import tuple_conjugacy_classes, tuple_inverse
+from tuple_classes import tuple_conjugacy_classes, tuple_inverse, tuple_order_and_inverse
 
 
 def sl_order(p, k):
@@ -148,10 +147,11 @@ def test_class_row_against_pair_count(make_group):
     n, m = g.n, g.modulus
     classes = conjugacy_classes(g)
     c = classes.count
-    ell = dixon_prime(g.order, group_exponent(g, classes))
+    exponent = math.lcm(*(tuple_order_and_inverse(x, n, m)[0] for x in g.elements))
+    ell = dixon_prime(g.order, exponent)
     members = [[k for k in range(g.order) if classes.class_ids[k] == i] for i in range(c)]
     words = [_word(g, k) for k in classes.rep_indices]
-    rep_index = {rep: k for k, rep in enumerate(classes.representatives)}
+    rep_index = {g.elements[k]: j for j, k in enumerate(classes.rep_indices)}
     for i in range(c):
         for j in range(c):
             counts = [0] * c
@@ -257,7 +257,6 @@ def test_indexed_classes_match_tuple_sweep(oracle_group):
     g = oracle_group
     classes = conjugacy_classes(g)
     reps, sizes, class_of = tuple_conjugacy_classes(g)
-    assert list(classes.representatives) == reps
     assert list(classes.sizes) == sizes
     assert classes.count == len(reps)
     assert dict(zip(g.elements, classes.class_ids)) == class_of
@@ -265,12 +264,19 @@ def test_indexed_classes_match_tuple_sweep(oracle_group):
     assert [g.elements[k] for k in classes.rep_indices] == reps
 
 
+def _index(g):
+    """Each element's position in the BFS order, built test-side."""
+    index = {x: k for k, x in enumerate(g.elements)}
+    assert len(index) == g.order  # the elements are distinct
+    return index
+
+
 def test_right_tables_match_products(oracle_group):
     g = oracle_group
-    assert g.index == {x: k for k, x in enumerate(g.elements)}
+    index = _index(g)
     assert len(g.right) == len(g.generators)
     for gen, row in zip(g.generators, g.right):
-        assert row == [g.index[_mul(x, gen, g.n, g.modulus)] for x in g.elements]
+        assert row == [index[_mul(x, gen, g.n, g.modulus)] for x in g.elements]
 
 
 def test_bfs_tree_rebuilds_every_element(oracle_group):
@@ -289,26 +295,45 @@ def test_bfs_tree_rebuilds_every_element(oracle_group):
 
 def test_conjugation_tables_are_permutations(oracle_group):
     g = oracle_group
+    index = _index(g)
     tables = _conjugation_tables(g)
     assert len(tables) == len(g.generators)
     for gen, table in zip(g.generators, tables):
         assert sorted(table) == list(range(g.order))
         ginv = tuple_inverse(gen, g.n, g.modulus)
         conj = [_mul(_mul(ginv, x, g.n, g.modulus), gen, g.n, g.modulus) for x in g.elements]
-        assert table == [g.index[y] for y in conj]
+        assert table == [index[y] for y in conj]
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_fused_inverse_matches_mat_inv_mod(m):
-    """Every 2x2 matrix over Z/m: the fused inverse, or the same ValueError."""
-    for a in itertools.product(range(m), repeat=4):
-        if math.gcd(a[0] * a[3] - a[1] * a[2], m) == 1:
-            assert _inv(a, 2, m) == tuple_inverse(a, 2, m)
-        else:
-            with pytest.raises(ValueError):
-                tuple_inverse(a, 2, m)
-            with pytest.raises(ValueError):
-                _inv(a, 2, m)
+def test_walked_orders_and_inverses_match_tuple_powers(oracle_group):
+    """Each representative's order and inverse, walked through the right tables, against tuple powering."""
+    g = oracle_group
+    index = _index(g)
+    for k in conjugacy_classes(g).rep_indices:
+        order, inverse = tuple_order_and_inverse(g.elements[k], g.n, g.modulus)
+        assert _order_and_inverse(g, k, _word(g, k)) == (order, index[inverse])
+
+
+@pytest.mark.parametrize(
+    "make_group, degrees",
+    [
+        (lambda: sl2_group(9), ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 2))),
+        (heisenberg_group, ((1, 9), (3, 2))),
+        (sl3_f2, ((1, 1), (3, 2), (6, 1), (7, 1), (8, 1))),
+    ],
+    ids=["SL2(Z/9)", "Heis(F3)", "SL3(F2)"],
+)
+def test_no_element_arithmetic_after_the_bfs(monkeypatch, make_group, degrees):
+    """Classes and degrees read the BFS tables only: neither multiplies nor inverts an element."""
+    g = make_group()
+
+    def forbidden(*args):
+        raise AssertionError("element arithmetic after the BFS")
+
+    monkeypatch.setattr(finite_oracle, "_mul", forbidden)
+    monkeypatch.setattr(finite_oracle, "_inv", forbidden)
+    assert conjugacy_classes(g).count == sum(count for _, count in degrees)
+    assert character_degrees(g).entries == degrees
 
 
 def test_degree_one_count_is_abelianization(sl2_groups):

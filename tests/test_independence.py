@@ -9,7 +9,8 @@ graph of `src/repzeta`, built with `ast`, so nothing is imported.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repzeta"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "repzeta"
 
 FORMULA = {"witten", "rootsys", "local_sl2", "symmetric", "euler_global"}
 ORACLE = {"finite_oracle", "linalg", "isotropic_census"}
@@ -117,3 +118,16 @@ def test_orbit_dimension_names_no_linalg_function():
         assert not names & linalg, name
         todo.extend(names & set(functions))
     assert {"psi_chain", "_stage"} <= seen
+
+
+def test_tuple_oracle_names_no_finite_oracle_kernel():
+    """tests/tuple_classes.py checks finite_oracle's tables with its own product and inverse."""
+    tree = ast.parse((TESTS / "tuple_classes.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "repzeta.finite_oracle"
+        for alias in node.names
+    }
+    assert "FiniteMatrixGroup" in imported  # the scan sees the import
+    assert not {"_mul", "_inv"} & (imported | _names(tree))

@@ -15,6 +15,17 @@ def test_rejects_invalid_pairs():
             build_root_datum(series, rank)
 
 
+@pytest.mark.parametrize(
+    "series, rank, rule",
+    [("A", 0, "rank >= 1"), ("B", 1, "rank >= 2"), ("C", 2, "rank >= 3"), ("D", 3, "rank >= 4"),
+     ("E", 5, "rank in {6, 7, 8}"), ("F", 3, "rank == 4"), ("G", 3, "rank == 2")],
+)
+def test_invalid_rank_message(series, rank, rule):
+    with pytest.raises(ValueError) as excinfo:
+        build_root_datum(series, rank)
+    assert str(excinfo.value) == f"invalid rank {rank} for series {series}: need {rule}"
+
+
 def test_a1_basics():
     d = build_root_datum("A", 1)
     assert (d.rank, d.kappa, d.coxeter_number) == (1, 1, 2)

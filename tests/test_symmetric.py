@@ -83,17 +83,17 @@ def test_an_count_identity():
 
 
 def test_ak_zeta_values_and_preconditions():
-    assert ak_zeta(5, 1.0) == pytest.approx(1 + 2 / 3 + 1 / 4 + 1 / 5)
-    assert ak_zeta(12, 50.0) == pytest.approx(1.0, abs=1e-9)
-    assert ak_zeta(12, 1.0) < ak_zeta(6, 1.0)
+    assert ak_zeta(5, 1.0, an_degrees(5)) == pytest.approx(1 + 2 / 3 + 1 / 4 + 1 / 5)
+    assert ak_zeta(12, 50.0, an_degrees(12)) == pytest.approx(1.0, abs=1e-9)
+    assert ak_zeta(12, 1.0, an_degrees(12)) < ak_zeta(6, 1.0, an_degrees(6))
     with pytest.raises(ValueError):
-        ak_zeta(4, 1.0)
+        ak_zeta(4, 1.0, an_degrees(4))
     with pytest.raises(ValueError):
-        ak_zeta(6, 0.0)
+        ak_zeta(6, 0.0, an_degrees(6))
 
 
 def test_trend_toward_one():
-    values = [ak_zeta(k, 1.0) for k in range(8, 31)]
+    values = [ak_zeta(k, 1.0, an_degrees(k)) for k in range(8, 31)]
     assert all(a > b for a, b in zip(values, values[1:]))
     # frozen value: 1 + 1/29 + 1/405 + 1/406 + smaller terms
     assert values[-1] == pytest.approx(1.0402730951, abs=1e-8)

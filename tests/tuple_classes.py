@@ -1,20 +1,41 @@
 """The tuple-product oracle for the conjugacy classes of a finite matrix group.
 
-Independent of `repzeta.finite_oracle`'s index tables: the orbit sweep
-conjugates the element tuples themselves, g^-1 * x * g with two tuple
-products per step and the inverse from `linalg.mat_inv_mod`, in the
-order the indexed sweep must reproduce (elements in BFS order, each
-orbit grown breadth-first over the generators in order).
+Independent of `repzeta.finite_oracle`'s index tables and of its
+kernels: elements are multiplied by this module's own plain product, an
+element's inverse is its last power before the identity, and the orbit
+sweep conjugates the element tuples themselves, g^-1 * x * g with two
+tuple products per step, in the order the indexed sweep must reproduce
+(elements in BFS order, each orbit grown breadth-first over the
+generators in order).
 """
 
 from __future__ import annotations
 
-from repzeta.finite_oracle import FiniteMatrixGroup, Flat, _mul, _to_flat, _to_rows
-from repzeta.linalg import mat_inv_mod
+from repzeta.finite_oracle import FiniteMatrixGroup, Flat
+
+
+def tuple_product(a: Flat, b: Flat, n: int, m: int) -> Flat:
+    """The row-major product of two n x n matrices over Z/m."""
+    return tuple(
+        sum(a[i * n + k] * b[k * n + j] for k in range(n)) % m
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def tuple_order_and_inverse(a: Flat, n: int, m: int) -> tuple[int, Flat]:
+    """(order of a, a^-1) by powering a until it reaches the identity."""
+    ident = tuple(int(i % (n + 1) == 0) for i in range(n * n))
+    order, prev, cur = 1, ident, a
+    while cur != ident:
+        prev = cur
+        cur = tuple_product(cur, a, n, m)
+        order += 1
+    return order, prev
 
 
 def tuple_inverse(a: Flat, n: int, m: int) -> Flat:
-    return _to_flat(mat_inv_mod(_to_rows(a, n), m), m)
+    return tuple_order_and_inverse(a, n, m)[1]
 
 
 def tuple_conjugacy_classes(
@@ -38,7 +59,7 @@ def tuple_conjugacy_classes(
             y = orbit[head]
             head += 1
             for g, ginv in gen_pairs:
-                z = _mul(_mul(ginv, y, n, m), g, n, m)
+                z = tuple_product(tuple_product(ginv, y, n, m), g, n, m)
                 if z not in class_of:
                     class_of[z] = cid
                     orbit.append(z)
