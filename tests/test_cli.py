@@ -1,12 +1,14 @@
+import ast
 import contextlib
 import copy
 import csv
+import inspect
 import io
 import json
 import math
 import subprocess
 import sys
-from argparse import Namespace
+from argparse import Namespace, _SubParsersAction
 from pathlib import Path
 from unittest import mock
 
@@ -566,6 +568,73 @@ def test_csv_metadata_to_stderr_without_out(capsys):
     assert meta["command"] == "witten"
     assert meta["result"]["total_count"] == 5
     assert "table" not in meta["result"]
+
+
+def test_rebound_handler_runs_through_the_cached_parser(capsys, monkeypatch):
+    """A `cmd_*` rebound after the parser is built is the one that runs, as a tracer needs."""
+    argv = ["oracle", "--modulus", "3"]
+    code, plain = run_cli(capsys, argv)  # builds and caches the parser
+    assert code == 0
+    assert cli.build_parser() is cli.build_parser()
+    original, calls = cli.cmd_oracle, []
+
+    def recording(args):
+        calls.append(args.modulus)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_oracle", recording)
+    code, wrapped = run_cli(capsys, argv)
+    assert code == 0
+    assert calls == [3]
+    assert _drop_wall_time(wrapped) == _drop_wall_time(plain)
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, _SubParsersAction)]
+    return set(action.choices)
+
+
+def _handler_table():
+    """`_handler`'s dict literal, read from its source: subcommand -> name of its `cmd_*`."""
+    tree = ast.parse(inspect.getsource(cli._handler))
+    (table,) = [node for node in ast.walk(tree) if isinstance(node, ast.Dict)]
+    return {key.value: value.id for key, value in zip(table.keys, table.values, strict=True)}
+
+
+def test_dispatch_covers_every_subcommand_and_handler():
+    table = _handler_table()
+    assert set(table) == _subcommands(cli.build_parser())
+    handlers = {name for name, obj in vars(cli).items()
+                if name.startswith("cmd_") and inspect.isfunction(obj)}
+    assert sorted(table.values()) == sorted(handlers)  # each handler once
+    for command, name in table.items():
+        assert cli._handler(command) is getattr(cli, name)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+def test_help_text_repeats_in_one_process(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: repzeta")
+
+
+@pytest.mark.parametrize(
+    "argv,grid",
+    [(["local-sl2", "--q", "3", "--level", "2"], [2.0, 2.5, 3.0]),
+     (["euler", "--prime-bound", "100"], [2.5])],
+)
+def test_default_grids_are_immutable_and_repeat(capsys, argv, grid):
+    """The cached parser hands every call the same default grid, so it is a tuple."""
+    _, first = run_cli(capsys, argv)
+    _, second = run_cli(capsys, argv)
+    assert _drop_wall_time(first) == _drop_wall_time(second)
+    assert json.loads(first)["config"]["s_grid"] == grid
+    assert cli.build_parser().parse_args(argv).s_grid == tuple(grid)
 
 
 def _round12(value):
