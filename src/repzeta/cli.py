@@ -44,7 +44,7 @@ from .local_sl2 import (
 )
 from .orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
 from .rootsys import build_root_datum
-from .symmetric import ak_zeta, an_census, young_levels
+from .symmetric import an_census, young_levels
 from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
 
 SAMPLE_BUDGET = 20_000  # orbit samples per run
@@ -302,15 +302,15 @@ def cmd_census8(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_alt(args: argparse.Namespace) -> dict[str, Any]:
-    if not args.s > 0:  # ak_zeta checks it too, but a kmax below 5 computes no row
+    if not args.s > 0:  # also rejects NaN, even when a kmax below 5 computes no row
         raise ValueError("s must be positive")
     table = Table(k=[], zeta=[], irreducibles=[], mass_ok=[])
     for k, degrees in young_levels(args.kmax):  # raises outside 1..MAX_K before the first level
-        if k < 5:
+        if k < 5:  # the trend starts at the first simple alternating group
             continue
         census = an_census(k, degrees)
         mass_ok = 2 * census.mass == math.factorial(k)
-        table.add_row(k, ak_zeta(k, args.s, census=census), census.total_count, mass_ok)
+        table.add_row(k, census.zeta(args.s), census.total_count, mass_ok)
     return {"s": args.s, "kmax": args.kmax, "table": table}
 
 

@@ -1,19 +1,21 @@
 """Brute-force ground truth for finite matrix groups over Z/m.
 
 generate_group enumerates the group by breadth-first closure from the
-identity; conjugacy classes come from generator-conjugation orbit sweeps
-(the orbit of an element under conjugation by the generators is its full
+identity, under GROUP_BUDGET; it is the only enumeration here, and
+abelianization_order closes each candidate commutator subgroup with it.
+Conjugacy classes come from generator-conjugation orbit sweeps (the
+orbit of an element under conjugation by the generators is its full
 class); character degrees come from the Burnside-Dixon algorithm run
 modulo a prime l = 1 (mod exponent(G)) with l > 2*sqrt(|G|), so every
 step is exact integer arithmetic.
 
-Only the BFS multiplies elements.  It keeps the index of each element
-times each generator (the right tables) and its tree (parent and
-generator step), so conjugation tables, class-matrix rows, element
-orders and inverses are read from those tables by index: a generator's
-inverse is the element the generator's right table sends to the
-identity, and a class representative's powers are walked along its BFS
-word through the right tables until they reach the identity, which
+On the Dixon path only the BFS multiplies elements.  It keeps the index
+of each element times each generator (the right tables) and its tree
+(parent and generator step), so conjugation tables, class-matrix rows,
+element orders and inverses are read from those tables by index: a
+generator's inverse is the element the generator's right table sends to
+the identity, and a class representative's powers are walked along its
+BFS word through the right tables until they reach the identity, which
 gives its order and, one step before, its inverse.
 
 The eigenspace split never builds a full class matrix (Schneider's
@@ -452,50 +454,33 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
             want = order // classes.sizes[i] % ell if i == j else 0
             if sum(map(operator.mul, columns[i], columns[inverse_class[j]])) % ell != want:
                 raise AssertionError("character table fails the second orthogonality relation")
-    pairs: dict[int, int] = {}
-    for d in degrees:
-        pairs[d] = pairs.get(d, 0) + 1
-    return DegreeCensus.from_pairs(pairs.items(), max(degrees))
+    return DegreeCensus.from_pairs(((d, 1) for d in degrees), max(degrees))
 
 
 def abelianization_order(group: FiniteMatrixGroup) -> int:
     """|G / [G,G]| via the normal closure of the generator commutators.
 
-    Cross-validates the Dixon output: the number of degree-1 characters
-    equals the abelianization order.
+    H = <N> is closed by `generate_group`, under its budget.  H is normal
+    once g^-1 h g lies in H for every h in N and every generator g of G:
+    conjugation by g then maps the finite H into, hence onto, itself.
+    Until then the conjugates outside H join N.  Cross-validates the
+    Dixon output: the number of degree-1 characters equals this order.
     """
     n, m = group.n, group.modulus
-    gens = list(group.generators)
-    comms = []
-    for a in gens:
-        for b in gens:
-            word = _mul(_mul(_inv(a, n, m), _inv(b, n, m), n, m), _mul(a, b, n, m), n, m)
-            comms.append(word)
-    normal_gens = list(dict.fromkeys(comms))
+    gens = group.generators
+    inverses = [_inv(g, n, m) for g in gens]
+    normal_gens = list(dict.fromkeys(
+        _mul(_mul(ai, bi, n, m), _mul(a, b, n, m), n, m)
+        for a, ai in zip(gens, inverses)
+        for b, bi in zip(gens, inverses)
+    ))
     while True:
-        # subgroup closure of the current generating set
-        ident = _identity(n)
-        seen = {ident}
-        queue = [ident]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            for g in normal_gens:
-                nxt = _mul(cur, g, n, m)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        # normality under the ambient generators
-        new = []
-        for g in gens:
-            ginv = _inv(g, n, m)
-            for x in list(seen):
-                conj = _mul(_mul(ginv, x, n, m), g, n, m)
-                if conj not in seen:
-                    new.append(conj)
+        closure = generate_group(m, n, [_to_rows(h, n) for h in normal_gens])
+        members = set(closure.elements)
+        new = [conj for g, gi in zip(gens, inverses) for h in normal_gens
+               if (conj := _mul(_mul(gi, h, n, m), g, n, m)) not in members]
         if not new:
-            if group.order % len(seen):
+            if group.order % closure.order:
                 raise AssertionError("commutator subgroup order does not divide |G|")
-            return group.order // len(seen)
+            return group.order // closure.order
         normal_gens.extend(dict.fromkeys(new))

@@ -4,9 +4,10 @@ A RootDatum stores, for each positive coroot, the row of its values on
 the fundamental weights.  Those rows are exactly the coefficients of the
 coroot in the simple-coroot basis, so they are enumerated by root-string
 closure on the dual Cartan matrix.  Everything downstream (the census
-walk in `witten`, the rank/kappa ratio) works from these integer rows
-alone.  `weyl_dimension` is the plain product formula on the same rows;
-only tests call it, as the oracle of the walk.
+walk in `witten`) works from these integer rows alone, and every datum
+built has r/kappa = 2/h, the Witten abscissa, checked exactly.
+`weyl_dimension` is the plain product formula on the same rows; only
+tests call it, as the oracle of the walk.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class RootDatum:
 
 
 def build_root_datum(series: str, rank: int) -> RootDatum:
-    """Construct the root datum for (series, rank); rejects invalid pairs."""
+    """The root datum of (series, rank); rejects invalid pairs, asserts r/kappa = 2/h."""
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
     valid, rule = _RANKS[series]
@@ -209,11 +210,3 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
     if num % den:
         raise AssertionError("Weyl dimension did not come out integral")
     return num // den
-
-
-def rank_kappa_ratio(datum: RootDatum) -> Fraction:
-    """r/kappa in lowest terms; always equals 2/h."""
-    ratio = Fraction(datum.rank, datum.kappa)
-    if ratio != Fraction(2, datum.coxeter_number):
-        raise AssertionError("r/kappa != 2/h")
-    return ratio

@@ -6,7 +6,8 @@ partitions of k - 1 it covers, so each level is built from the last with
 big-int additions only.  Alternating degrees follow the restriction
 rules: a conjugate pair of partitions contributes one irreducible of the
 shared degree, a self-conjugate partition splits into two of half the
-degree.
+degree.  An A_k census is read from level k of one sweep (`an_census`),
+and its zeta value is the census's own `DegreeCensus.zeta`.
 """
 
 from __future__ import annotations
@@ -79,27 +80,6 @@ def an_census(k: int, degrees: dict[Partition, int]) -> DegreeCensus:
     if 2 * census.mass != math.factorial(k):
         raise AssertionError("A_k mass identity failed")
     return census
-
-
-def an_degrees(k: int) -> DegreeCensus:
-    """Exact degree census of A_k, from the last level of a sweep to k."""
-    if k < 2:
-        raise ValueError("alternating census needs k >= 2")
-    for _, degrees in young_levels(k):
-        pass
-    return an_census(k, degrees)
-
-
-def ak_zeta(k: int, s: float, census: DegreeCensus) -> float:
-    """Finite zeta value of A_k at s; only simple k >= 5 on the trend API.
-
-    `census` is the degree census of A_k, `an_census` of a sweep's level k.
-    """
-    if k < 5:
-        raise ValueError("the trend API needs k >= 5 (simple alternating groups)")
-    if not s > 0:  # also rejects NaN
-        raise ValueError("s must be positive")
-    return census.zeta(s)
 
 
 def rbound_check(census: DegreeCensus, s: float) -> bool:

@@ -4,6 +4,7 @@ import pytest
 
 import repzeta
 from repzeta.finite_oracle import conjugacy_classes, sl2_group
+from repzeta.symmetric import an_census, young_levels
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,12 @@ def sl2_z27():
 @pytest.fixture(scope="session")
 def sl2_z27_classes(sl2_z27):
     return conjugacy_classes(sl2_z27)
+
+
+@pytest.fixture(scope="session")
+def an_censuses():
+    """The A_k censuses for k = 2..30, each read from its level of one branching sweep."""
+    return {k: an_census(k, degrees) for k, degrees in young_levels(30) if k >= 2}
 
 
 @pytest.fixture(scope="session")

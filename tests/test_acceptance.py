@@ -23,7 +23,7 @@ from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl
 from repzeta.local_sl2 import sl2_quotient_order
 from repzeta.orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
 from repzeta.rootsys import build_root_datum, group_dimension
-from repzeta.symmetric import ak_zeta, an_degrees, rbound_check
+from repzeta.symmetric import an_census, rbound_check, young_levels
 from repzeta.witten import abscissa_estimate, enumerate_dimensions
 
 
@@ -179,19 +179,19 @@ def test_c8_gamma_pipeline():
 
 def test_c9_alternating_masses_and_rbound():
     with Criterion("C9a alternating mass identities and R-bound", 30.0):
-        for k in range(1, 31):
+        for k, degrees in young_levels(30):
             assert sn_degrees(k).mass == math.factorial(k)
             if k >= 2:
-                assert 2 * an_degrees(k).mass == math.factorial(k)
-        for k in range(5, 21):
-            census = an_degrees(k)
-            for s in (0.5, 0.9):
-                assert rbound_check(census, s)
+                census = an_census(k, degrees)
+                assert 2 * census.mass == math.factorial(k)
+            if 5 <= k <= 20:
+                for s in (0.5, 0.9):
+                    assert rbound_check(census, s)
 
 
 def test_c9_alternating_trend_monotone():
     with Criterion("C9b alternating zeta strictly decreasing on 8..30", 30.0):
-        values = [ak_zeta(k, 1.0, an_degrees(k)) for k in range(8, 31)]
+        values = [an_census(k, degrees).zeta(1.0) for k, degrees in young_levels(30) if k >= 8]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -203,7 +203,8 @@ def test_c9_alternating_trend_endpoint():
     The assertion is kept at the stated tolerance and fails honestly.
     """
     with Criterion("C9c alternating zeta endpoint Z_A30(1) < 1.01", 30.0):
-        value = ak_zeta(30, 1.0, an_degrees(30))
+        *_, (k, degrees) = young_levels(30)
+        value = an_census(k, degrees).zeta(1.0)
         assert value < 1.01, (
             f"Z_A30(1) = {value:.6f}; the degree-29 standard representation "
             "already contributes 1/29 = 0.0345, so the 1.01 threshold cannot hold"

@@ -336,12 +336,19 @@ def test_no_element_arithmetic_after_the_bfs(monkeypatch, make_group, degrees):
     assert character_degrees(g).entries == degrees
 
 
-def test_degree_one_count_is_abelianization(sl2_groups):
-    for modulus in (3, 9, 5):
-        g = sl2_groups[modulus]
-        census = character_degrees(g)
-        ones = dict(census.entries).get(1, 0)
-        assert ones == abelianization_order(g)
+def test_degree_one_count_is_abelianization(oracle_group):
+    census = character_degrees(oracle_group)
+    assert dict(census.entries)[1] == abelianization_order(oracle_group)
+
+
+def test_abelianization_closure_is_budgeted(monkeypatch):
+    """Each commutator-subgroup closure runs under GROUP_BUDGET ([G,G] of SL2(Z/9) has 216)."""
+    group = sl2_group(9)
+    monkeypatch.setattr(finite_oracle, "GROUP_BUDGET", 216)
+    assert abelianization_order(group) == 648 // 216
+    monkeypatch.setattr(finite_oracle, "GROUP_BUDGET", 215)
+    with pytest.raises(BudgetExceededError):
+        abelianization_order(group)
 
 
 def test_dixon_class_budget(monkeypatch):

@@ -120,14 +120,29 @@ def test_orbit_dimension_names_no_linalg_function():
     assert {"psi_chain", "_stage"} <= seen
 
 
+def _imported_from(tree, module):
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names
+    }
+
+
 def test_tuple_oracle_names_no_finite_oracle_kernel():
     """tests/tuple_classes.py checks finite_oracle's tables with its own product and inverse."""
     tree = ast.parse((TESTS / "tuple_classes.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "repzeta.finite_oracle"
-        for alias in node.names
-    }
+    imported = _imported_from(tree, "repzeta.finite_oracle")
     assert "FiniteMatrixGroup" in imported  # the scan sees the import
     assert not {"_mul", "_inv"} & (imported | _names(tree))
+
+
+def test_hook_length_oracle_names_only_max_k_from_symmetric():
+    """tests/hook_lengths.py checks the branching sweep with its own partitions and hook degrees."""
+    tree = ast.parse((TESTS / "hook_lengths.py").read_text(encoding="utf-8"))
+    assert _imported_from(tree, "repzeta.symmetric") == {"MAX_K"}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(name.startswith("repzeta") for name in modules)
+    symmetric = set(_functions(_tree("symmetric")))
+    assert {"young_levels", "an_census"} <= symmetric  # the scan sees the sweep
+    assert not symmetric & _names(tree)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from paper_checks import all_irreducible_types, levi_subsystem
-from repzeta.rootsys import SERIES, build_root_datum, group_dimension, rank_kappa_ratio
+from repzeta.rootsys import SERIES, build_root_datum, group_dimension
 from repzeta.rootsys import weyl_dimension
 
 
@@ -29,25 +29,26 @@ def test_invalid_rank_message(series, rank, rule):
 def test_a1_basics():
     d = build_root_datum("A", 1)
     assert (d.rank, d.kappa, d.coxeter_number) == (1, 1, 2)
-    assert rank_kappa_ratio(d) == 1
+    assert Fraction(d.rank, d.kappa) == 1
 
 
 def test_a2_by_closure():
     d = build_root_datum("A", 2)
     assert d.kappa == 3 and d.coxeter_number == 3
-    assert rank_kappa_ratio(d) == Fraction(2, 3)
+    assert Fraction(d.rank, d.kappa) == Fraction(2, 3)
     assert set(d.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_e8_ratio():
     d = build_root_datum("E", 8)
     assert d.rank == 8 and d.kappa == 120
-    assert rank_kappa_ratio(d) == Fraction(1, 15)
+    assert Fraction(d.rank, d.kappa) == Fraction(1, 15)
 
 
 @pytest.mark.parametrize("series,rank,expected", [("C", 3, Fraction(1, 3)), ("G", 2, Fraction(1, 3))])
 def test_ratio_examples(series, rank, expected):
-    assert rank_kappa_ratio(build_root_datum(series, rank)) == expected
+    d = build_root_datum(series, rank)
+    assert Fraction(d.rank, d.kappa) == expected
 
 
 def test_all_types_invariants():

@@ -13,7 +13,7 @@ from hook_lengths import (
     sn_degrees,
 )
 from repzeta.census import DegreeCensus
-from repzeta.symmetric import MAX_K, ak_zeta, an_census, an_degrees, rbound_check, young_levels
+from repzeta.symmetric import MAX_K, rbound_check, young_levels
 
 
 def test_partition_enumeration_counts():
@@ -37,14 +37,10 @@ def test_sn_census_examples():
     assert sn_degrees(1).entries == ((1, 1),)
 
 
-def test_an_census_examples():
-    assert an_degrees(4).entries == ((1, 3), (3, 1))
-    assert an_degrees(5).entries == ((1, 1), (3, 2), (4, 1), (5, 1))
-    assert an_degrees(2).entries == ((1, 1),)
-    with pytest.raises(ValueError):
-        an_degrees(1)
-    with pytest.raises(ValueError, match=f"1..{MAX_K}"):
-        an_degrees(MAX_K + 1)
+def test_an_census_examples(an_censuses):
+    assert an_censuses[4].entries == ((1, 3), (3, 1))
+    assert an_censuses[5].entries == ((1, 1), (3, 2), (4, 1), (5, 1))
+    assert an_censuses[2].entries == ((1, 1),)
 
 
 def test_sweep_degrees_match_hook_lengths():
@@ -58,57 +54,49 @@ def test_sweep_degrees_match_hook_lengths():
             next(young_levels(kmax))
 
 
-def test_an_census_matches_conjugate_pairing():
+def test_an_census_matches_conjugate_pairing(an_censuses):
     for k in range(2, 31):
-        assert an_degrees(k) == an_degrees_by_pairing(k), k
-    # the same census read from a sweep's level as from an_degrees
-    for k, degrees in young_levels(12):
-        if k >= 2:
-            assert an_census(k, degrees) == an_degrees_by_pairing(k), k
+        assert an_censuses[k] == an_degrees_by_pairing(k), k
 
 
-def test_mass_identities_up_to_30():
+def test_mass_identities_up_to_30(an_censuses):
     for k in range(1, 31):
         assert sn_degrees(k).mass == math.factorial(k)
         if k >= 2:
-            assert 2 * an_degrees(k).mass == math.factorial(k)
+            assert 2 * an_censuses[k].mass == math.factorial(k)
 
 
-def test_an_count_identity():
+def test_an_count_identity(an_censuses):
     for k in range(2, 25):
         table = build_partition_table(k)
         selfconj = len(table.self_conjugate)
         pairs = (table.partition_count - selfconj) // 2
-        assert an_degrees(k).total_count == pairs + 2 * selfconj
+        assert an_censuses[k].total_count == pairs + 2 * selfconj
 
 
-def test_ak_zeta_values_and_preconditions():
-    assert ak_zeta(5, 1.0, an_degrees(5)) == pytest.approx(1 + 2 / 3 + 1 / 4 + 1 / 5)
-    assert ak_zeta(12, 50.0, an_degrees(12)) == pytest.approx(1.0, abs=1e-9)
-    assert ak_zeta(12, 1.0, an_degrees(12)) < ak_zeta(6, 1.0, an_degrees(6))
-    with pytest.raises(ValueError):
-        ak_zeta(4, 1.0, an_degrees(4))
-    with pytest.raises(ValueError):
-        ak_zeta(6, 0.0, an_degrees(6))
+def test_an_census_zeta_values(an_censuses):
+    assert an_censuses[5].zeta(1.0) == pytest.approx(1 + 2 / 3 + 1 / 4 + 1 / 5)
+    assert an_censuses[12].zeta(50.0) == pytest.approx(1.0, abs=1e-9)
+    assert an_censuses[12].zeta(1.0) < an_censuses[6].zeta(1.0)
 
 
-def test_trend_toward_one():
-    values = [ak_zeta(k, 1.0, an_degrees(k)) for k in range(8, 31)]
+def test_trend_toward_one(an_censuses):
+    values = [an_censuses[k].zeta(1.0) for k in range(8, 31)]
     assert all(a > b for a, b in zip(values, values[1:]))
     # frozen value: 1 + 1/29 + 1/405 + 1/406 + smaller terms
     assert values[-1] == pytest.approx(1.0402730951, abs=1e-8)
 
 
-def test_minimal_nontrivial_degree():
+def test_minimal_nontrivial_degree(an_censuses):
     for k in range(9, 31):
-        census = an_degrees(k)
+        census = an_censuses[k]
         nontrivial = [d for d, _ in census.entries if d > 1]
         assert min(nontrivial) == k - 1
 
 
-def test_rbound_check():
+def test_rbound_check(an_censuses):
     for k in (5, 10, 20):
-        census = an_degrees(k)
+        census = an_censuses[k]
         for s in (0.5, 0.9):
             assert rbound_check(census, s)
             # recompute both sides independently at every census degree
@@ -119,4 +107,4 @@ def test_rbound_check():
                 assert running <= c * deg ** s + 1.0 + 1e-9
     assert rbound_check(DegreeCensus(entries=((1, 1),), bound=1), 0.5)
     with pytest.raises(ValueError):
-        rbound_check(an_degrees(5), 1.0)
+        rbound_check(an_censuses[5], 1.0)
