@@ -34,7 +34,7 @@ the start space takes none.  The resulting table is certified by the
 second orthogonality relation over F_l.
 
 Elements are flat row-major tuples; the product of two 2x2 elements is
-one fused expression, and other sizes take the generic loop.
+one fused expression, and other sizes go through `linalg.mat_mul_mod`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .linalg import (
     det_int,
     kernel_mod_p,
     mat_inv_mod,
+    mat_mul_mod,
     poly_roots_mod_p,
     rref_mod_p,
 )
@@ -80,15 +81,7 @@ def _mul(a: Flat, b: Flat, n: int, m: int) -> Flat:
             (a2 * b0 + a3 * b2) % m,
             (a2 * b1 + a3 * b3) % m,
         )
-    out = []
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += a[base + k] * b[k * n + j]
-            out.append(s % m)
-    return tuple(out)
+    return _to_flat(mat_mul_mod(_to_rows(a, n), _to_rows(b, n), m), m)
 
 
 def _inv(a: Flat, n: int, m: int) -> Flat:
@@ -359,8 +352,9 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
        for it (one root, the whole kernel, the same echelon basis); every
        kept basis is the identity at its pivots, so the action matrix and
        each eigenvector's embedding multiply only the off-pivot columns,
-    2. read each normalized eigenvector as the central character
-       (omega_i = h_i chi(g_i)/d),
+    2. read each eigenvector as the central character
+       (omega_i = h_i chi(g_i)/d), already normalized: omega(1) = 1 puts
+       its rref pivot on the identity class 0, where rref makes it 1,
     3. recover d from d^2 = |G| / sum_i omega_i omega_{i*} / h_i, unique
        below sqrt(|G|) because l > 2*sqrt(|G|),
     4. certify the table by the second orthogonality relation over F_l.
@@ -428,11 +422,9 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     table: list[list[int]] = []  # chi(g_i) = d omega_i / h_i, mod l
     isq = math.isqrt(order)
     for basis, _ in subspaces:
-        v = basis[0]
-        if v[0] % ell == 0:
-            raise AssertionError("eigenvector vanishes on the identity class")
-        norm = pow(v[0], -1, ell)
-        omega = [(x * norm) % ell for x in v]
+        omega = basis[0]  # an rref row, or the trivial group's [1]
+        if omega[0] != 1:
+            raise AssertionError("eigenvector is not 1 on the identity class")
         total = 0
         for i in range(c):
             total = (total + omega[i] * omega[inverse_class[i]] % ell * h_inv[i]) % ell

@@ -9,7 +9,8 @@ of root subsystems of A_{d-1}
 The representation dimension attached to the pair (x, k) is
 q^(sum_i |Phi+ \\ Psi_i|); the independent check computes the index of the
 centralizer of exp(p x) on L/p^k L through a Smith normal form of
-p*ad(x), and the two must agree as dimension^2 * |kernel| = p^((d^2-1)k).
+p*ad(x), which is diagonal on the root-space basis, and the two must
+agree as dimension^2 * |kernel| = p^((d^2-1)k).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import BudgetExceededError
 from .linalg import smith_exponents
 
 Stage = tuple[int, int]  # (rank, positive-root count)
-Entry = tuple[int, int, int, tuple[int, ...]]  # (a, b, e, rows) of a basis element
 
 ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
 
@@ -82,46 +82,21 @@ def orbit_dimension(datum: OrbitDatum) -> int:
     return datum.p ** deficiency
 
 
-def _ad_layout(d: int) -> tuple[tuple[Entry, ...], ...]:
-    """The trace-zero basis of degree d, as (a, b, e, rows) entries per column.
-
-    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
-    Each entry e at (a, b) of a basis element lists the rows its bracket
-    term lands in: the position of E_ab when a != b, and H_a, ..., H_{d-2}
-    for a diagonal entry, since the H coordinates of a trace-zero diagonal
-    are its partial sums.
-    """
-    offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
-    diagonal = [tuple(range(len(offdiag) + a, len(offdiag) + d - 1)) for a in range(d)]
-    basis = [((s, t, 1, (row,)),) for row, (s, t) in enumerate(offdiag)]
-    basis += [((i, i, 1, diagonal[i]), (i + 1, i + 1, -1, diagonal[i + 1])) for i in range(d - 1)]
-    return tuple(basis)
-
-
-# one layout per degree the oracle accepts; it depends on d alone
-_AD_LAYOUTS = {d: _ad_layout(d) for d in range(2, ORACLE_DEGREE_BUDGET + 1)}
-
-
 def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[list[int]]:
     """The matrix of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
 
-    Each column is read off its basis element's entries in `_AD_LAYOUTS`,
-    as [x, E] = sum (x_a - x_b) e E_ab.
+    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
+    ad(x) acts on each root space E_st by x_s - x_t and kills the Cartan
+    part, so the matrix is diagonal: p(x_s - x_t) per root, then d - 1 zeros.
     """
-    x = eigenvalues
-    basis = _AD_LAYOUTS[len(x)]
-    matrix = [[0] * len(basis) for _ in basis]
-    for col, entries in enumerate(basis):
-        trace = 0
-        for a, b, e, rows in entries:
-            value = p * (x[a] - x[b]) * e
-            if value:
-                if a == b:
-                    trace += value
-                for row in rows:
-                    matrix[row][col] += value
-        if trace:
-            raise AssertionError("ad(x) left the trace-zero lattice")
+    x, d = eigenvalues, len(eigenvalues)
+    matrix = [[0] * (d * d - 1) for _ in range(d * d - 1)]
+    i = 0
+    for s in range(d):
+        for t in range(d):
+            if s != t:
+                matrix[i][i] = p * (x[s] - x[t])
+                i += 1
     return matrix
 
 
@@ -130,7 +105,9 @@ def centralizer_index_oracle(datum: OrbitDatum) -> int:
 
     Builds the matrix of p*ad(x) on the trace-zero lattice (`_ad_matrix`)
     and counts its kernel mod p^k from the elementary divisors.  The p*ad
-    normalization reflects that the group is exp(p L).  The result is
+    normalization reflects that the group is exp(p L).  The Smith form
+    reads the matrix alone, not the valuations of the psi chain, so the
+    pairing with `orbit_dimension` is not circular.  The result is
     asserted to be a perfect square (its square root is the orbit
     dimension).
     """

@@ -16,7 +16,6 @@ from repzeta.finite_oracle import (
     _mul,
     _order_and_inverse,
     _through_pivots,
-    _to_rows,
     _word,
     abelianization_order,
     character_degrees,
@@ -25,9 +24,14 @@ from repzeta.finite_oracle import (
     generate_group,
     sl2_group,
 )
-from repzeta.linalg import mat_mul_mod, rref_mod_p
+from repzeta.linalg import rref_mod_p
 from repzeta.local_sl2 import level_census, sl2_local_factor
-from tuple_classes import tuple_conjugacy_classes, tuple_inverse, tuple_order_and_inverse
+from tuple_classes import (
+    tuple_conjugacy_classes,
+    tuple_inverse,
+    tuple_order_and_inverse,
+    tuple_product,
+)
 
 
 def sl_order(p, k):
@@ -59,12 +63,11 @@ def test_generator_validation_and_budget(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), m=st.integers(2, 60))
-def test_mul_matches_mat_mul_mod(data, n, m):
-    """The fused 2x2 product and the generic loop against linalg's row-list kernel."""
+def test_mul_matches_tuple_product(data, n, m):
+    """The fused 2x2 product and the linalg path against the test-side flat product."""
     entries = st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n)
-    a, b = data.draw(entries), data.draw(entries)
-    want = mat_mul_mod(_to_rows(a, n), _to_rows(b, n), m)
-    assert _mul(tuple(a), tuple(b), n, m) == tuple(x for row in want for x in row)
+    a, b = tuple(data.draw(entries)), tuple(data.draw(entries))
+    assert _mul(a, b, n, m) == tuple_product(a, b, n, m)
 
 
 def test_group_closure_small():
@@ -219,7 +222,7 @@ def test_dixon_on_quaternion_group():
     ids=["Heis(F3)", "SL3(F2)"],
 )
 def test_dixon_on_3x3_groups(make_group, order, class_count, degrees, abelianization):
-    """3x3 groups take the generic product in every kernel."""
+    """3x3 groups take every BFS and abelianization product through `linalg.mat_mul_mod`."""
     g = make_group()
     assert g.order == order
     assert conjugacy_classes(g).count == class_count

@@ -120,6 +120,27 @@ def test_orbit_dimension_names_no_linalg_function():
     assert {"psi_chain", "_stage"} <= seen
 
 
+def test_centralizer_oracle_names_no_chain_or_valuation():
+    """Neither the centralizer oracle nor a function of its module it calls.
+
+    p*ad(x) is diagonal, so a sum of valuations along the psi chain could
+    stand in for its Smith form; the pairing would then be circular.
+    """
+    forbidden = {"psi_chain", "_stage", "orbit_dimension", "make_orbit_datum", "chain", "valuation"}
+    functions = _functions(_tree("orbit_method"))
+    assert forbidden & set(functions)  # the scan sees the formula side's functions
+    todo, seen = [ORBIT_ORACLE], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = _names(functions[name])
+        assert not names & forbidden, name
+        todo.extend(names & set(functions))
+    assert "_ad_matrix" in seen
+
+
 def _imported_from(tree, module):
     return {
         alias.name

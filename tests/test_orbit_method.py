@@ -102,16 +102,27 @@ def test_a1_closed_form():
         assert orbit_dimension(datum) == p ** max(0, k - 1 - val)
 
 
+def assert_dimension_formula_matches_oracle(datum):
+    dim = orbit_dimension(datum)
+    index = centralizer_index_oracle(datum)
+    assert dim * dim == index
+    # equivalent statement: dim^2 * |ker| = p^((d^2-1) k)
+    full = datum.p ** ((datum.d ** 2 - 1) * datum.k)
+    assert dim * dim * (full // index) == full
+
+
 def test_dimension_formula_oracle_equality_50_random():
     rng = random.Random(6)
     for _ in range(50):
-        datum = random_datum(rng)
-        dim = orbit_dimension(datum)
-        index = centralizer_index_oracle(datum)
-        assert dim * dim == index
-        # equivalent statement: dim^2 * |ker| = p^((d^2-1) k)
-        full = datum.p ** ((datum.d ** 2 - 1) * datum.k)
-        assert dim * dim * (full // index) == full
+        assert_dimension_formula_matches_oracle(random_datum(rng))
+
+
+def test_dimension_formula_oracle_equality_50_random_d4():
+    """The largest degree the oracle accepts, d = ORACLE_DEGREE_BUDGET = 4."""
+    rng = random.Random(8)
+    for _ in range(50):
+        datum = random_datum(rng, d=orbit_method.ORACLE_DEGREE_BUDGET)
+        assert_dimension_formula_matches_oracle(datum)
 
 
 def dense_ad_matrix(datum):
