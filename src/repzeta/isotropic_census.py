@@ -45,11 +45,12 @@ PAIR_BUDGET = 20_000  # are_conjugate calls per class count
 FAMILY_BUDGET = 500_000  # representatives per census family
 
 
-class FamilyMembers(Sequence[Mat]):
+class FamilyMembers:
     """The members M_Y of a family, each built from its index when read.
 
     Member i has for its Y block the base-p^k digits of i, row-major with
     the last entry fastest: the order of product(range(p^k), repeat=half^2).
+    Iteration and `reversed` come from `__len__` and `__getitem__`.
     """
 
     __slots__ = ("base", "pk", "half")

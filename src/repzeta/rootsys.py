@@ -6,8 +6,6 @@ coroot in the simple-coroot basis, so they are enumerated by root-string
 closure on the dual Cartan matrix.  Everything downstream (the census
 walk in `witten`) works from these integer rows alone, and every datum
 built has r/kappa = 2/h, the Witten abscissa, checked exactly.
-`weyl_dimension` is the plain product formula on the same rows; only
-tests call it, as the oracle of the walk.
 """
 
 from __future__ import annotations
@@ -28,21 +26,6 @@ _RANKS = {
     "F": (lambda r: r == 4, "rank == 4"),
     "G": (lambda r: r == 2, "rank == 2"),
 }
-
-
-def group_dimension(series: str, rank: int) -> int:
-    """dim of the simply connected group, from the standard table."""
-    if series == "A":
-        return rank * (rank + 2)
-    if series in ("B", "C"):
-        return rank * (2 * rank + 1)
-    if series == "D":
-        return rank * (2 * rank - 1)
-    if series == "E":
-        return {6: 78, 7: 133, 8: 248}[rank]
-    if series == "F":
-        return 52
-    return 14  # G2
 
 
 def coxeter_number(series: str, rank: int) -> int:
@@ -148,10 +131,6 @@ class RootDatum:
     kappa: int
     coxeter_number: int
 
-    @property
-    def dimension(self) -> int:
-        return 2 * self.kappa + self.rank
-
 
 def build_root_datum(series: str, rank: int) -> RootDatum:
     """The root datum of (series, rank); rejects invalid pairs, asserts r/kappa = 2/h."""
@@ -168,10 +147,7 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     rows.sort(key=lambda r: (sum(r), r))
 
     kappa = len(rows)
-    dim = group_dimension(series, rank)
     h = coxeter_number(series, rank)
-    if kappa != (dim - rank) // 2 or (dim - rank) % 2:
-        raise AssertionError(f"{series}{rank}: closure produced kappa={kappa}, table expects {(dim - rank) / 2}")
     if Fraction(rank, kappa) != Fraction(2, h):
         raise AssertionError(f"{series}{rank}: r/kappa != 2/h")
     for row in rows:
@@ -186,27 +162,3 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
         kappa=kappa,
         coxeter_number=h,
     )
-
-
-def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
-    """Exact dimension of the irreducible with the given highest weight.
-
-    Product over positive coroots of alpha^vee(lambda + rho) / alpha^vee(rho),
-    computed as one exact integer division at the end.
-    """
-    if len(weight) != datum.rank:
-        raise ValueError(f"weight length {len(weight)} != rank {datum.rank}")
-    shifted = []
-    for a in weight:
-        if not isinstance(a, int) or a < 0:
-            raise ValueError("weight coefficients must be nonnegative integers")
-        shifted.append(a + 1)
-    num = 1
-    for row in datum.positive_roots:
-        num *= sum(c * s for c, s in zip(row, shifted))
-    den = 1
-    for v in datum.rho_values:
-        den *= v
-    if num % den:
-        raise AssertionError("Weyl dimension did not come out integral")
-    return num // den

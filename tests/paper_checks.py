@@ -3,9 +3,18 @@
 Each function states one result of the paper in executable form, from
 the library's exact data: the class-count growth bound, the orbit-method
 lifting bound, the kernel = cokernel count, the divergence of the Witten
-zeta function at its abscissa, and the Levi subsystems of the
-convergence lemma.  The tests choose every size, so nothing here has a
-budget or a range check.
+zeta function at its abscissa, and the convergence lemma with the Levi
+chains it is applied to.  The tests choose every size, so nothing here
+has a budget or a range check.
+
+The convergence lemma: for an exponent vector a = (a_1, ..., a_k), the
+nested geometric series
+
+    sum over 1 <= b_1 < ... < b_k of exp(a_1 b_1 + ... + a_k b_k)
+
+converges iff every suffix sum of a is negative, in which case it equals
+the product of t/(1-t) over t = exp(suffix sum).  A chain of root
+subsystems enters only through its (rank, kappa) stages.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from collections import Counter, namedtuple
 from itertools import combinations, product
 
 from repzeta.linalg import det_int, smith_exponents
-from repzeta.rootsys import weyl_dimension
+from weyl_formula import weyl_dimension
 
 GammaSeries = namedtuple("GammaSeries", "q delta counts")  # counts: (k, class count of U/U_k)
 GammaEstimate = namedtuple("GammaEstimate", "gamma crude_rho_bound")
@@ -136,3 +145,100 @@ def all_irreducible_types(max_rank):
     types = [(series, r) for series, lo in first.items() for r in range(lo, max_rank + 1)]
     exceptional = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
     return types + [(series, r) for series, r in exceptional if r <= max_rank]
+
+
+def group_dimension(series, rank):
+    """dim G of the simply connected simple group, from the classification's table."""
+    classical = {
+        "A": rank * (rank + 2),
+        "B": rank * (2 * rank + 1),
+        "C": rank * (2 * rank + 1),
+        "D": rank * (2 * rank - 1),
+    }
+    if series in classical:
+        return classical[series]
+    return {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}[series, rank]
+
+
+def check_chain(stages):
+    """Raise ValueError unless the (rank, kappa) stages are a chain of root subsystems.
+
+    The stages are nonempty and strictly increasing (proper inclusions),
+    and the last one is the ambient system.
+    """
+    if not stages:
+        raise ValueError("chain needs at least one stage")
+    prev_rank, prev_kappa = 0, 0
+    for rank, kappa in stages:
+        if rank < 1 or kappa < 1:
+            raise ValueError("stages are nonempty subsystems: rank and kappa >= 1")
+        if kappa <= prev_kappa:
+            raise ValueError("stage kappa must strictly increase (proper inclusions)")
+        if rank < prev_rank:
+            raise ValueError("stage ranks cannot decrease")
+        prev_rank, prev_kappa = rank, kappa
+    if len(stages) > stages[-1][0]:
+        raise ValueError("chain length exceeds ambient rank")
+
+
+def chain_exponents(stages, s):
+    """Per-stage exponents a_i = (rank_i - rank_(i-1)) - s (kappa_i - kappa_(i-1)) of a chain.
+
+    Exact when s is a Fraction or an int; stage 0 is the empty system.
+    """
+    check_chain(stages)
+    prev_rank, prev_kappa = 0, 0
+    values = []
+    for rank, kappa in stages:
+        values.append((rank - prev_rank) - s * (kappa - prev_kappa))
+        prev_rank, prev_kappa = rank, kappa
+    return tuple(values)
+
+
+def suffix_sums(a):
+    """[a_i + ... + a_k for i = 1..k]."""
+    out = []
+    acc = 0
+    for v in reversed(a):
+        acc = acc + v
+        out.append(acc)
+    out.reverse()
+    return out
+
+
+def suffix_converges(a):
+    """True iff every suffix sum a_i + ... + a_k is strictly negative."""
+    return all(t < 0 for t in suffix_sums(a))
+
+
+def chain_product_value(a):
+    """Closed form of the nested sum; requires convergence."""
+    if not suffix_converges(a):
+        raise ValueError("exponent vector has a nonnegative suffix sum; series diverges")
+    value = 1.0
+    for t in suffix_sums(a):
+        e = math.exp(float(t))
+        value *= e / (1.0 - e)
+    return value
+
+
+def chain_truncated_sum(a, B):
+    """Direct nested summation over 1 <= b_1 < ... < b_k <= B.
+
+    This is the brute-force oracle for chain_product_value.  The nesting is
+    evaluated level by level with suffix accumulators (an exact
+    reorganization of the same finite sum), never via the geometric-series
+    closed form.
+    """
+    k = len(a)
+    if B < k:
+        raise ValueError(f"need B >= k = {k}")
+    # tail[c] = sum over c <= b_i < ... < b_k <= B of exp(sum a_j b_j), levels i..k
+    tail = [1.0] * (B + 2)
+    for i in range(k - 1, -1, -1):
+        coef = float(a[i])
+        new = [0.0] * (B + 2)
+        for c in range(B, 0, -1):
+            new[c] = new[c + 1] + math.exp(coef * c) * tail[c + 1]
+        tail = new
+    return tail[1]

@@ -13,16 +13,15 @@ from fractions import Fraction
 
 from hook_lengths import sn_degrees
 from paper_checks import GammaSeries, all_irreducible_types, dyadic_block_sum, gamma_estimate
-from paper_checks import kernel_cokernel_size
-from repzeta.chains import ExponentVector, chain_product_value, chain_truncated_sum
-from repzeta.chains import suffix_converges
+from paper_checks import chain_product_value, chain_truncated_sum, group_dimension
+from paper_checks import kernel_cokernel_size, suffix_converges
 from repzeta.euler_global import euler_report
 from repzeta.finite_oracle import character_degrees, conjugacy_classes
 from repzeta.isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl2_local_factor
 from repzeta.local_sl2 import sl2_quotient_order
 from repzeta.orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
-from repzeta.rootsys import build_root_datum, group_dimension
+from repzeta.rootsys import build_root_datum
 from repzeta.symmetric import an_census, rbound_check, young_levels
 from repzeta.witten import abscissa_estimate, enumerate_dimensions
 
@@ -91,7 +90,7 @@ def test_c4_convergence_lemma():
             for i in range(k):
                 nxt = suffixes[i + 1] if i + 1 < k else 0.0
                 values.append(suffixes[i] - nxt)
-            vec = ExponentVector(tuple(values))
+            vec = tuple(values)
             closed = chain_product_value(vec)
             truncated = chain_truncated_sum(vec, 80)
             assert abs(closed - truncated) / closed <= 1e-6
@@ -99,7 +98,7 @@ def test_c4_convergence_lemma():
         divergent = 0
         while divergent < 25:
             k = rng.randint(1, 4)
-            vec = ExponentVector(tuple(rng.uniform(-1.5, 1.5) for _ in range(k)))
+            vec = tuple(rng.uniform(-1.5, 1.5) for _ in range(k))
             if suffix_converges(vec):
                 continue
             divergent += 1

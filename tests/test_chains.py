@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paper_checks import all_irreducible_types, levi_subsystem
-from repzeta.chains import (
-    ChainSpec,
-    ExponentVector,
+from paper_checks import (
+    all_irreducible_types,
     chain_exponents,
     chain_product_value,
     chain_truncated_sum,
+    check_chain,
+    levi_subsystem,
     suffix_converges,
+    suffix_sums,
 )
 from repzeta.rootsys import build_root_datum
 
@@ -31,55 +32,54 @@ def convergent_vector(rng, k):
     for i in range(k):
         nxt = suffixes[i + 1] if i + 1 < k else 0.0
         values.append(suffixes[i] - nxt)
-    return ExponentVector(tuple(values))
+    return tuple(values)
 
 
 def test_chain_spec_validation():
-    ChainSpec(stages=((1, 1), (2, 3)))
+    check_chain(((1, 1), (2, 3)))
     with pytest.raises(ValueError):
-        ChainSpec(stages=())
+        check_chain(())
     with pytest.raises(ValueError):
-        ChainSpec(stages=((2, 3), (1, 1)))
+        check_chain(((2, 3), (1, 1)))
     with pytest.raises(ValueError):
-        ChainSpec(stages=((1, 1), (1, 1)))
+        check_chain(((1, 1), (1, 1)))
 
 
 def test_chain_exponents_a2():
-    spec = ChainSpec(stages=((1, 1), (2, 3)))
-    assert chain_exponents(spec, 1).values == (0, -1)
-    ev = chain_exponents(spec, Fraction(2, 3))
-    assert ev.values == (Fraction(1, 3), Fraction(-1, 3))
-    assert ev.suffix_sums() == [Fraction(0), Fraction(-1, 3)]
+    stages = ((1, 1), (2, 3))
+    assert chain_exponents(stages, 1) == (0, -1)
+    ev = chain_exponents(stages, Fraction(2, 3))
+    assert ev == (Fraction(1, 3), Fraction(-1, 3))
+    assert suffix_sums(ev) == [Fraction(0), Fraction(-1, 3)]
     # s = 0 gives the rank increments
-    assert chain_exponents(spec, 0).values == (1, 1)
+    assert chain_exponents(stages, 0) == (1, 1)
 
 
 def test_suffix_converges():
-    assert suffix_converges(ExponentVector((-1.0, -1.0)))
-    assert not suffix_converges(ExponentVector((0.0,)))
-    assert suffix_converges(ExponentVector((5.0, -6.0)))
-    assert not suffix_converges(ExponentVector((-6.0, 5.0)))
+    assert suffix_converges((-1.0, -1.0))
+    assert not suffix_converges((0.0,))
+    assert suffix_converges((5.0, -6.0))
+    assert not suffix_converges((-6.0, 5.0))
 
 
 def test_closed_form_examples_against_truncation():
-    for values in [(-1.0,), (-1.0, -1.0), (-0.5, -0.5, -0.5), (5.0, -6.0)]:
-        vec = ExponentVector(values)
+    for vec in [(-1.0,), (-1.0, -1.0), (-0.5, -0.5, -0.5), (5.0, -6.0)]:
         closed = chain_product_value(vec)
         truncated = chain_truncated_sum(vec, 80)
         assert truncated == pytest.approx(closed, rel=1e-6)
     # frozen spot values (computed from the truncated-sum oracle itself)
-    assert chain_product_value(ExponentVector((-1.0,))) == pytest.approx(0.5819767068693265)
-    assert chain_product_value(ExponentVector((-1.0, -1.0))) == pytest.approx(0.09108962229440014)
+    assert chain_product_value((-1.0,)) == pytest.approx(0.5819767068693265)
+    assert chain_product_value((-1.0, -1.0)) == pytest.approx(0.09108962229440014)
 
 
 def test_closed_form_rejects_divergent():
     with pytest.raises(ValueError):
-        chain_product_value(ExponentVector((0.0,)))
+        chain_product_value((0.0,))
 
 
 def test_truncated_sum_is_the_nested_sum():
     """Tiny cases, literally nested loops."""
-    vec = ExponentVector((-0.7, 0.2, -1.1))
+    vec = (-0.7, 0.2, -1.1)
     B = 9
     brute = 0.0
     for b1 in range(1, B + 1):
@@ -104,11 +104,11 @@ def test_hundred_random_convergent_vectors():
 def test_divergence_detected_operationally():
     """Whenever some suffix sum is >= 0 the doubled truncation keeps growing."""
     rng = random.Random(99)
-    cases = [ExponentVector((0.0,)), ExponentVector((-1.0, 1.0)), ExponentVector((0.5, -0.2))]
+    cases = [(0.0,), (-1.0, 1.0), (0.5, -0.2)]
     for _ in range(20):
         k = rng.randint(1, 4)
         values = [rng.uniform(-1.5, 1.5) for _ in range(k)]
-        vec = ExponentVector(tuple(values))
+        vec = tuple(values)
         if not suffix_converges(vec):
             cases.append(vec)
     for vec in cases:
@@ -136,13 +136,12 @@ def test_telescoping_identity_exact(raw_stages, s):
     if not stages:
         return
     try:
-        spec = ChainSpec(stages=tuple(stages))
+        check_chain(stages)
     except ValueError:
         return
-    ev = chain_exponents(spec, s)
-    suffixes = ev.suffix_sums()
-    r_total, k_total = spec.stages[-1]
-    prev = [(0, 0)] + list(spec.stages[:-1])
+    suffixes = suffix_sums(chain_exponents(stages, s))
+    r_total, k_total = stages[-1]
+    prev = [(0, 0)] + stages[:-1]
     for i, (pr, pk) in enumerate(prev):
         assert suffixes[i] == (r_total - pr) - s * (k_total - pk)
 
@@ -159,10 +158,10 @@ def test_levi_chain_boundary_criticality():
         datum = build_root_datum(series, rank)
         ambient = (datum.rank, datum.kappa)
         ratio = Fraction(datum.rank, datum.kappa)
-        full = ChainSpec(stages=(ambient,))
+        full = (ambient,)
         assert suffix_converges(chain_exponents(full, ratio + eps))
         # at epsilon = 0 the full-chain suffix is exactly zero
-        assert chain_exponents(full, ratio).suffix_sums()[0] == 0
+        assert suffix_sums(chain_exponents(full, ratio))[0] == 0
         assert not suffix_converges(chain_exponents(full, ratio))
         indices = list(range(1, rank + 1))
         for size in range(1, rank):
@@ -170,5 +169,5 @@ def test_levi_chain_boundary_criticality():
                 stage = levi_subsystem(datum, subset)
                 if stage == ambient:
                     continue
-                spec = ChainSpec(stages=(stage, ambient))
-                assert suffix_converges(chain_exponents(spec, ratio + eps)), (series, rank, subset)
+                chain = (stage, ambient)
+                assert suffix_converges(chain_exponents(chain, ratio + eps)), (series, rank, subset)

@@ -103,21 +103,27 @@ def _names(node):
     }
 
 
+def _callees(functions, roots):
+    """name -> names in its body, for `roots` and each function of the module they reach."""
+    todo, seen = list(roots), {}
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen[name] = _names(functions[name])
+            todo.extend(seen[name] & set(functions))
+    return seen
+
+
 def test_orbit_dimension_names_no_linalg_function():
     """Neither the orbit-dimension formula nor a function of its module it calls."""
     linalg = set(_functions(_tree("linalg")))
     functions = _functions(_tree("orbit_method"))
-    assert linalg & _names(functions[ORBIT_ORACLE])  # the oracle side does name one
-    todo, seen = list(ORBIT_FORMULA), set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        names = _names(functions[name])
+    oracle = _callees(functions, [ORBIT_ORACLE])
+    assert linalg & set().union(*oracle.values())  # the oracle side does name one
+    formula = _callees(functions, ORBIT_FORMULA)
+    for name, names in formula.items():
         assert not names & linalg, name
-        todo.extend(names & set(functions))
-    assert {"psi_chain", "_stage"} <= seen
+    assert {"psi_chain", "_stage"} <= set(formula)
 
 
 def test_centralizer_oracle_names_no_chain_or_valuation():
@@ -129,16 +135,10 @@ def test_centralizer_oracle_names_no_chain_or_valuation():
     forbidden = {"psi_chain", "_stage", "orbit_dimension", "make_orbit_datum", "chain", "valuation"}
     functions = _functions(_tree("orbit_method"))
     assert forbidden & set(functions)  # the scan sees the formula side's functions
-    todo, seen = [ORBIT_ORACLE], set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        names = _names(functions[name])
+    oracle = _callees(functions, [ORBIT_ORACLE])
+    for name, names in oracle.items():
         assert not names & forbidden, name
-        todo.extend(names & set(functions))
-    assert "_ad_matrix" in seen
+    assert "_ad_matrix" in oracle
 
 
 def _imported_from(tree, module):
@@ -167,3 +167,13 @@ def test_hook_length_oracle_names_only_max_k_from_symmetric():
     symmetric = set(_functions(_tree("symmetric")))
     assert {"young_levels", "an_census"} <= symmetric  # the scan sees the sweep
     assert not symmetric & _names(tree)
+
+
+def test_weyl_formula_oracle_imports_no_repzeta_module():
+    """tests/weyl_formula.py checks the census walk from the coroot rows alone."""
+    tree = ast.parse((TESTS / "weyl_formula.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)} | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    }
+    assert "typing" in imported  # the scan sees the imports
+    assert not any(name.startswith("repzeta") for name in imported)

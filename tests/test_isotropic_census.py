@@ -452,7 +452,8 @@ def test_gamma_series_from_oracle_counts(sl2_groups, sl2_z27_classes):
         )
     )
     assert counts == ((1, 7), (2, 25), (3, 79))
-    delta = build_root_datum("A", 1).dimension
+    a1 = build_root_datum("A", 1)
+    delta = 2 * a1.kappa + a1.rank
     est = gamma_estimate(GammaSeries(q=3, delta=delta, counts=counts))
     # consistent with the known local abscissa 1 up to estimator slack
     assert 0.95 <= est.gamma <= 1.15

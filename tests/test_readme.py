@@ -72,43 +72,75 @@ def test_readme_pairing_table_names_collected_tests():
             assert test in tests, f"{filename}::{test}"
 
 
-def _unreferenced_in_src():
-    """'module.function' and 'module.Class.method' of each public function no src/ code names.
+def test_module_map_names_every_module():
+    """README's module map has one row for each src/repzeta module but `__init__` and `errors`."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    assert "cli" in rows  # the table was parsed
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "errors"}
 
-    A use is a name, an attribute or an import anywhere in src/ outside
-    the function's own body.  Properties are data and are skipped.
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _walk_from_main():
+    """(reached, public): what a walk by name from `cli.main` reaches, and what it could.
+
+    Both hold 'module.function' and 'module.Class.method' names; `public`
+    is every public top-level function and public method of src/, except
+    properties, which are read as data.  The walk reads the names and
+    attributes in each reached body and goes on into every function,
+    method, class and module-level assignment of src/ of that name.  A
+    reached class brings its decorators, bases, class-level statements
+    and dunder methods, which run without being named.  Names are not
+    resolved, so a name reaches every definition it could mean.
     """
-    defs = []
-    refs = []
+    by_name = {}  # bare name -> [(qualified name, nodes to walk)]
+    public = set()
+
+    def define(name, qualname, nodes):
+        by_name.setdefault(name, []).append((qualname, nodes))
+
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                defs.append((path.stem, node.name, node))
+                define(node.name, f"{module}.{node.name}", [node])
+                if not node.name.startswith("_"):
+                    public.add(f"{module}.{node.name}")
             elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not any(
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                for item in methods:
+                    qualname = f"{module}.{node.name}.{item.name}"
+                    define(item.name, qualname, [item])
+                    if not item.name.startswith("_") and not any(
                         isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list
                     ):
-                        defs.append((path.stem, f"{node.name}.{item.name}", item))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.append((path.stem, node.id, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                refs.append((path.stem, node.attr, node.lineno))
-            elif isinstance(node, ast.alias):
-                refs.append((path.stem, node.name, node.lineno))
-    unreferenced = set()
-    for module, qualname, node in defs:
-        name = node.name
-        if name.startswith("_"):
-            continue
-        if not any(
-            ref == name and (where != module or not node.lineno <= line <= node.end_lineno)
-            for where, ref, line in refs
-        ):
-            unreferenced.add(f"{module}.{qualname}")
-    return unreferenced
+                        public.add(qualname)
+                runs_unnamed = [item for item in node.body if item not in methods]
+                runs_unnamed += [item for item in methods if item.name.startswith("__")]
+                define(node.name, f"{module}.{node.name}",
+                       runs_unnamed + node.decorator_list + node.bases)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        define(target.id, f"{module}.{target.id}", [node])
+    reached = set()
+    todo = [entry for entry in by_name["main"] if entry[0] == "cli.main"]
+    while todo:
+        qualname, nodes = todo.pop()
+        if qualname not in reached:
+            reached.add(qualname)
+            for node in nodes:
+                for name in _names(node):
+                    todo.extend(by_name.get(name, ()))
+    return reached, public
 
 
 def _readme_test_only_list():
@@ -123,5 +155,7 @@ def _readme_test_only_list():
 def test_readme_lists_every_function_reached_only_by_tests():
     listed = _readme_test_only_list()
     assert len(listed) == len(set(listed))
-    assert "rootsys.weyl_dimension" in listed  # the section was parsed
-    assert set(listed) == _unreferenced_in_src()
+    assert "linalg.mat_inv_mod" in listed  # the section was parsed
+    reached, public = _walk_from_main()
+    assert {"cli.cmd_census8", "isotropic_census.FamilyMembers", "linalg.mat_mul_mod"} <= reached
+    assert set(listed) == public - reached

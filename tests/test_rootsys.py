@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from paper_checks import all_irreducible_types, levi_subsystem
-from repzeta.rootsys import SERIES, build_root_datum, group_dimension
-from repzeta.rootsys import weyl_dimension
+from paper_checks import all_irreducible_types, group_dimension, levi_subsystem
+from repzeta.rootsys import SERIES, build_root_datum, coxeter_number
+from weyl_formula import weyl_dimension
 
 
 def test_rejects_invalid_pairs():
@@ -68,6 +68,12 @@ def test_all_types_invariants():
         assert max(d.rho_values) == d.coxeter_number - 1
         for row in d.positive_roots:
             assert min(row) >= 0 and max(row) >= 1
+
+
+def test_dimension_table_is_rank_times_coxeter_plus_one():
+    """dim G = r(h + 1) for every simple type, so kappa = (dim G - r)/2 is r/kappa = 2/h again."""
+    for series, rank in all_irreducible_types(59):
+        assert group_dimension(series, rank) == rank * (coxeter_number(series, rank) + 1)
 
 
 def test_weyl_dimension_values():

@@ -5,9 +5,10 @@ import pytest
 from paper_checks import all_irreducible_types, dyadic_block_sum
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
-from repzeta.rootsys import build_root_datum, weyl_dimension
+from repzeta.rootsys import build_root_datum
 from repzeta import witten
 from repzeta.witten import abscissa_estimate, enumerate_dimensions
+from weyl_formula import weyl_dimension
 
 
 def naive_census(datum, bound, cap):
