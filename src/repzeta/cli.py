@@ -32,7 +32,7 @@ from .arith import prime_power
 from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .euler_global import euler_report
-from .finite_oracle import character_degrees, sl2_group
+from .finite_oracle import centralizer_index_oracle, character_degrees, sl2_group
 from .isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from .local_sl2 import (
     evaluate_local,
@@ -42,7 +42,7 @@ from .local_sl2 import (
     sl2_local_factor,
     sl2_quotient_order,
 )
-from .orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
+from .orbit_method import make_orbit_datum, orbit_dimension
 from .rootsys import build_root_datum
 from .symmetric import an_census, young_levels
 from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
@@ -233,8 +233,6 @@ def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> dict[str, Any]:
-    if args.group != "sl2":
-        raise ValueError(f"unknown group family {args.group!r}; only 'sl2' is available")
     group = sl2_group(args.modulus)
     census = character_degrees(group)
     result: dict[str, Any] = {
@@ -270,7 +268,7 @@ def cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
         eigs.append((-sum(eigs)) % mod)
         datum = make_orbit_datum(d, p, k, eigs)
         dim = orbit_dimension(datum)
-        index = centralizer_index_oracle(datum)
+        index = centralizer_index_oracle(datum.eigenvalues, p, k)
         eigenvalues = ";".join(str(e) for e in datum.eigenvalues)
         table.add_row(d, p, k, eigenvalues, dim, index, dim * dim == index)
     return {"samples": args.samples, "all_match": all(table["match"]), "table": table}
@@ -363,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-grid", type=_float_list, default=(2.0, 2.5, 3.0))
 
     p = add_parser("oracle", "brute-force group census (order, classes, degrees)")
-    p.add_argument("--group", default="sl2")
     p.add_argument("--modulus", required=True, type=int)
 
     p = add_parser("orbit", "orbit-dimension formula vs Smith-form centralizer oracle")

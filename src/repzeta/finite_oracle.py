@@ -35,6 +35,11 @@ second orthogonality relation over F_l.
 
 Elements are flat row-major tuples; the product of two 2x2 elements is
 one fused expression, and other sizes go through `linalg.mat_mul_mod`.
+
+centralizer_index_oracle is the orbit-method oracle: the index of the
+centralizer of exp(p x), x = diag(eigenvalues), on L/p^k L, from the
+Smith form of p*ad(x).  It takes the eigenvalues alone, so it cannot
+read the psi chain that `orbit_method` builds from them.
 """
 
 from __future__ import annotations
@@ -55,10 +60,12 @@ from .linalg import (
     mat_mul_mod,
     poly_roots_mod_p,
     rref_mod_p,
+    smith_exponents,
 )
 
 GROUP_BUDGET = 200_000  # elements per enumerated group
 CLASS_BUDGET = 400  # conjugacy classes per Dixon run
+ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
 
 Flat = tuple[int, ...]
 
@@ -476,3 +483,40 @@ def abelianization_order(group: FiniteMatrixGroup) -> int:
                 raise AssertionError("commutator subgroup order does not divide |G|")
             return group.order // closure.order
         normal_gens.extend(dict.fromkeys(new))
+
+
+def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[list[int]]:
+    """The matrix of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
+
+    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
+    ad(x) acts on each root space E_st by x_s - x_t and kills the Cartan
+    part, so the matrix is diagonal: p(x_s - x_t) per root, then d - 1 zeros.
+    """
+    x, d = eigenvalues, len(eigenvalues)
+    matrix = [[0] * (d * d - 1) for _ in range(d * d - 1)]
+    i = 0
+    for s in range(d):
+        for t in range(d):
+            if s != t:
+                matrix[i][i] = p * (x[s] - x[t])
+                i += 1
+    return matrix
+
+
+def centralizer_index_oracle(eigenvalues: Sequence[int], p: int, k: int) -> int:
+    """Index of the centralizer of exp(p x) on L/p^k L, by Smith normal form.
+
+    Builds the matrix of p*ad(x) on the trace-zero lattice (`_ad_matrix`),
+    d = len(eigenvalues), and counts its kernel mod p^k from the
+    elementary divisors.  The p*ad normalization reflects that the group
+    is exp(p L).  The result is asserted to be a perfect square (its
+    square root is the orbit dimension).
+    """
+    d = len(eigenvalues)
+    if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
+        raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
+    kernel_exp = sum(smith_exponents(_ad_matrix(eigenvalues, p), p, k))
+    index_exp = (d * d - 1) * k - kernel_exp
+    if index_exp % 2:
+        raise AssertionError("centralizer index is not a perfect square")
+    return p ** index_exp

@@ -1,4 +1,4 @@
-"""Desk-scale orbit-method machinery for split eigenvalue data.
+"""Desk-scale orbit-method formula for split eigenvalue data.
 
 The model: degree-d data over Z_p (unramified, so the uniformizer is p
 and q = p), an eigenvalue vector of trace zero, and the increasing chain
@@ -7,22 +7,16 @@ of root subsystems of A_{d-1}
     stage i (1 <= i <= k):  e_s - e_t present  iff  val_p(iota_s - iota_t) >= k - i.
 
 The representation dimension attached to the pair (x, k) is
-q^(sum_i |Phi+ \\ Psi_i|); the independent check computes the index of the
-centralizer of exp(p x) on L/p^k L through a Smith normal form of
-p*ad(x), which is diagonal on the root-space basis, and the two must
-agree as dimension^2 * |kernel| = p^((d^2-1)k).
+q^(sum_i |Phi+ \\ Psi_i|).  Its independent check, the centralizer index
+from a Smith form of p*ad(x), is oracle-side code in `finite_oracle`; the
+two must agree as dimension^2 = index.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import BudgetExceededError
-from .linalg import smith_exponents
-
 Stage = tuple[int, int]  # (rank, positive-root count)
-
-ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
 
 
 def _stage(eigenvalues: Sequence[int], d: int, mod: int) -> Stage:
@@ -80,42 +74,3 @@ def orbit_dimension(datum: OrbitDatum) -> int:
     kappa_full = datum.d * (datum.d - 1) // 2
     deficiency = sum(kappa_full - kappa for _, kappa in datum.chain)
     return datum.p ** deficiency
-
-
-def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[list[int]]:
-    """The matrix of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
-
-    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
-    ad(x) acts on each root space E_st by x_s - x_t and kills the Cartan
-    part, so the matrix is diagonal: p(x_s - x_t) per root, then d - 1 zeros.
-    """
-    x, d = eigenvalues, len(eigenvalues)
-    matrix = [[0] * (d * d - 1) for _ in range(d * d - 1)]
-    i = 0
-    for s in range(d):
-        for t in range(d):
-            if s != t:
-                matrix[i][i] = p * (x[s] - x[t])
-                i += 1
-    return matrix
-
-
-def centralizer_index_oracle(datum: OrbitDatum) -> int:
-    """Index of the centralizer of exp(p x) on L/p^k L, by Smith normal form.
-
-    Builds the matrix of p*ad(x) on the trace-zero lattice (`_ad_matrix`)
-    and counts its kernel mod p^k from the elementary divisors.  The p*ad
-    normalization reflects that the group is exp(p L).  The Smith form
-    reads the matrix alone, not the valuations of the psi chain, so the
-    pairing with `orbit_dimension` is not circular.  The result is
-    asserted to be a perfect square (its square root is the orbit
-    dimension).
-    """
-    d, p, k = datum.d, datum.p, datum.k
-    if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
-        raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
-    kernel_exp = sum(smith_exponents(_ad_matrix(datum.eigenvalues, p), p, k))
-    index_exp = (d * d - 1) * k - kernel_exp
-    if index_exp % 2:
-        raise AssertionError("centralizer index is not a perfect square")
-    return p ** index_exp

@@ -16,11 +16,11 @@ from paper_checks import GammaSeries, all_irreducible_types, dyadic_block_sum, g
 from paper_checks import chain_product_value, chain_truncated_sum, group_dimension
 from paper_checks import kernel_cokernel_size, suffix_converges
 from repzeta.euler_global import euler_report
-from repzeta.finite_oracle import character_degrees, conjugacy_classes
+from repzeta.finite_oracle import centralizer_index_oracle, character_degrees, conjugacy_classes
 from repzeta.isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl2_local_factor
 from repzeta.local_sl2 import sl2_quotient_order
-from repzeta.orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
+from repzeta.orbit_method import make_orbit_datum, orbit_dimension
 from repzeta.rootsys import build_root_datum
 from repzeta.symmetric import an_census, rbound_check, young_levels
 from repzeta.witten import abscissa_estimate, enumerate_dimensions
@@ -136,7 +136,7 @@ def test_c6_orbit_dimension_vs_smith_oracle():
             eigs.append((-sum(eigs)) % mod)
             datum = make_orbit_datum(d, p, k, eigs)
             dim = orbit_dimension(datum)
-            index = centralizer_index_oracle(datum)
+            index = centralizer_index_oracle(datum.eigenvalues, p, k)
             full = p ** ((d * d - 1) * k)
             assert dim * dim == index
             assert dim * dim * (full // index) == full

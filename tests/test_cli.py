@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repzeta import arith, cli, euler_global, isotropic_census, local_sl2, witten
+from repzeta.census import DegreeCensus
 from repzeta.cli import main
 from repzeta.euler_global import odd_primes_upto
 from repzeta.local_sl2 import evaluate_local, sl2_local_factor
@@ -73,6 +74,22 @@ def test_oracle_cross_links_formula(capsys):
     assert result["order"] == 648
     assert result["class_count"] == 25
     assert result["formula_census_matches"] is True
+
+
+def test_oracle_reports_a_closed_census_that_differs(capsys, monkeypatch):
+    """`formula_census_matches` reads false, and the run still exits 0, when the censuses differ."""
+
+    def moved(factor, k):  # the closed census with its top degree moved up by one
+        *head, (top, count) = local_sl2.level_census(factor, k).entries
+        return DegreeCensus((*head, (top + 1, count)), top + 1)
+
+    monkeypatch.setattr(cli, "level_census", moved)
+    code, out = run_cli(capsys, ["oracle", "--modulus", "9"])
+    assert code == 0
+    assert '"formula_census_matches": false,' in out
+    result = json.loads(out)["result"]
+    assert result["formula_census_matches"] is False
+    assert result["class_count"] == result["formula_irrep_count"] == 25
 
 
 def test_orbit_table(capsys):

@@ -124,6 +124,32 @@ def test_dixon_degrees_match_formula_level3(sl2_z27):
     assert dict(census.entries)[12] == 38
 
 
+def product_census(censuses):
+    """The degree entries of a direct product: the multiplicative convolution of the factors'."""
+    degrees = {1: 1}
+    for census in censuses:
+        product = {}
+        for d, m in degrees.items():
+            for e, n in census.entries:
+                product[d * e] = product.get(d * e, 0) + m * n
+        degrees = product
+    return tuple(sorted(degrees.items()))
+
+
+def test_dixon_census_is_the_product_of_local_censuses():
+    """The Euler factorization at finite level: SL2(Z/m) is the product of its SL2(Z/p^k).
+
+    That is the Chinese remainder theorem over m's prime powers, and the
+    irreducibles of a direct product are the outer tensor products of the
+    factors' irreducibles, so the Dixon census of the composite group is
+    the convolution of the closed level censuses.
+    """
+    for modulus, factors in ((15, ((3, 1), (5, 1))), (21, ((3, 1), (7, 1)))):
+        census = character_degrees(sl2_group(modulus))
+        local = [level_census(sl2_local_factor(q), k) for q, k in factors]
+        assert census.entries == product_census(local), modulus
+
+
 def quaternion_group():
     # Q8 inside SL2(F3)
     return generate_group(3, 2, [[[0, -1], [1, 0]], [[1, 1], [1, -1]]])

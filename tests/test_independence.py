@@ -2,24 +2,25 @@
 
 Each formula is checked against an oracle computed another way; if the
 two sides reached the same kernel, a fault in it would pass both and
-the cross-check would be circular.  The sides are read from the import
-graph of `src/repzeta`, built with `ast`, so nothing is imported.
+the cross-check would be circular.  Each module's side is read from
+`tests/pairings.py`, and the sides are checked on the import graph of
+`src/repzeta`, built with `ast`, so nothing is imported; only the check
+that the registry's names resolve imports them.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from ast_names import names
+from pairings import PAIRINGS, SIDES
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "repzeta"
 
-FORMULA = {"witten", "rootsys", "local_sl2", "symmetric", "euler_global"}
-ORACLE = {"finite_oracle", "linalg", "isotropic_census"}
-SHARED = {"census", "arith", "errors"}  # data types, prime helpers and errors, no kernel
-
-# orbit_method holds both sides: the orbit dimension from the psi chain,
-# and the centralizer-index oracle through linalg's Smith form
-ORBIT_FORMULA = ("make_orbit_datum", "orbit_dimension")
-ORBIT_ORACLE = "centralizer_index_oracle"
+FORMULA, ORACLE, SHARED = (
+    {module for module, side in SIDES.items() if side == name} for name in ("formula", "oracle", "shared")
+)
 
 
 def _tree(module):
@@ -65,9 +66,9 @@ def _graph():
 
 
 def test_sides_are_named_modules():
-    modules = _modules()
-    assert FORMULA | ORACLE | SHARED <= modules
-    assert not FORMULA & ORACLE and not (FORMULA | ORACLE) & SHARED
+    """Every module is on exactly one side but `cli`, which runs both, and `__init__`."""
+    assert set(SIDES) == _modules() - {"cli", "__init__"}
+    assert set(SIDES.values()) == {"formula", "oracle", "shared"}
     graph = _graph()
     assert "linalg" in graph["finite_oracle"]  # the scan sees relative imports
     assert "rootsys" in graph["witten"]
@@ -97,48 +98,20 @@ def _functions(tree):
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-def _names(node):
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
-
-
-def _callees(functions, roots):
-    """name -> names in its body, for `roots` and each function of the module they reach."""
-    todo, seen = list(roots), {}
-    while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen[name] = _names(functions[name])
-            todo.extend(seen[name] & set(functions))
-    return seen
-
-
-def test_orbit_dimension_names_no_linalg_function():
-    """Neither the orbit-dimension formula nor a function of its module it calls."""
-    linalg = set(_functions(_tree("linalg")))
-    functions = _functions(_tree("orbit_method"))
-    oracle = _callees(functions, [ORBIT_ORACLE])
-    assert linalg & set().union(*oracle.values())  # the oracle side does name one
-    formula = _callees(functions, ORBIT_FORMULA)
-    for name, names in formula.items():
-        assert not names & linalg, name
-    assert {"psi_chain", "_stage"} <= set(formula)
-
-
-def test_centralizer_oracle_names_no_chain_or_valuation():
-    """Neither the centralizer oracle nor a function of its module it calls.
+def test_finite_oracle_names_no_chain_or_valuation():
+    """The centralizer oracle's module names no psi-chain function and no `valuation`.
 
     p*ad(x) is diagonal, so a sum of valuations along the psi chain could
-    stand in for its Smith form; the pairing would then be circular.
+    stand in for its Smith form; the pairing would then be circular.  The
+    oracle takes the eigenvalues alone, so it cannot read a datum's chain.
     """
-    forbidden = {"psi_chain", "_stage", "orbit_dimension", "make_orbit_datum", "chain", "valuation"}
-    functions = _functions(_tree("orbit_method"))
-    assert forbidden & set(functions)  # the scan sees the formula side's functions
-    oracle = _callees(functions, [ORBIT_ORACLE])
-    for name, names in oracle.items():
-        assert not names & forbidden, name
-    assert "_ad_matrix" in oracle
+    forbidden = {"valuation", "psi_chain", "_stage", "orbit_dimension", "make_orbit_datum"}
+    assert forbidden <= set(_functions(_tree("orbit_method"))) | set(_functions(_tree("linalg")))
+    tree = _tree("finite_oracle")
+    assert "centralizer_index_oracle" in _functions(tree)
+    mentioned = names(tree)
+    assert {"_ad_matrix", "smith_exponents"} <= mentioned  # the scan sees the oracle's calls
+    assert not mentioned & forbidden
 
 
 def _imported_from(tree, module):
@@ -155,7 +128,7 @@ def test_tuple_oracle_names_no_finite_oracle_kernel():
     tree = ast.parse((TESTS / "tuple_classes.py").read_text(encoding="utf-8"))
     imported = _imported_from(tree, "repzeta.finite_oracle")
     assert "FiniteMatrixGroup" in imported  # the scan sees the import
-    assert not {"_mul", "_inv"} & (imported | _names(tree))
+    assert not {"_mul", "_inv"} & (imported | names(tree))
 
 
 def test_hook_length_oracle_names_only_max_k_from_symmetric():
@@ -166,7 +139,7 @@ def test_hook_length_oracle_names_only_max_k_from_symmetric():
     assert not any(name.startswith("repzeta") for name in modules)
     symmetric = set(_functions(_tree("symmetric")))
     assert {"young_levels", "an_census"} <= symmetric  # the scan sees the sweep
-    assert not symmetric & _names(tree)
+    assert not symmetric & names(tree)
 
 
 def test_weyl_formula_oracle_imports_no_repzeta_module():
@@ -177,3 +150,51 @@ def test_weyl_formula_oracle_imports_no_repzeta_module():
     }
     assert "typing" in imported  # the scan sees the imports
     assert not any(name.startswith("repzeta") for name in imported)
+
+
+def _resolve(name):
+    """The object a registry name `module.attribute...` names, from src/repzeta or tests/."""
+    module, *attributes = name.split(".")
+    if (PACKAGE / f"{module}.py").exists():
+        module = f"repzeta.{module}"
+    else:
+        assert (TESTS / f"{module}.py").exists(), name
+    found = importlib.import_module(module)
+    for attribute in attributes:
+        found = getattr(found, attribute)
+    return found
+
+
+def test_registry_names_resolve_and_name_collected_tests():
+    """Every callable the registry names imports, and every test it names is collected.
+
+    pytest collects the top-level `test_*` functions of `tests/test_*.py`,
+    so a test found here is collected; every pairing names one at least.
+    """
+    for pairing in PAIRINGS:
+        for name in pairing.formula + pairing.oracle:
+            assert callable(_resolve(name)), name
+        for name in pairing.range + pairing.shared:
+            _resolve(name)
+        assert pairing.tests
+        for test in pairing.tests:
+            path, function = test.split("::")
+            assert path.startswith("tests/test_") and function.startswith("test_"), test
+            tree = ast.parse((TESTS.parent / path).read_text(encoding="utf-8"))
+            assert function in _functions(tree), test
+
+
+def test_pairing_callables_sit_on_their_side():
+    """A pairing's formula callables are formula-side code, its oracle callables oracle-side.
+
+    Test-side modules (the oracles under `tests/`) are on no side.
+    """
+    sided = 0
+    for pairing in PAIRINGS:
+        for side, callables in (("formula", pairing.formula), ("oracle", pairing.oracle)):
+            for name in callables:
+                module = name.split(".")[0]
+                if module in SIDES:
+                    assert SIDES[module] == side, name
+                    sided += 1
+    assert sided >= 10  # the scan sees the src callables

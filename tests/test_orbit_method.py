@@ -5,11 +5,11 @@ import pytest
 
 from paper_checks import census_vs_bound, chain_count_bound, kernel_cokernel_size
 from paper_checks import partition_by_valuation, stage_summary
-from repzeta import orbit_method
+from repzeta import finite_oracle
 from repzeta.errors import BudgetExceededError
-from repzeta.linalg import valuation
-from repzeta.orbit_method import centralizer_index_oracle, make_orbit_datum, orbit_dimension
-from repzeta.orbit_method import psi_chain
+from repzeta.finite_oracle import ORACLE_DEGREE_BUDGET, centralizer_index_oracle
+from repzeta.linalg import smith_exponents, valuation
+from repzeta.orbit_method import make_orbit_datum, orbit_dimension, psi_chain
 
 
 def random_datum(rng, d=None, p=None, k=None):
@@ -82,11 +82,11 @@ def test_orbit_dimension_examples():
     assert orbit_dimension(make_orbit_datum(2, 3, 1, (1, -1))) == 1
     datum = make_orbit_datum(2, 3, 2, (1, -1))
     assert orbit_dimension(datum) == 3
-    assert centralizer_index_oracle(datum) == 9
+    assert centralizer_index_oracle(datum.eigenvalues, 3, 2) == 9
     # val_5(2 - (-3)) = 1, so the deficiency sum is 2, not 3
     datum2 = make_orbit_datum(3, 5, 2, (1, 2, -3))
     assert orbit_dimension(datum2) == 25
-    assert centralizer_index_oracle(datum2) == 5 ** 4
+    assert centralizer_index_oracle(datum2.eigenvalues, 5, 2) == 5 ** 4
 
 
 def test_a1_closed_form():
@@ -104,7 +104,7 @@ def test_a1_closed_form():
 
 def assert_dimension_formula_matches_oracle(datum):
     dim = orbit_dimension(datum)
-    index = centralizer_index_oracle(datum)
+    index = centralizer_index_oracle(datum.eigenvalues, datum.p, datum.k)
     assert dim * dim == index
     # equivalent statement: dim^2 * |ker| = p^((d^2-1) k)
     full = datum.p ** ((datum.d ** 2 - 1) * datum.k)
@@ -121,16 +121,17 @@ def test_dimension_formula_oracle_equality_50_random_d4():
     """The largest degree the oracle accepts, d = ORACLE_DEGREE_BUDGET = 4."""
     rng = random.Random(8)
     for _ in range(50):
-        datum = random_datum(rng, d=orbit_method.ORACLE_DEGREE_BUDGET)
+        datum = random_datum(rng, d=ORACLE_DEGREE_BUDGET)
         assert_dimension_formula_matches_oracle(datum)
 
 
-def dense_ad_matrix(datum):
-    """p*ad(x) on the trace-zero lattice, each column from two dense d x d matrices.
+def dense_ad_matrix(x, p):
+    """p*ad(x) on the trace-zero lattice for a d x d integer matrix x, from matrix brackets.
 
-    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
+    Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1};
+    column j holds the coordinates of p[x, b_j].
     """
-    d, p, x = datum.d, datum.p, datum.eigenvalues
+    d = len(x)
     dim = d * d - 1
     offdiag = [(s, t) for s in range(d) for t in range(d) if s != t]
     matrix = [[0] * dim for _ in range(dim)]
@@ -143,7 +144,8 @@ def dense_ad_matrix(datum):
             i = col - len(offdiag)
             mat[i][i] = 1
             mat[i + 1][i + 1] = -1
-        bracket = [[x[a] * mat[a][b] - mat[a][b] * x[b] for b in range(d)] for a in range(d)]
+        bracket = [[a - b for a, b in zip(row, other)]
+                   for row, other in zip(mat_mul(x, mat), mat_mul(mat, x))]
         assert sum(bracket[i][i] for i in range(d)) == 0
         coords = [bracket[s][t] for s, t in offdiag]
         partial = 0
@@ -155,18 +157,65 @@ def dense_ad_matrix(datum):
     return matrix
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def diag(values):
+    return [[v if s == t else 0 for t in range(len(values))] for s, v in enumerate(values)]
+
+
 def test_ad_matrix_matches_dense_construction():
     rng = random.Random(31)
     for d, p, k in product((2, 3, 4), (2, 3, 5, 7), (1, 2, 3)):
         for _ in range(3):
             datum = random_datum(rng, d=d, p=p, k=k)
-            assert orbit_method._ad_matrix(datum.eigenvalues, datum.p) == dense_ad_matrix(datum)
+            dense = dense_ad_matrix(diag(datum.eigenvalues), datum.p)
+            assert finite_oracle._ad_matrix(datum.eigenvalues, datum.p) == dense
+
+
+def random_sl_pair(rng, d, steps):
+    """(g, g^-1) for g in SL_d(Z), a product of `steps` elementary matrices I + c E_st."""
+    g, g_inv = diag([1] * d), diag([1] * d)
+    for _ in range(steps):
+        s, t = rng.sample(range(d), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in g:  # g <- g (I + c E_st): column t gains c * column s
+            row[t] += c * row[s]
+        g_inv[s] = [a - c * b for a, b in zip(g_inv[s], g_inv[t])]  # (I - c E_st) g^-1
+    return g, g_inv
+
+
+def test_conjugated_dense_ad_matrix_has_the_oracle_smith_exponents():
+    """p*ad(g x g^-1), built densely, against the oracle's diagonal p*ad(x).
+
+    Ad(g) maps the trace-zero lattice onto itself for g in SL_d(Z), so the
+    two matrices differ by unimodular changes of basis and share their
+    Smith exponents; the conjugated one is dense, so its exponents are
+    not read off a diagonal.
+    """
+    rng = random.Random(43)
+    dense_cases, exponents = 0, set()
+    for d, p, k in product((2, 3, 4), (3, 5, 7), (1, 2, 3)):
+        for _ in range(4):
+            # multiples of p^j, j <= k, so the differences take every valuation
+            eigs = [p ** rng.randint(0, k) * rng.randint(-p, p) for _ in range(d - 1)]
+            eigs.append(-sum(eigs))
+            g, g_inv = random_sl_pair(rng, d, 3 * d)
+            assert mat_mul(g, g_inv) == diag([1] * d)
+            y = mat_mul(mat_mul(g, diag(eigs)), g_inv)
+            dense_cases += any(y[s][t] for s in range(d) for t in range(d) if s != t)
+            expected = smith_exponents(finite_oracle._ad_matrix(eigs, p), p, k)
+            assert smith_exponents(dense_ad_matrix(y, p), p, k) == expected, (eigs, g)
+            exponents.add((d, p, k, expected))
+    assert dense_cases > 90  # most conjugates are not diagonal
+    assert len(exponents) > 40  # and data of one (d, p, k) differ in their exponents
 
 
 def test_oracle_budget():
     datum = make_orbit_datum(5, 3, 1, (1, 2, 3, 4, (-10) % 27))
     with pytest.raises(BudgetExceededError):
-        centralizer_index_oracle(datum)
+        centralizer_index_oracle(datum.eigenvalues, datum.p, datum.k)
 
 
 def test_chain_count_bound_examples():

@@ -3,12 +3,15 @@ import importlib
 import re
 from pathlib import Path
 
+from ast_names import names
+from pairings import PAIRINGS
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repzeta"
 README = ROOT / "README.md"
 ROW = re.compile(r"^\s*\| `(\w+)\.(\w+_BUDGET)` \| ([^|]+?) \|", re.MULTILINE)
 FIXED = re.compile(r"`(\w+)\.([A-Z_]+)` \(([^)]+)\)")
-NAMED_TEST = re.compile(r"`tests/(test_\w+\.py)::(test_\w+)`")
+BACKTICKED = re.compile(r"`([^`]+)`")
 
 
 def _readme_value(text):
@@ -53,23 +56,21 @@ def test_readme_fixed_parameters_match_constants():
         assert actual == ast.literal_eval(value), (module, name)
 
 
-def test_readme_pairing_table_names_collected_tests():
-    """Every test the pairing table names is a top-level test function of a collected file.
+def test_readme_pairing_table_matches_registry():
+    """README's Pairings table is `tests/pairings.py`, row by row and cell by cell.
 
-    pytest collects `test_*` functions of the `tests/test_*.py` files, so a
-    name that passes here is collected; one per row at least.
+    Each cell's backticked names, in order, are its record's field; the
+    prose around them is README's alone.
     """
     text = README.read_text(encoding="utf-8")
     table = text.split("\n## Pairings\n", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in table.splitlines() if line.startswith("|")][2:]  # past the header
-    assert len(rows) == 8  # the section was parsed
-    for row in rows:
-        named = NAMED_TEST.findall(row.split(" | ")[2])
-        assert named, row
-        for filename, test in named:
-            tree = ast.parse((ROOT / "tests" / filename).read_text(encoding="utf-8"))
-            tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-            assert test in tests, f"{filename}::{test}"
+    assert len(rows) == len(PAIRINGS)
+    for row, pairing in zip(rows, PAIRINGS):
+        cells = row.strip()[2:-2].split(" | ")
+        assert len(cells) == len(pairing._fields), row
+        for field, cell in zip(pairing._fields, cells):
+            assert tuple(BACKTICKED.findall(cell)) == getattr(pairing, field), (field, row)
 
 
 def test_module_map_names_every_module():
@@ -80,12 +81,6 @@ def test_module_map_names_every_module():
     assert "cli" in rows  # the table was parsed
     assert len(rows) == len(set(rows))
     assert set(rows) == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "errors"}
-
-
-def _names(node):
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
 
 
 def _walk_from_main():
@@ -138,7 +133,7 @@ def _walk_from_main():
         if qualname not in reached:
             reached.add(qualname)
             for node in nodes:
-                for name in _names(node):
+                for name in names(node):
                     todo.extend(by_name.get(name, ()))
     return reached, public
 
