@@ -1,13 +1,19 @@
 """Exact linear algebra over Z, Z/m, F_p and Z/p^M.
 
 Everything here is pure-integer arithmetic.  The local Smith form is
-the workhorse shared by the centralizer oracle, the base-change
-kernel/cokernel counts, the conjugacy keys and the intertwiner-module
-solver: over the local ring Z/p^M every matrix diagonalizes to
-diag(p^e1, ...) by invertible row/column operations, with nondecreasing
-exponents.  `smith_local` also returns the right factor V, which only
-the intertwiner-module solver reads; `smith_exponents` runs the same
-elimination without V for the callers that read the exponents alone.
+the workhorse shared by the centralizer oracle, the conjugacy keys and
+the intertwiner-module solver (and, test-side, the base-change
+kernel/cokernel counts): over the local ring Z/p^M every matrix
+diagonalizes to diag(p^e1, ...) by invertible row/column operations,
+with nondecreasing exponents.  Its inputs are sparse (p*ad(x) is a diagonal, an
+intertwiner system has about one entry in ten nonzero), so there is one
+elimination, `_eliminate`, and it runs on sparse rows: each row a dict
+of its nonzero residues, the columns permuted through a position table
+instead of moved, and the pivot rule that of a dense scan (least
+valuation, first in row-major order).  `smith_local` also returns the
+right factor V, which only the intertwiner-module solver reads;
+`smith_exponents` runs the same elimination without V for the callers
+that read the exponents alone.
 """
 
 from __future__ import annotations
@@ -267,82 +273,101 @@ class SmithLocal(NamedTuple):
     right: tuple[tuple[int, ...], ...]
 
 
-def _pivot(
-    a: Matrix, t: int, p: int, precision: int, floor: int
-) -> tuple[tuple[int, int] | None, int]:
-    """Row-major first entry of least valuation in a[t:, t:], given that none is below `floor`."""
-    best, best_val = None, precision
-    n = len(a)
-    for i in range(t, n):
-        row = a[i]
-        for j in range(t, n):
-            x = row[j]
-            if x:
-                if x % p:
-                    return (i, j), 0
-                val = valuation(x, p, best_val)
-                if val < best_val:
-                    if val == floor:
-                        return (i, j), val
-                    best, best_val = (i, j), val
-    return best, best_val
-
-
 def _eliminate(
     rows: Sequence[Sequence[int]], p: int, precision: int, v: Matrix | None
 ) -> tuple[int, ...]:
     """Local Smith exponents of a square matrix; column operations go to `v` if given.
 
-    Pivots are chosen with minimal valuation (first in row-major order on
-    ties), which makes the exponent sequence nondecreasing and the whole
-    procedure deterministic.  Every entry left after a step is a multiple
-    of that step's pivot, so the search for the next pivot stops at the
-    first entry of the previous pivot's valuation.  Row operations are
-    applied to A only, as U is not kept.  Column operations are applied to
-    V only: after the row step column t of A is zero below the pivot, so
-    on A they would only clear row t, which is never read again.
+    A is held as sparse rows, each a dict from column to its nonzero
+    residue mod p^M, and an entry that becomes 0 is dropped at once, so
+    the pivot search and the row steps touch only nonzero entries.
+    Columns of A are never moved: `pos[c]` is the current position of
+    column c and `col_at[j]` the column at position j, and a column swap
+    exchanges two of each.  Rows are swapped in place.  V stays dense and
+    is swapped and updated by position.
+
+    Pivots are chosen with minimal valuation, first in row-major order of
+    the current positions on ties, which makes the exponent sequence
+    nondecreasing and the whole procedure deterministic.  A row's entries
+    come in no position order, so the search reads each row whole: an
+    entry not divisible by p^best has a lower valuation and becomes the
+    best, and in the best's own row an entry divisible by p^best but not
+    by p^(best+1) ties with it and wins if it sits further left (a test
+    against p^best alone cannot tell a tie from a greater valuation).
+    Every entry left after a step is a multiple of that step's pivot, so
+    the search stops after the first row that holds an entry of the
+    previous pivot's valuation.
+
+    Row operations are applied to A only, as U is not kept.  The pivot
+    row is not scaled by the inverse w of its unit part; row i subtracts
+    (x / p^e)·w times it instead, e the pivot's valuation, which leaves
+    the same residues.  Column operations are applied to V only: after
+    the row step column t of A is zero below the pivot, so on A they
+    would only clear row t, which is never read again.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("the local Smith form expects a square matrix")
     pm = p ** precision
-    a = [[x % pm for x in row] for row in rows]
+    a = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("the local Smith form expects a square matrix")
+        a.append({c: y for c, x in enumerate(row) if (y := x % pm)})
+    pos = list(range(n))
+    col_at = list(range(n))
     exps = [precision] * n
     floor = 0
     for t in range(n):
-        best, best_val = _pivot(a, t, p, precision, floor)
-        if best is None:
+        best_i, best_c, best_val = -1, -1, precision
+        pb = pm  # p^best_val: every nonzero entry has a lower valuation than M
+        for i in range(t, n):
+            for c, x in a[i].items():
+                if x % pb:
+                    best_i, best_c = i, c
+                    best_val = 0
+                    while x % p == 0:
+                        x //= p
+                        best_val += 1
+                    pb = p ** best_val
+                elif i == best_i and x % (pb * p) and pos[c] < pos[best_c]:
+                    best_c = c
+            if best_val == floor:
+                break
+        if best_i < 0:
             break
-        floor = best_val
-        i0, j0 = best
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
+        if best_val < floor:
+            raise AssertionError("local Smith exponents not sorted")
+        floor = exps[t] = best_val
+        if best_i != t:
+            a[t], a[best_i] = a[best_i], a[t]
+        at = a[t]
+        j0 = pos[best_c]
         if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
+            c_t = col_at[t]
+            col_at[t], col_at[j0] = best_c, c_t
+            pos[best_c], pos[c_t] = t, j0
             if v is not None:
                 for row in v:
                     row[t], row[j0] = row[j0], row[t]
-        pv = p ** best_val
-        unit = a[t][t] // pv
-        w = pow(unit, -1, pm)
-        at = a[t] = [(x * w) % pm for x in a[t]]
+        w = pow(at[best_c] // pb, -1, pm)
         for i in range(t + 1, n):
-            x = a[i][t]
+            row = a[i]
+            x = row.get(best_c)
             if x:
-                q = x // pv
-                a[i] = [(y - q * z) % pm for y, z in zip(a[i], at)]
+                q = x // pb * w
+                for c, z in at.items():
+                    y = (row.get(c, 0) - q * z) % pm
+                    if y:
+                        row[c] = y
+                    else:
+                        row.pop(c, None)
         if v is not None:
-            col_ops = [(j, at[j] // pv) for j in range(t + 1, n) if at[j]]
+            col_ops = [(pos[c], z * w % pm // pb) for c, z in at.items() if c != best_c]
             if col_ops:
                 for row in v:
                     vt = row[t]
                     if vt:
                         for j, q in col_ops:
                             row[j] = (row[j] - q * vt) % pm
-        exps[t] = best_val
-    if any(exps[i] > exps[i + 1] for i in range(n - 1)):
-        raise AssertionError("local Smith exponents not sorted")
     return tuple(exps)
 
 

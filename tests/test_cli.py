@@ -100,6 +100,39 @@ def test_orbit_table(capsys):
     assert len(result["table"]) == 10
 
 
+def test_orbit_reports_a_dimension_that_differs(capsys, monkeypatch):
+    """`all_match` and a row's `match` read false, and the run still exits 0, when dim^2 != index."""
+    dimension = cli.orbit_dimension
+    monkeypatch.setattr(cli, "orbit_dimension", lambda datum: datum.p * dimension(datum))
+    code, out = run_cli(capsys, ["orbit", "--samples", "10", "--seed", "5"])
+    assert code == 0
+    assert '"all_match": false,' in out
+    result = json.loads(out)["result"]
+    assert result["all_match"] is False
+    assert any(row["match"] is False for row in result["table"])
+
+
+def test_census8_reports_a_conjugator_off_the_block_shape(capsys, monkeypatch):
+    """`conjugator_blocks_ok` reads false when a witness has a unit in its lower-left block."""
+    decide = isotropic_census.are_conjugate
+
+    def off_shape(m1, m2, p, n):
+        result = decide(m1, m2, p, n)
+        if result.witness is None:
+            return result
+        rows = [list(row) for row in result.witness]
+        rows[len(rows) // 2][0] = 1
+        return result._replace(witness=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(isotropic_census, "are_conjugate", off_shape)
+    code, out = run_cli(capsys, ["census8", "--m", "2", "--q", "3", "--k", "2", "--t", "1"])
+    assert code == 0
+    assert '"conjugator_blocks_ok": false,' in out
+    result = json.loads(out)["result"]
+    assert result["conjugator_blocks_ok"] is False
+    assert result["certified"] is True
+
+
 def test_census8_small(capsys):
     code, out = run_cli(
         capsys, ["census8", "--m", "2", "--q", "3", "--k", "1", "--t", "1"]

@@ -142,12 +142,24 @@ def test_hook_length_oracle_names_only_max_k_from_symmetric():
     assert not symmetric & names(tree)
 
 
-def test_weyl_formula_oracle_imports_no_repzeta_module():
-    """tests/weyl_formula.py checks the census walk from the coroot rows alone."""
-    tree = ast.parse((TESTS / "weyl_formula.py").read_text(encoding="utf-8"))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)} | {
+def _imported_modules(oracle):
+    """The modules a test-side oracle file imports, by name."""
+    tree = ast.parse((TESTS / f"{oracle}.py").read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)} | {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     }
+
+
+def test_weyl_formula_oracle_imports_no_repzeta_module():
+    """tests/weyl_formula.py checks the census walk from the coroot rows alone."""
+    imported = _imported_modules("weyl_formula")
+    assert "typing" in imported  # the scan sees the imports
+    assert not any(name.startswith("repzeta") for name in imported)
+
+
+def test_dense_smith_oracle_imports_no_repzeta_module():
+    """tests/dense_smith.py checks linalg's sparse elimination with its own valuation and dense rows."""
+    imported = _imported_modules("dense_smith")
     assert "typing" in imported  # the scan sees the imports
     assert not any(name.startswith("repzeta") for name in imported)
 

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_smith import dense_smith
+from repzeta.finite_oracle import _ad_matrix
+from repzeta.isotropic_census import _intertwiner_system, build_census_family
 from repzeta.linalg import (
     charpoly_mod_p,
     det_int,
@@ -331,15 +334,58 @@ def test_full_order_kernel_generators_independent_mod_p(case):
     assert len(reduced) == len(full)
 
 
-@settings(max_examples=200, deadline=None)
+def assert_matches_dense(rows, p, precision):
+    """The sparse elimination gives the dense one's exponents and, entry by entry, its V."""
+    exponents, right = dense_smith(rows, p, precision)
+    smith = smith_local(rows, p, precision)
+    assert smith.exponents == exponents, (p, precision, rows)
+    assert smith.right == right, (p, precision, rows)
+    assert smith_exponents(rows, p, precision) == exponents, (p, precision, rows)
+
+
+@settings(max_examples=300, deadline=None)
 @given(local_square_matrices(primes=(2, 3, 5, 7), max_precision=5, max_n=6))
 @example((7, 5, [[0] * 6 for _ in range(6)]))
 @example((2, 1, [[0]]))
 @example((5, 4, [[25, 50, 0], [0, 125, 5], [625, 0, 0]]))
-def test_smith_exponents_match_smith_local(case):
-    """The V-free elimination gives the exponents of the full one."""
+@example((3, 2, [[0, 3, 1], [0, 0, 0], [3, 1, 0]]))  # a unit after a non-unit in its row
+@example((5, 3, [[25, 5, 0], [0, 0, 5], [5, 0, 0]]))  # ties of valuation 1 across rows
+def test_smith_forms_match_dense_oracle(case):
+    """`smith_local` (exponents and V) and `smith_exponents` against the dense elimination."""
     p, precision, rows = case
-    assert smith_exponents(rows, p, precision) == smith_local(rows, p, precision).exponents
+    assert_matches_dense(rows, p, precision)
+
+
+@st.composite
+def ad_matrices(draw):
+    """(p, k, p*ad(x)) for x = diag(eigenvalues) of trace 0, d = 2..4, differences of every valuation."""
+    d = draw(st.integers(2, 4))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(1, 3))
+    eigs = [p ** draw(st.integers(0, k)) * draw(st.integers(-p, p)) for _ in range(d - 1)]
+    return p, k, _ad_matrix(eigs + [-sum(eigs)], p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ad_matrices())
+def test_smith_forms_match_dense_oracle_on_ad_matrices(case):
+    """p*ad(x) is a diagonal with d - 1 zero rows: most rows are empty."""
+    p, k, rows = case
+    assert_matches_dense(rows, p, k)
+
+
+def test_smith_forms_match_dense_oracle_on_census_systems():
+    """Every intertwiner system and shifted matrix among the first 9 members of the (4,3,1,1) family."""
+    family = build_census_family(4, 3, 1, 1)
+    p, N = family.q, family.modulus_exp
+    pN, pk = p ** N, p ** family.k
+    members = [family.y_reps[i] for i in range(9)]
+    for m1, m2 in product(members, repeat=2):
+        assert_matches_dense(_intertwiner_system(m1, m2, p, N), p, N)
+    for mat, d in product(members, family.x_diag + family.z_diag):
+        shifted = [[(x - (1 + pk * d) * (i == j)) % pN for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        assert_matches_dense(shifted, p, N)
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
