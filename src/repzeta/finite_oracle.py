@@ -485,22 +485,17 @@ def abelianization_order(group: FiniteMatrixGroup) -> int:
         normal_gens.extend(dict.fromkeys(new))
 
 
-def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[list[int]]:
-    """The matrix of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
+def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[dict[int, int]]:
+    """The sparse rows of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
 
     Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
     ad(x) acts on each root space E_st by x_s - x_t and kills the Cartan
-    part, so the matrix is diagonal: p(x_s - x_t) per root, then d - 1 zeros.
+    part, so the matrix is diagonal: {i: p(x_s - x_t)} for the i-th root,
+    unreduced, then d - 1 empty rows.
     """
-    x, d = eigenvalues, len(eigenvalues)
-    matrix = [[0] * (d * d - 1) for _ in range(d * d - 1)]
-    i = 0
-    for s in range(d):
-        for t in range(d):
-            if s != t:
-                matrix[i][i] = p * (x[s] - x[t])
-                i += 1
-    return matrix
+    x = eigenvalues
+    roots = [p * (xs - xt) for s, xs in enumerate(x) for t, xt in enumerate(x) if s != t]
+    return [{i: y} for i, y in enumerate(roots)] + [{} for _ in range(len(x) - 1)]
 
 
 def centralizer_index_oracle(eigenvalues: Sequence[int], p: int, k: int) -> int:

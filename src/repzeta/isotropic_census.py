@@ -176,21 +176,22 @@ def build_census_family(m: int, q: int, k: int, t: int) -> CensusFamily:
 
 
 def _intertwiner_system(
-    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
-) -> list[list[int]]:
-    """Coefficients of the linear map W -> W M1 - M2 W on row-major W, mod p^N."""
+    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]]
+) -> list[dict[int, int]]:
+    """Sparse rows of the linear map W -> W M1 - M2 W on row-major W, unreduced.
+
+    Row i*m + j has the nonzero M1[a][j] at column i*m + a and -M2[i][b] at b*m + j.
+    """
     m = len(M1)
-    pN = p ** N
-    dim = m * m
-    coeff = [[0] * dim for _ in range(dim)]
-    for i in range(m):
+    rows = []
+    for i, m2_row in enumerate(M2):
         for j in range(m):
-            row = coeff[i * m + j]
-            for a in range(m):
-                row[i * m + a] = (row[i * m + a] + M1[a][j]) % pN
-            for b in range(m):
-                row[b * m + j] = (row[b * m + j] - M2[i][b]) % pN
-    return coeff
+            row = {i * m + a: x for a, m1_row in enumerate(M1) if (x := m1_row[j])}
+            for b, y in enumerate(m2_row):
+                if y:
+                    row[b * m + j] = row.get(b * m + j, 0) - y
+            rows.append(row)
+    return rows
 
 
 def conjugacy_module(
@@ -203,7 +204,7 @@ def conjugacy_module(
     mod p, so these span the module's reduction mod p.
     """
     m = len(M1)
-    smith = smith_local(_intertwiner_system(M1, M2, p, N), p, N)
+    smith = smith_local(_intertwiner_system(M1, M2), p, N)
     v = smith.right
     return [
         tuple(tuple(v[r * m + c][t] for c in range(m)) for r in range(m))
@@ -292,17 +293,16 @@ def conjugacy_key(mat: Mat, family: CensusFamily) -> tuple[tuple[int, ...], ...]
     M' = W M W^-1 then X -> W X W^-1 conjugates the first map into the
     one of M', and M' - cI = W (M - cI) W^-1 has the Smith form of
     M - cI, so conjugate matrices have equal keys.  Neither part alone
-    separates the classes of the `certify` samples.
+    separates the classes of the `certify` samples.  Both maps go to the
+    Smith form as sparse rows, unreduced.
     """
     p, N = family.q, family.modulus_exp
-    pN = p ** N
     pk = p ** family.k
-    key = [smith_exponents(_intertwiner_system(mat, mat, p, N), p, N)]
+    key = [smith_exponents(_intertwiner_system(mat, mat), p, N)]
     for d in family.x_diag + family.z_diag:
         c = 1 + pk * d
-        shifted = [
-            [(x - c if i == j else x) % pN for j, x in enumerate(row)] for i, row in enumerate(mat)
-        ]
+        shifted = [{j: x for j, x in enumerate(row) if x} | {i: row[i] - c}
+                   for i, row in enumerate(mat)]
         key.append(smith_exponents(shifted, p, N))
     return tuple(key)
 

@@ -5,22 +5,24 @@ the workhorse shared by the centralizer oracle, the conjugacy keys and
 the intertwiner-module solver (and, test-side, the base-change
 kernel/cokernel counts): over the local ring Z/p^M every matrix
 diagonalizes to diag(p^e1, ...) by invertible row/column operations,
-with nondecreasing exponents.  Its inputs are sparse (p*ad(x) is a diagonal, an
-intertwiner system has about one entry in ten nonzero), so there is one
-elimination, `_eliminate`, and it runs on sparse rows: each row a dict
-of its nonzero residues, the columns permuted through a position table
-instead of moved, and the pivot rule that of a dense scan (least
-valuation, first in row-major order).  `smith_local` also returns the
-right factor V, which only the intertwiner-module solver reads;
-`smith_exponents` runs the same elimination without V for the callers
-that read the exponents alone.
+with nondecreasing exponents.  Its inputs are sparse (p*ad(x) is a
+diagonal, an intertwiner system has about one entry in ten nonzero), so
+they arrive as sparse rows: n dicts from a column in 0..n-1 to an
+integer.  The one elimination, `_eliminate`, alone reduces them mod
+p^M; it keeps each row a dict of its nonzero residues, permutes the
+columns through a position table instead of moving them, and takes the
+pivot of a dense scan (least valuation, first in row-major order).
+`smith_local` also returns the right factor V, which only the
+intertwiner-module solver reads; `smith_exponents` runs the same
+elimination without V for the callers that read the exponents alone.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Matrix = list[list[int]]
+SparseRow = Mapping[int, int]  # column -> entry; a column not in it holds 0
 
 
 def valuation(x: int, p: int, cap: int) -> int:
@@ -274,13 +276,14 @@ class SmithLocal(NamedTuple):
 
 
 def _eliminate(
-    rows: Sequence[Sequence[int]], p: int, precision: int, v: Matrix | None
+    rows: Sequence[SparseRow], p: int, precision: int, v: Matrix | None
 ) -> tuple[int, ...]:
-    """Local Smith exponents of a square matrix; column operations go to `v` if given.
+    """Local Smith exponents of an n x n matrix; column operations go to `v` if given.
 
-    A is held as sparse rows, each a dict from column to its nonzero
-    residue mod p^M, and an entry that becomes 0 is dropped at once, so
-    the pivot search and the row steps touch only nonzero entries.
+    A arrives as n sparse rows (a column outside 0..n-1 raises ValueError)
+    and is reduced here only: each row is copied into a dict of its
+    nonzero residues mod p^M, and an entry that becomes 0 is dropped at
+    once, so the pivot search and the row steps touch only nonzero entries.
     Columns of A are never moved: `pos[c]` is the current position of
     column c and `col_at[j]` the column at position j, and a column swap
     exchanges two of each.  Rows are swapped in place.  V stays dense and
@@ -309,9 +312,9 @@ def _eliminate(
     pm = p ** precision
     a = []
     for row in rows:
-        if len(row) != n:
-            raise ValueError("the local Smith form expects a square matrix")
-        a.append({c: y for c, x in enumerate(row) if (y := x % pm)})
+        if row and (min(row) < 0 or max(row) >= n):
+            raise ValueError("the local Smith form expects n rows with columns in 0..n-1")
+        a.append({c: y for c, x in row.items() if (y := x % pm)})
     pos = list(range(n))
     col_at = list(range(n))
     exps = [precision] * n
@@ -371,13 +374,13 @@ def _eliminate(
     return tuple(exps)
 
 
-def smith_local(rows: Sequence[Sequence[int]], p: int, precision: int) -> SmithLocal:
-    """Diagonalize a square matrix over the local ring Z/p^M, keeping V."""
+def smith_local(rows: Sequence[SparseRow], p: int, precision: int) -> SmithLocal:
+    """Diagonalize an n x n matrix, given as n sparse rows, over Z/p^M, keeping V."""
     v = identity_matrix(len(rows))
     exponents = _eliminate(rows, p, precision, v)
     return SmithLocal(exponents=exponents, right=tuple(tuple(r) for r in v))
 
 
-def smith_exponents(rows: Sequence[Sequence[int]], p: int, precision: int) -> tuple[int, ...]:
+def smith_exponents(rows: Sequence[SparseRow], p: int, precision: int) -> tuple[int, ...]:
     """The exponents of `smith_local(rows, p, precision)`, without building V."""
     return _eliminate(rows, p, precision, None)

@@ -7,13 +7,55 @@ order of the current column positions, and since every entry left after
 a step is a multiple of that step's pivot, the scan stops at the first
 entry of the previous pivot's valuation.  So the exponents and the
 right factor V of both eliminations agree on every input.
+
+`repzeta`'s Smith forms take sparse rows; `sparse_rows` turns a dense
+test input into them and `dense_rows` turns them back.  The dense
+constructions the sparse builders replaced, `dense_intertwiner_system`
+and `dense_shift`, are kept here as the builders' oracles.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Matrix = list[list[int]]
+
+
+def sparse_rows(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """The sparse rows of a dense matrix: each row a dict of its nonzero entries."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows: Sequence[Mapping[int, int]], mod: int | None = None) -> Matrix:
+    """The n x n matrix of n sparse rows, each entry reduced mod `mod` if given."""
+    n = len(rows)
+    if any(c not in range(n) for row in rows for c in row):
+        raise ValueError("a sparse row has a column outside 0..n-1")
+    dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+    return dense if mod is None else [[x % mod for x in row] for row in dense]
+
+
+def dense_intertwiner_system(
+    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]], p: int, N: int
+) -> Matrix:
+    """Coefficients of the linear map W -> W M1 - M2 W on row-major W, mod p^N."""
+    m = len(M1)
+    pN = p ** N
+    dim = m * m
+    coeff = [[0] * dim for _ in range(dim)]
+    for i in range(m):
+        for j in range(m):
+            row = coeff[i * m + j]
+            for a in range(m):
+                row[i * m + a] = (row[i * m + a] + M1[a][j]) % pN
+            for b in range(m):
+                row[b * m + j] = (row[b * m + j] - M2[i][b]) % pN
+    return coeff
+
+
+def dense_shift(mat: Sequence[Sequence[int]], c: int, pN: int) -> Matrix:
+    """mat - cI, reduced mod pN."""
+    return [[(x - c if i == j else x) % pN for j, x in enumerate(row)] for i, row in enumerate(mat)]
 
 
 def valuation(x: int, p: int, cap: int) -> int:

@@ -23,6 +23,7 @@ import math
 from collections import Counter, namedtuple
 from itertools import combinations, product
 
+from dense_smith import sparse_rows
 from repzeta.linalg import det_int, smith_exponents
 from weyl_formula import weyl_dimension
 
@@ -103,7 +104,7 @@ def kernel_cokernel_size(T, p, r):
     if det_int(T) == 0:
         raise ValueError("matrix must be injective (nonzero determinant)")
     n, mod = len(T), p ** r
-    ker = p ** sum(smith_exponents(T, p, r))
+    ker = p ** sum(smith_exponents(sparse_rows(T), p, r))
     if mod ** n <= 700:
         image = {
             tuple(sum(a * v for a, v in zip(row, vec)) % mod for row in T)

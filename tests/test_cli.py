@@ -175,6 +175,39 @@ def test_euler_report(capsys):
     assert result["divergence_scan"]["strictly_increasing"] is True
 
 
+@pytest.mark.parametrize(
+    "scan, increasing, ratio",
+    [("114,126", "false", 1.0), ("100,150", "true", 1.0994)],
+    ids=["no-prime-in-between", "growth-below-threshold"],
+)
+def test_euler_reports_a_scan_that_does_not_diverge(capsys, scan, increasing, ratio):
+    """`diverging` reads false, and `strictly_increasing` too when (114, 126] holds no prime."""
+    code, out = run_cli(capsys, ["euler", "--prime-bound", "100", "--scan-grid", scan])
+    assert code == 0
+    assert f'"strictly_increasing": {increasing},' in out
+    assert '"diverging": false,' in out
+    result = json.loads(out)["result"]["divergence_scan"]
+    assert result["strictly_increasing"] is (increasing == "true")
+    assert result["diverging"] is False
+    assert result["growth_ratio"] == pytest.approx(ratio, abs=1e-4)
+    assert result["growth_ratio"] < result["threshold"]
+
+
+@pytest.mark.parametrize("edge_share, verdict", [(None, "false"), (0.9, "false"), (1.1, "true")])
+def test_euler_reports_a_product_below_the_sandwich(capsys, monkeypatch, edge_share, verdict):
+    """`sandwich_ok` at s = 2.5 reads false for a product of local factors 1, and false or true
+    for equal factors whose product is 0.9 or 1.1 times the lower edge zeta(s - 1)^(1/2)."""
+    s = 2.5
+    primes = [p for p in range(3, 101) if all(p % d for d in range(2, p))]
+    half_log_zeta = 0.5 * sum(-math.log(1 - p ** (1 - s)) for p in primes)
+    value = 1.0 if edge_share is None else math.exp(edge_share * half_log_zeta / len(primes))
+    monkeypatch.setattr(euler_global, "evaluate_local", lambda factor, s: value)
+    code, out = run_cli(capsys, ["euler", "--prime-bound", "100", "--s-grid", str(s)])
+    assert code == 0
+    assert f'"sandwich_ok": {verdict}\n' in out
+    assert json.loads(out)["result"]["table"][0]["sandwich_ok"] is (verdict == "true")
+
+
 def test_exit_code_precondition(capsys):
     code = main(["local-sl2", "--q", "4", "--level", "2"])
     captured = capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_smith import dense_intertwiner_system, dense_rows, dense_shift
 from paper_checks import GammaSeries, gamma_estimate
 from repzeta import isotropic_census
 from repzeta.cli import main
@@ -201,7 +202,7 @@ def test_non_conjugate_pair_has_no_invertible_intertwiner(family4311, partition4
     a, b = pair
     result = are_conjugate(fam.y_reps[a], fam.y_reps[b], 3, 5)
     assert result.status == "not_conjugate"
-    system = isotropic_census._intertwiner_system(fam.y_reps[a], fam.y_reps[b], 3, 5)
+    system = isotropic_census._intertwiner_system(fam.y_reps[a], fam.y_reps[b])
     # intertwiners exist (the exponent pattern is nonzero) but none is invertible
     assert any(smith_local(system, 3, 5).exponents)
     for gen in conjugacy_module(fam.y_reps[a], fam.y_reps[b], 3, 5):
@@ -376,6 +377,28 @@ def test_starved_buckets_keep_assignments(monkeypatch, family4311):
     (assignments, witnesses, unknown, _), _ = unbucketed_class_count(family4311, sample)
     assert (report.assignments, report.witnesses) == (assignments, witnesses)
     assert 0 < report.unknown_pairs <= unknown
+
+
+@pytest.mark.parametrize("params", [(4, 3, 1, 1), (2, 3, 2, 1)])
+def test_sparse_builders_equal_dense_builders(monkeypatch, params):
+    """The intertwiner systems of the first nine members and the matrices `conjugacy_key`
+    hands the Smith form equal, entry by entry mod p^N, the dense constructions."""
+    fam = cached_family(*params)
+    p, N, pN, pk = fam.q, fam.modulus_exp, fam.modulus, fam.q ** fam.k
+    members = [fam.y_reps[i] for i in range(9)]
+    for m1, m2 in product(members, repeat=2):
+        system = isotropic_census._intertwiner_system(m1, m2)
+        assert dense_rows(system, pN) == dense_intertwiner_system(m1, m2, p, N)
+    built = []
+    exponents = isotropic_census.smith_exponents
+    monkeypatch.setattr(isotropic_census, "smith_exponents",
+                        lambda rows, p, N: built.append(rows) or exponents(rows, p, N))
+    for mat in members:
+        built.clear()
+        conjugacy_key(mat, fam)
+        expected = [dense_intertwiner_system(mat, mat, p, N)]
+        expected += [dense_shift(mat, 1 + pk * d, pN) for d in fam.x_diag + fam.z_diag]
+        assert [dense_rows(rows, pN) for rows in built] == expected
 
 
 def test_witness_pairs_share_keys(family4311, partition4311):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_smith import dense_smith
+from dense_smith import dense_rows, dense_smith, sparse_rows
+from repzeta import isotropic_census
 from repzeta.finite_oracle import _ad_matrix
-from repzeta.isotropic_census import _intertwiner_system, build_census_family
+from repzeta.isotropic_census import _intertwiner_system, build_census_family, conjugacy_key
 from repzeta.linalg import (
     charpoly_mod_p,
     det_int,
@@ -128,7 +129,7 @@ def test_smith_local_against_sympy():
             m = [[x * p for x in row] for row in m]
         factors = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
         expected = tuple(valuation(int(d), p, precision) for d in factors)
-        assert smith_local(m, p, precision).exponents == expected, (p, precision, m)
+        assert smith_local(sparse_rows(m), p, precision).exponents == expected, (p, precision, m)
 
 
 def test_mat_inv_mod_roundtrip():
@@ -261,7 +262,7 @@ def test_smith_local_reconstruction(pidx, entries):
     precision = 4
     pm = p ** precision
     a = [entries[0:3], entries[3:6], entries[6:9]]
-    smith = smith_local(a, p, precision)
+    smith = smith_local(sparse_rows(a), p, precision)
     assert list(smith.exponents) == sorted(smith.exponents)
     v = [list(r) for r in smith.right]
     assert det_int(v) % p  # invertible mod p, hence over Z/p^M
@@ -291,7 +292,7 @@ def test_kernel_generators_against_brute_force():
         for vec in product(range(pm), repeat=n):
             if all(sum(r * v for r, v in zip(row, vec)) % pm == 0 for row in a):
                 brute += 1
-        smith = smith_local(a, p, precision)
+        smith = smith_local(sparse_rows(a), p, precision)
         assert p ** sum(smith.exponents) == brute
         for e, col in zip(smith.exponents, columns(smith.right)):
             vec = [x * p ** (precision - e) for x in col]
@@ -328,15 +329,15 @@ def test_full_order_kernel_generators_independent_mod_p(case):
     """Kernel generators of order p^M are columns of the invertible Smith
     factor V, so they reduce mod p to independent vectors."""
     p, precision, rows = case
-    smith = smith_local(rows, p, precision)
+    smith = smith_local(sparse_rows(rows), p, precision)
     full = [col for e, col in zip(smith.exponents, columns(smith.right)) if e == precision]
     reduced, _ = rref_mod_p(full, p)
     assert len(reduced) == len(full)
 
 
 def assert_matches_dense(rows, p, precision):
-    """The sparse elimination gives the dense one's exponents and, entry by entry, its V."""
-    exponents, right = dense_smith(rows, p, precision)
+    """Sparse rows get the dense elimination's exponents and, entry by entry, its V."""
+    exponents, right = dense_smith(dense_rows(rows), p, precision)
     smith = smith_local(rows, p, precision)
     assert smith.exponents == exponents, (p, precision, rows)
     assert smith.right == right, (p, precision, rows)
@@ -353,7 +354,7 @@ def assert_matches_dense(rows, p, precision):
 def test_smith_forms_match_dense_oracle(case):
     """`smith_local` (exponents and V) and `smith_exponents` against the dense elimination."""
     p, precision, rows = case
-    assert_matches_dense(rows, p, precision)
+    assert_matches_dense(sparse_rows(rows), p, precision)
 
 
 @st.composite
@@ -374,22 +375,32 @@ def test_smith_forms_match_dense_oracle_on_ad_matrices(case):
     assert_matches_dense(rows, p, k)
 
 
-def test_smith_forms_match_dense_oracle_on_census_systems():
-    """Every intertwiner system and shifted matrix among the first 9 members of the (4,3,1,1) family."""
+def test_smith_forms_match_dense_oracle_on_census_systems(monkeypatch):
+    """Every intertwiner system and every matrix `conjugacy_key` builds, as built, among the
+    first 9 members of the (4,3,1,1) family: sparse rows, unreduced."""
     family = build_census_family(4, 3, 1, 1)
     p, N = family.q, family.modulus_exp
-    pN, pk = p ** N, p ** family.k
     members = [family.y_reps[i] for i in range(9)]
     for m1, m2 in product(members, repeat=2):
-        assert_matches_dense(_intertwiner_system(m1, m2, p, N), p, N)
-    for mat, d in product(members, family.x_diag + family.z_diag):
-        shifted = [[(x - (1 + pk * d) * (i == j)) % pN for j, x in enumerate(row)]
-                   for i, row in enumerate(mat)]
-        assert_matches_dense(shifted, p, N)
+        assert_matches_dense(_intertwiner_system(m1, m2), p, N)
+    built = []
+    exponents = isotropic_census.smith_exponents
+    monkeypatch.setattr(isotropic_census, "smith_exponents",
+                        lambda rows, p, N: built.append(rows) or exponents(rows, p, N))
+    for mat in members:
+        conjugacy_key(mat, family)
+    assert len(built) == 9 * (1 + family.m)
+    assert any(x < 0 for rows in built for row in rows for x in row.values())
+    for rows in built:
+        assert_matches_dense(rows, p, N)
 
 
-@pytest.mark.parametrize("rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
-def test_smith_forms_reject_non_square(rows):
+@pytest.mark.parametrize(
+    "rows",
+    [[{0: 1, 2: 1}, {1: 1}], [{-1: 1}, {}], [{0: 1}, {1: 2, 5: 0}], [{}, {}, {-3: 3}]],
+    ids=["past-n", "negative", "past-n-zero", "negative-last-row"],
+)
+def test_smith_forms_reject_columns_out_of_range(rows):
     with pytest.raises(ValueError) as full:
         smith_local(rows, 3, 2)
     with pytest.raises(ValueError) as exponents_only:
