@@ -15,7 +15,6 @@ in this module after import is the one that runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
 import math
@@ -168,17 +167,35 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(fh: Any, table: Table) -> None:
-    """The column names as the header row, then the rows.
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes a field: quoted, quotes doubled, if it holds , " CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    `csv.writer` takes an all-int column as it is; other columns go through `_fmt_cell`.
+
+def _lone_field(text: str) -> str:
+    """The field of a one-column row: `csv.writer` quotes an empty one, so the row is not blank."""
+    return _csv_field(text) or '""'
+
+
+def _write_csv(fh: Any, table: Table) -> None:
+    """The column names as the header row, then the rows, as `csv.writer` writes them.
+
+    Like `_to_json`'s rows, each row is one piece from one `%s` row
+    template, and the rows go to `fh.writelines` as they are made.  An
+    all-int column goes into the template as it is; the text of every
+    other cell is `_fmt_cell`'s, and it and each name are quoted as
+    `csv.writer` quotes them (minimal quoting, CRLF rows).
     """
-    writer = csv.writer(fh)
-    writer.writerow(table)
-    writer.writerows(zip(*(
-        column if set(map(type, column)) == {int} else map(_fmt_cell, column)
+    field = _lone_field if len(table) == 1 else _csv_field
+    columns = [
+        column if set(map(type, column)) == {int} else map(field, map(_fmt_cell, column))
         for column in table.values()
-    )))
+    ]
+    fh.write(",".join(map(field, table)) + "\r\n")
+    template = ",".join(["%s"] * len(columns)) + "\r\n"
+    fh.writelines(map(template.__mod__, zip(*columns)))
 
 
 def cmd_witten(args: argparse.Namespace) -> dict[str, Any]:
@@ -221,7 +238,10 @@ def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
         "mass": census.mass,
         "group_order": expected_order,
         "mass_matches_order": census.mass == expected_order,
-        "values": {f"{s:.12g}": evaluate_local(factor, s) for s in args.s_grid},
+        "values": {
+            f"{s:.12g}": value
+            for s, [value] in zip(args.s_grid, evaluate_local([factor], args.s_grid))
+        },
         "bounds": {
             f"{s:.12g}": list(factor_bounds_check(factor, s))
             for s in args.s_grid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import repeat
 from typing import Any, Sequence
 
 from .errors import BudgetExceededError
@@ -58,10 +59,11 @@ def euler_report(
     witness for divergence, and a single bound yields no verdict.
 
     Every argument is checked before any work.  Then one sieve up to the
-    largest bound builds each prime's factor once and each log Z_p(s)
-    once per distinct exponent; every product is the `math.fsum` of a
-    prefix of one list of logs, correctly rounded, so it does not depend
-    on the order of the primes.
+    largest bound builds each prime's factor once, and one
+    `evaluate_local` call values them all at the report's distinct
+    exponents, so each log Z_p(s) is taken once per distinct exponent;
+    every product is the `math.fsum` of a prefix of one list of logs,
+    correctly rounded, so it does not depend on the order of the primes.
     """
     bounds = tuple(scan_bounds)
     if s_grid and prime_bound < 2:
@@ -80,12 +82,9 @@ def euler_report(
         _check_sieve(bound)
 
     primes = odd_primes_upto(max([*bounds, prime_bound] if s_grid else bounds, default=2))
-    exponents = [*s_grid, BOUNDARY_S] if bounds else s_grid
-    logs: dict[float, list[float]] = {s: [] for s in exponents}  # a repeated s keys one list
-    for p in primes:
-        factor = sl2_local_factor(p)
-        for s, column in logs.items():
-            column.append(math.log(evaluate_local(factor, s)))
+    exponents = list(dict.fromkeys([*s_grid, BOUNDARY_S] if bounds else s_grid))  # distinct
+    values = evaluate_local(list(map(sl2_local_factor, primes)), exponents)
+    logs = {s: list(map(math.log, column)) for s, column in zip(exponents, values)}
 
     count = bisect.bisect_right(primes, prime_bound)
     rows: list[tuple[float, float, bool | None]] = []
@@ -93,7 +92,7 @@ def euler_report(
         log_product = math.fsum(logs[s][:count])
         verdict = None
         if 2 < s <= 3:
-            log_zeta = math.fsum(-math.log(_one_minus_ratio(p, s)) for p in primes[:count])
+            log_zeta = -math.fsum(map(math.log, map(_one_minus_ratio, primes[:count], repeat(s))))
             verdict = 0.5 * log_zeta < log_product < 100.0 * log_zeta
         rows.append((s, _exp(log_product), verdict))
     if not bounds:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter, mul, neg, truediv
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import prime_power
 from .census import DegreeCensus
@@ -25,20 +27,23 @@ from .errors import BudgetExceededError
 ORDER_BITS_BUDGET = 10_000  # bits of |SL2(O/pi^k)| in a level census; bounds the level
 
 
-@dataclass(frozen=True)
-class LocalFactorSL2:
+Terms = tuple[tuple[int, int], ...]
+
+
+class LocalFactorSL2(NamedTuple):
     """Symbolic local factor: unmerged head terms plus geometric tail bases.
 
     head_terms keeps the formula's terms in order, including coefficients
     that vanish for small q (the (q+1)-term at q=3), for traceability.
     `sl2_local_factor` checks q as it builds one; the level census,
-    irreducible count and sandwich bounds take the factor, so a report
-    checks q once.
+    irreducible count, evaluator and sandwich bounds take the factor, so
+    a report checks q once.  A plain `NamedTuple`, cheap to build: an
+    `euler` report builds one per odd prime.
     """
 
     q: int
-    head_terms: tuple[tuple[int, int], ...]  # (degree, multiplicity)
-    tail_terms: tuple[tuple[int, int], ...]  # (base degree, base multiplicity)
+    head_terms: Terms  # (degree, multiplicity)
+    tail_terms: Terms  # (base degree, base multiplicity)
 
 
 def sl2_local_factor(q: int) -> LocalFactorSL2:
@@ -60,9 +65,9 @@ def sl2_local_factor(q: int) -> LocalFactorSL2:
         (q * q - q, (q * q - 1) // 2),
         (q * q + q, (q - 1) ** 2 // 2),
     )
-    if sum(m for _, m in head) != q + 4:
+    if sum(map(itemgetter(1), head)) != q + 4:
         raise AssertionError(f"q={q}: head multiplicities do not sum to q+4")
-    return LocalFactorSL2(q=q, head_terms=head, tail_terms=tail)
+    return LocalFactorSL2(q, head, tail)
 
 
 def _one_minus_ratio(q: int, s: float) -> float:
@@ -70,13 +75,53 @@ def _one_minus_ratio(q: int, s: float) -> float:
     return -math.expm1((1.0 - s) * math.log(q))
 
 
-def evaluate_local(factor: LocalFactorSL2, s: float) -> float:
-    """Head sum plus tail/(1 - q^(1-s)); needs s > 1 for the tail to converge."""
-    if not s > 1:  # also rejects NaN
-        raise ValueError("s must exceed 1 (the tail ratio is q^(1-s))")
-    head = math.fsum(m * float(d) ** (-s) for d, m in factor.head_terms if m)
-    tail = math.fsum(m * float(d) ** (-s) for d, m in factor.tail_terms)
-    return head + tail / _one_minus_ratio(factor.q, s)
+def _flat_terms(groups: Iterable[Terms]) -> tuple[list[float], list[float]]:
+    """The float degrees and the float multiplicities of the terms of every group, in order."""
+    terms = list(chain.from_iterable(groups))
+    return list(map(float, map(itemgetter(0), terms))), list(map(float, map(itemgetter(1), terms)))
+
+
+def _term_sums(
+    degrees: list[float], multiplicities: list[float], s: float, width: int
+) -> Iterator[float]:
+    """The `math.fsum` of each run of `width` terms m * d^(-s): one sum per factor."""
+    terms = map(mul, multiplicities, map(pow, degrees, repeat(-s)))
+    return map(math.fsum, zip(*[terms] * width))
+
+
+def evaluate_local(
+    factors: Sequence[LocalFactorSL2], exponents: Sequence[float]
+) -> list[list[float]]:
+    """Z_q(s) = head sum + tail sum / (1 - q^(1-s)) of every factor at every exponent.
+
+    Returns one column per exponent, in order, holding one value per
+    factor, in order.  Every exponent must exceed 1, for the tail to
+    converge; all are checked before any work.  Each factor's head and
+    tail are `math.fsum`s of its terms m * float(d)^(-s), correctly
+    rounded, so the order of the terms does not matter (a head term of
+    multiplicity 0, the (q+1)-term at q = 3, adds an exact 0), and
+    1 - q^(1-s) is -expm1((1-s) log q), which keeps full precision near
+    s = 1.  The float degrees and multiplicities of all the factors'
+    terms, and their log q, are built as flat columns once per call;
+    each exponent then values every factor through `map` and `zip`, so
+    a report's factors cost one call.
+    """
+    for s in exponents:
+        if not s > 1:  # also rejects NaN
+            raise ValueError("s must exceed 1 (the tail ratio is q^(1-s))")
+    head_d, head_m = _flat_terms(map(attrgetter("head_terms"), factors))
+    tail_d, tail_m = _flat_terms(map(attrgetter("tail_terms"), factors))
+    # every factor has the formula's 6 head and 3 tail terms
+    head_width = len(factors[0].head_terms) if factors else 0
+    tail_width = len(factors[0].tail_terms) if factors else 0
+    log_q = list(map(math.log, map(attrgetter("q"), factors)))
+    columns = []
+    for s in exponents:
+        heads = _term_sums(head_d, head_m, s, head_width)
+        tails = _term_sums(tail_d, tail_m, s, tail_width)
+        ratios = map(neg, map(math.expm1, map(mul, repeat(1.0 - s), log_q)))
+        columns.append(list(map(add, heads, map(truediv, tails, ratios))))
+    return columns
 
 
 def evaluate_local_exact(factor: LocalFactorSL2, s: int) -> Fraction:
@@ -146,6 +191,6 @@ def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
         lower_ok = z * z * one_minus > 1
         upper_ok = z * one_minus ** 100 < 1
         return (bool(lower_ok), bool(upper_ok))
-    z = evaluate_local(factor, s)
+    [[z]] = evaluate_local([factor], [s])
     x = _one_minus_ratio(q, s)
     return (z > x ** -0.5, z < x ** -100.0)

@@ -3,6 +3,7 @@ import os
 import pytest
 
 import repzeta
+from repzeta import euler_global, local_sl2
 from repzeta.finite_oracle import conjugacy_classes, sl2_group
 from repzeta.symmetric import an_census, young_levels
 
@@ -56,3 +57,19 @@ def count_calls(monkeypatch):
         return seen
 
     return install
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Wraps `euler_global.evaluate_local` for the test.
+
+    Returns a list that gets each call's (q of each factor, exponents).
+    """
+    calls = []
+
+    def evaluate(factors, exponents):
+        calls.append(([factor.q for factor in factors], list(exponents)))
+        return local_sl2.evaluate_local(factors, exponents)
+
+    monkeypatch.setattr(euler_global, "evaluate_local", evaluate)
+    return calls

@@ -84,10 +84,10 @@ PAIRINGS = (
     ),
     Pairing(
         formula=("euler_global.euler_report",),
-        oracle=(),
+        oracle=("scalar_local.evaluate_local_scalar",),
         tests=("tests/test_cli.py::test_euler_argv_fuzz",),
         range=(),
-        shared=("local_sl2.sl2_local_factor", "local_sl2.evaluate_local"),
+        shared=("local_sl2.sl2_local_factor",),
     ),
     Pairing(
         formula=("paper_checks.chain_product_value",),

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from argparse import Namespace, _SubParsersAction
@@ -15,12 +16,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_local import evaluate_local_scalar
 
 from repzeta import arith, cli, euler_global, isotropic_census, local_sl2, witten
 from repzeta.census import DegreeCensus
 from repzeta.cli import main
 from repzeta.euler_global import odd_primes_upto
-from repzeta.local_sl2 import evaluate_local, sl2_local_factor
+from repzeta.local_sl2 import sl2_local_factor
 
 
 def run_cli(capsys, argv):
@@ -201,11 +203,29 @@ def test_euler_reports_a_product_below_the_sandwich(capsys, monkeypatch, edge_sh
     primes = [p for p in range(3, 101) if all(p % d for d in range(2, p))]
     half_log_zeta = 0.5 * sum(-math.log(1 - p ** (1 - s)) for p in primes)
     value = 1.0 if edge_share is None else math.exp(edge_share * half_log_zeta / len(primes))
-    monkeypatch.setattr(euler_global, "evaluate_local", lambda factor, s: value)
+    monkeypatch.setattr(
+        euler_global, "evaluate_local",
+        lambda factors, exponents: [[value] * len(factors) for _ in exponents],
+    )
     code, out = run_cli(capsys, ["euler", "--prime-bound", "100", "--s-grid", str(s)])
     assert code == 0
     assert f'"sandwich_ok": {verdict}\n' in out
     assert json.loads(out)["result"]["table"][0]["sandwich_ok"] is (verdict == "true")
+
+
+def test_euler_sandwich_verdict_range_ends(capsys):
+    """The sandwich verdict is computed for s in (2, 3] and printed null outside it.
+
+    At s = 2.0 and at the float just above 3.0 it reads null; at the
+    float just above 2.0 and at 3.0 it is computed, and true.
+    """
+    grid = [2.0, math.nextafter(2.0, 3.0), 3.0, math.nextafter(3.0, 4.0)]
+    argv = ["euler", "--prime-bound", "100", "--s-grid", ",".join(map(repr, grid))]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert re.findall(r'"sandwich_ok": (\w+)\n', out) == ["null", "true", "true", "null"]
+    table = json.loads(out)["result"]["table"]
+    assert [row["sandwich_ok"] for row in table] == [None, True, True, None]
 
 
 def test_exit_code_precondition(capsys):
@@ -474,9 +494,10 @@ def test_alt_argv_fuzz(kmax, s):
 
 
 def _reference_log_product(bound, s):
-    """Reference for the Euler table: a fresh factor and value for each odd prime <= bound."""
+    """Reference for the Euler table: a fresh factor for each odd prime <= bound, valued by the
+    scalar oracle of `tests/scalar_local.py`."""
     return math.fsum(
-        math.log(evaluate_local(sl2_local_factor(p), s)) for p in odd_primes_upto(bound)
+        math.log(evaluate_local_scalar(sl2_local_factor(p), s)) for p in odd_primes_upto(bound)
     )
 
 
@@ -553,17 +574,17 @@ def test_euler_argv_fuzz(prime_bound, grid, scan):
             ]
 
 
-def test_euler_report_sieves_once(capsys, count_calls):
-    """One sieve per report, and one factor and one value per odd prime and exponent."""
+def test_euler_report_sieves_once(capsys, count_calls, evaluator_calls):
+    """One sieve per report, one factor per odd prime, and one evaluator call that values
+    every factor at the report's distinct exponents."""
     sieves = count_calls(euler_global, "odd_primes_upto")
     factors = count_calls(euler_global, "sl2_local_factor")
-    values = count_calls(euler_global, "evaluate_local")
     argv = ["euler", "--prime-bound", "1000", "--s-grid", "2.5,3,2.5", "--scan-grid", "100,2000"]
     code, _ = run_cli(capsys, argv)
     assert code == 0
     assert sieves == [2000]
     assert factors == odd_primes_upto(2000)
-    assert len(values) == 3 * len(factors)  # s = 2.5, 3 and the scan's 2
+    assert evaluator_calls == [(factors, [2.5, 3.0, 2.0])]  # the grid's distinct s, the scan's 2
 
 
 def test_local_sl2_tests_q_once(capsys, count_calls):
@@ -821,6 +842,9 @@ EDGE_TABLES = {
     "zero-rows": cli.Table(degree=[], multiplicity=[], R_n=[]),
     "no-columns": cli.Table(),
     "tuple-and-range": cli.Table(member=range(3), class_id=(0, 1, 1)),
+    # a lone empty field is written quoted, so its row is not blank; a comma is quoted too
+    "one-column-blanks": cli.Table(v=["", None, "a,b", "x"]),
+    "quoted-names": cli.Table({'a,b': [1, 2], 'say "hi"': ["x", 'y"z'], "c\nd": [None, 0.5]}),
 }
 
 

@@ -56,7 +56,8 @@ def test_zeta_reference_against_direct_sums():
 
 
 def test_single_factor_product():
-    assert product(3, 2.5) == pytest.approx(evaluate_local(sl2_local_factor(3), 2.5), rel=1e-12)
+    [[z]] = evaluate_local([sl2_local_factor(3)], [2.5])
+    assert product(3, 2.5) == pytest.approx(z, rel=1e-12)
 
 
 def test_empty_product():
@@ -68,7 +69,8 @@ def test_empty_product():
 def test_product_against_brute_force():
     brute = 1.0
     for p in odd_primes_upto(100):
-        brute *= evaluate_local(sl2_local_factor(p), 2.5)
+        [[z]] = evaluate_local([sl2_local_factor(p)], [2.5])
+        brute *= z
     assert product(100, 2.5) == pytest.approx(brute, rel=1e-10)
 
 
@@ -144,12 +146,12 @@ def test_product_past_the_float_range_is_inf():
     [([3.5], ()), ([2.5], ()), ([], (10, 100, 1000))],
     ids=["product", "sandwich", "scan"],
 )
-def test_one_sieve_and_one_factor_per_prime(count_calls, s_grid, scan_bounds):
-    """A rows-only or scan-only report: one sieve to 1000, one factor and value per odd prime."""
+def test_one_sieve_and_one_factor_per_prime(count_calls, evaluator_calls, s_grid, scan_bounds):
+    """A rows-only or scan-only report: one sieve to 1000, one factor per odd prime, and one
+    evaluator call that values them all at the report's one exponent."""
     sieves = count_calls(euler_global, "odd_primes_upto")
     factors = count_calls(euler_global, "sl2_local_factor")
-    values = count_calls(euler_global, "evaluate_local")
     euler_report(1000, s_grid, scan_bounds)
     assert sieves == [1000]
     assert factors == odd_primes_upto(1000)
-    assert len(values) == len(odd_primes_upto(1000))
+    assert evaluator_calls == [(odd_primes_upto(1000), s_grid or [euler_global.BOUNDARY_S])]

@@ -164,6 +164,13 @@ def test_dense_smith_oracle_imports_no_repzeta_module():
     assert not any(name.startswith("repzeta") for name in imported)
 
 
+def test_scalar_local_oracle_imports_no_repzeta_module():
+    """tests/scalar_local.py checks local_sl2's column evaluator with its own one-factor sums."""
+    imported = _imported_modules("scalar_local")
+    assert "math" in imported  # the scan sees the imports
+    assert not any(name.startswith("repzeta") for name in imported)
+
+
 def _resolve(name):
     """The object a registry name `module.attribute...` names, from src/repzeta or tests/."""
     module, *attributes = name.split(".")

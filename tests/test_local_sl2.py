@@ -5,9 +5,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from scalar_local import evaluate_local_scalar
 
 from repzeta import local_sl2
 from repzeta.errors import BudgetExceededError
+from repzeta.euler_global import odd_primes_upto
 from repzeta.local_sl2 import (
     evaluate_local,
     evaluate_local_exact,
@@ -17,6 +19,12 @@ from repzeta.local_sl2 import (
     sl2_local_factor,
     sl2_quotient_order,
 )
+
+
+def value(factor, s):
+    """Z_q(s) of one factor at one exponent: a one-factor, one-exponent evaluator call."""
+    [[z]] = evaluate_local([factor], [s])
+    return z
 
 
 def test_factor_head_q3():
@@ -45,16 +53,50 @@ def test_accepts_odd_prime_powers():
         assert sl2_local_factor(q).q == q
 
 
-def test_evaluate_limits_and_preconditions():
+def test_evaluate_limits_and_preconditions(count_calls):
     factor = sl2_local_factor(3)
-    assert evaluate_local(factor, 50.0) == pytest.approx(3.0, abs=1e-9)
-    value = evaluate_local(factor, 2.0)
+    assert value(factor, 50.0) == pytest.approx(3.0, abs=1e-9)
+    z = value(factor, 2.0)
     lower = (1.0 - 1.0 / 3.0) ** -0.5
-    assert lower < value < (1.0 - 1.0 / 3.0) ** -100.0
-    with pytest.raises(ValueError):
-        evaluate_local(factor, 1.0)
-    with pytest.raises(ValueError):
-        evaluate_local(factor, 0.5)
+    assert lower < z < (1.0 - 1.0 / 3.0) ** -100.0
+    logs = count_calls(math, "log")
+    for bad in ([1.0], [0.5], [2.0, math.nan], [2.5, 3.0, 1.0]):
+        with pytest.raises(ValueError, match="s must exceed 1"):
+            evaluate_local([factor], bad)
+    assert logs == []  # every exponent is checked before any work
+
+
+def test_evaluate_local_columns():
+    """One column per exponent, in order, with one value per factor, in order."""
+    factors = [sl2_local_factor(q) for q in (3, 5, 7)]
+    columns = evaluate_local(factors, [2.5, 2.0, 2.5])
+    assert [len(column) for column in columns] == [3, 3, 3]
+    assert columns[0] == columns[2]
+    assert columns[1] == [value(factor, 2.0) for factor in factors]
+    assert evaluate_local([], [2.0, 3.5]) == [[], []]
+    assert evaluate_local(factors, []) == []
+
+
+ORACLE_EXPONENTS = [
+    1 + 1e-12, 1 + 1e-6, 1.5, 2.0, *(2 + j / 16 for j in range(16)), 3.5, 50.0, 1100.0
+]  # near the pole, perfbench's 16 grid values 2 + j/16, and past the point where q^-s underflows
+
+
+def test_column_evaluator_matches_scalar_oracle_bit_for_bit():
+    """The column evaluator equals `tests/scalar_local.py`'s one-factor sums exactly.
+
+    Both sum the same terms with `math.fsum`, which is correctly rounded,
+    so the values agree bit for bit in one many-factor call and in
+    one-factor calls alike.  q = 3 carries the head term of multiplicity
+    0; 3^300 is the largest power whose degrees stay finite floats.
+    """
+    qs = odd_primes_upto(20_000) + [9, 25, 27, 49, 121, 3 ** 300]
+    factors = [sl2_local_factor(q) for q in qs]
+    expected = [[evaluate_local_scalar(factor, s) for factor in factors] for s in ORACLE_EXPONENTS]
+    assert evaluate_local(factors, ORACLE_EXPONENTS) == expected
+    for i, factor in enumerate(factors):
+        one = [[column[i]] for column in expected]
+        assert evaluate_local([factor], ORACLE_EXPONENTS) == one, factor.q
 
 
 def _evaluate_local_decimal(factor, s):
@@ -78,7 +120,7 @@ def test_evaluate_local_near_the_pole(q, eps):
     factor = sl2_local_factor(q)
     s = 1.0 + eps
     reference = _evaluate_local_decimal(factor, s)
-    assert evaluate_local(factor, s) == pytest.approx(float(reference), rel=1e-14)
+    assert value(factor, s) == pytest.approx(float(reference), rel=1e-14)
 
 
 def test_exact_evaluation_matches_float():
@@ -86,7 +128,7 @@ def test_exact_evaluation_matches_float():
         factor = sl2_local_factor(q)
         for s in (2, 3):
             assert float(evaluate_local_exact(factor, s)) == pytest.approx(
-                evaluate_local(factor, float(s)), rel=1e-12
+                value(factor, float(s)), rel=1e-12
             )
 
 
@@ -131,7 +173,7 @@ def test_mass_and_count_identities():
 def test_truncation_converges_to_analytic_value():
     for q in (3, 5):
         factor = sl2_local_factor(q)
-        target = evaluate_local(factor, 2.5)
+        target = value(factor, 2.5)
         err = abs(level_census(factor, 12).zeta(2.5) - target)
         assert err < float(q) ** -6
 
@@ -159,7 +201,7 @@ def test_exact_bounds_at_integer_s():
 def test_pole_witness_bounded():
     """eps * Z_q(1 + eps) stays bounded as eps shrinks."""
     for q in (3, 5, 13):
-        values = [eps * evaluate_local(sl2_local_factor(q), 1 + eps) for eps in (0.1, 0.05, 0.025)]
+        values = [eps * value(sl2_local_factor(q), 1 + eps) for eps in (0.1, 0.05, 0.025)]
         assert max(values) / min(values) < 1.5
         assert all(math.isfinite(v) and v > 0 for v in values)
 
