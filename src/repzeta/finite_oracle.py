@@ -5,9 +5,12 @@ identity, under GROUP_BUDGET; it is the only enumeration here, and
 abelianization_order closes each candidate commutator subgroup with it.
 Conjugacy classes come from generator-conjugation orbit sweeps (the
 orbit of an element under conjugation by the generators is its full
-class); character degrees come from the Burnside-Dixon algorithm run
-modulo a prime l = 1 (mod exponent(G)) with l > 2*sqrt(|G|), so every
-step is exact integer arithmetic.
+class), and each class is the orbit list its sweep builds, its least
+element index first: a class's size and representative are read from
+that list, and the BFS list is the group's element list, so nothing is
+built twice.  Character degrees come from the Burnside-Dixon algorithm
+run modulo a prime l = 1 (mod exponent(G)) with l > 2*sqrt(|G|), so
+every step is exact integer arithmetic.
 
 On the Dixon path only the BFS multiplies elements.  It keeps the index
 of each element times each generator (the right tables) and its tree
@@ -102,14 +105,16 @@ def _identity(n: int) -> Flat:
 class FiniteMatrixGroup(NamedTuple):
     """Fully enumerated matrix group over Z/m, elements in BFS order.
 
-    `right[s][k]` is the index of elements[k] * generators[s]; for k >= 1,
+    `elements` is the BFS queue itself, the identity first; nothing is
+    ever removed from it.  `right[s][k]` is the index of
+    elements[k] * generators[s]; for k >= 1,
     elements[k] = elements[parent[k]] * generators[step[k]].
     """
 
     modulus: int
     n: int
     generators: tuple[Flat, ...]
-    elements: tuple[Flat, ...]
+    elements: list[Flat]
     right: tuple[list[int], ...]
     parent: list[int]
     step: list[int]
@@ -120,16 +125,17 @@ class FiniteMatrixGroup(NamedTuple):
 
 
 class ClassData(NamedTuple):
-    """Conjugacy classes: sizes and count, representatives in BFS order.
+    """Conjugacy classes as their member lists, in order of their least element index.
 
-    `class_ids[k]` is the class of element index k, and `rep_indices[j]`
-    the element index of class j's representative.
+    `class_ids[k]` is the class of element index k.  `members[j]` holds
+    the element indices of class j in the order its orbit sweep found
+    them, so its representative, the class's least index, comes first:
+    class j has `len(members[j])` elements and representative
+    `members[j][0]`, and there are `len(members)` classes.
     """
 
-    sizes: tuple[int, ...]
-    count: int
     class_ids: list[int]
-    rep_indices: tuple[int, ...]
+    members: list[list[int]]
 
 
 def generate_group(
@@ -175,7 +181,7 @@ def generate_group(
         modulus=modulus,
         n=n,
         generators=tuple(gens),
-        elements=tuple(queue),
+        elements=queue,
         right=tuple(products[s::r] for s in range(r)),
         parent=parent,
         step=step,
@@ -241,37 +247,28 @@ def _conjugation_tables(group: FiniteMatrixGroup) -> list[list[int]]:
 def conjugacy_classes(group: FiniteMatrixGroup) -> ClassData:
     """Orbit sweeps: class of x = orbit of x under conjugation by generators.
 
-    The sweep runs on element indices and reads the conjugation tables.
+    The sweep runs on element indices and reads the conjugation tables;
+    each orbit list it grows is kept as its class's member list.
     """
     conj = _conjugation_tables(group)
     class_ids = [-1] * group.order
-    reps: list[int] = []
-    sizes: list[int] = []
+    members: list[list[int]] = []
     for x in range(group.order):
         if class_ids[x] >= 0:
             continue
-        cid = len(reps)
-        reps.append(x)
+        cid = len(members)
         class_ids[x] = cid
         orbit = [x]
-        head = 0
-        while head < len(orbit):
-            y = orbit[head]
-            head += 1
+        for y in orbit:  # the loop also visits what it appends: a breadth-first sweep
             for table in conj:
                 z = table[y]
                 if class_ids[z] < 0:
                     class_ids[z] = cid
                     orbit.append(z)
-        sizes.append(len(orbit))
-    if sum(sizes) != group.order:
+        members.append(orbit)
+    if sum(map(len, members)) != group.order:
         raise AssertionError("class sizes do not sum to the group order")
-    return ClassData(
-        sizes=tuple(sizes),
-        count=len(reps),
-        class_ids=class_ids,
-        rep_indices=tuple(reps),
-    )
+    return ClassData(class_ids=class_ids, members=members)
 
 
 def dixon_prime(order: int, exponent: int) -> int:
@@ -286,7 +283,6 @@ def dixon_prime(order: int, exponent: int) -> int:
 def _class_row(
     group: FiniteMatrixGroup,
     classes: ClassData,
-    members: list[list[int]],
     words: list[list[int]],
     i: int,
     j: int,
@@ -297,17 +293,18 @@ def _class_row(
     h_k a_ij^k and h_j a_{i*k}^j both count the pairs (x, z) in C_i x C_k
     with x^-1 z in C_j, so (M_i)[j][k] = (h_j/h_k) #{u in C_i : u rep_j in C_k}:
     |C_i| products u rep_j and no inversions.  None is multiplied out:
-    `members[i]` holds the element indices of C_i, and each is walked
-    through the right tables along rep_j's BFS word `words[j]`.
+    `classes.members[i]` holds the element indices of C_i, and each is
+    walked through the right tables along rep_j's BFS word `words[j]`;
+    h_j and h_k are the lengths of the member lists.
     """
+    members = classes.members
     cur = members[i]
     for s in words[j]:
         cur = list(map(group.right[s].__getitem__, cur))
-    sizes = classes.sizes
-    hj = sizes[j]
-    row = [0] * classes.count
+    hj = len(members[j])
+    row = [0] * len(members)
     for k, cnt in Counter(map(classes.class_ids.__getitem__, cur)).items():
-        row[k] = hj * cnt // sizes[k] % ell
+        row[k] = hj * cnt // len(members[k]) % ell
     return row
 
 
@@ -367,22 +364,21 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     4. certify the table by the second orthogonality relation over F_l.
     """
     classes = conjugacy_classes(group)
-    c = classes.count
+    c = len(classes.members)
     if c > CLASS_BUDGET:
         raise BudgetExceededError(f"{c} conjugacy classes exceed the Dixon budget {CLASS_BUDGET}")
     order = group.order
-    members: list[list[int]] = [[] for _ in range(c)]
-    for k, cid in enumerate(classes.class_ids):
-        members[cid].append(k)
-    words = [_word(group, k) for k in classes.rep_indices]
+    sizes = [len(m) for m in classes.members]
+    reps = [m[0] for m in classes.members]
+    words = [_word(group, k) for k in reps]
     # order is a class function, so the representatives' orders give the exponent
-    walks = [_order_and_inverse(group, k, w) for k, w in zip(classes.rep_indices, words)]
+    walks = [_order_and_inverse(group, k, w) for k, w in zip(reps, words)]
     ell = dixon_prime(order, math.lcm(*(o for o, _ in walks)))
 
     # split subspaces; each is (reduced-echelon basis rows, pivot columns)
     start = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
     subspaces: list[tuple[list[list[int]], list[int]]] = [(start, list(range(c)))]
-    by_size = sorted(range(1, c), key=lambda i: (classes.sizes[i], i))
+    by_size = sorted(range(1, c), key=lambda i: (sizes[i], i))
     for i in by_size:
         if all(len(b) == 1 for b, _ in subspaces):
             break
@@ -395,7 +391,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
                 continue
             for p in pivots:
                 if p not in rows:
-                    rows[p] = _class_row(group, classes, members, words, i, p, ell)
+                    rows[p] = _class_row(group, classes, words, i, p, ell)
             act, embed = _through_pivots(basis, pivots, rows, ell)
             lam = act[0][0]
             if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
@@ -424,7 +420,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
         raise AssertionError("class algebra did not split into 1-dim eigenspaces")
 
     inverse_class = [classes.class_ids[inv] for _, inv in walks]
-    h_inv = [pow(h % ell, -1, ell) for h in classes.sizes]
+    h_inv = [pow(h % ell, -1, ell) for h in sizes]
     degrees: list[int] = []
     table: list[list[int]] = []  # chi(g_i) = d omega_i / h_i, mod l
     isq = math.isqrt(order)
@@ -450,7 +446,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     columns = list(zip(*table))
     for i in range(c):
         for j in range(c):
-            want = order // classes.sizes[i] % ell if i == j else 0
+            want = order // sizes[i] % ell if i == j else 0
             if sum(map(operator.mul, columns[i], columns[inverse_class[j]])) % ell != want:
                 raise AssertionError("character table fails the second orthogonality relation")
     return DegreeCensus.from_pairs(((d, 1) for d in degrees), max(degrees))

@@ -44,8 +44,11 @@ PAIRINGS = (
     Pairing(
         formula=("local_sl2.level_census",),
         oracle=("finite_oracle.character_degrees",),
-        tests=("tests/test_finite_oracle.py::test_dixon_census_is_the_product_of_local_censuses",),
-        range=(),
+        tests=(
+            "tests/test_finite_oracle.py::test_dixon_census_is_the_product_of_local_censuses",
+            "tests/test_finite_oracle.py::test_dixon_census_of_an_even_modulus_is_the_product_with_its_2_part",
+        ),
+        range=("finite_oracle.character_degrees",),  # the 2-part's factor: oracle against oracle
         shared=("census.DegreeCensus",),
     ),
     Pairing(

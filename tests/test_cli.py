@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from argparse import Namespace, _SubParsersAction
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +30,12 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def moved_top_degree(census):
+    """The census with its top degree moved up by one, so its mass is off."""
+    *head, (top, count) = census.entries
+    return DegreeCensus((*head, (top + 1, count)), top + 1)
 
 
 def strip_wall_time(report):
@@ -69,6 +76,70 @@ def test_local_sl2_report(capsys):
     assert degrees == {1: 3, 2: 3, 3: 1, 4: 12, 6: 4, 12: 2}
 
 
+def test_local_sl2_reports_a_census_whose_mass_differs(capsys, monkeypatch):
+    """`mass_matches_order` reads false, and the run still exits 0, when the mass is not the order."""
+    monkeypatch.setattr(
+        cli, "level_census", lambda factor, k: moved_top_degree(local_sl2.level_census(factor, k))
+    )
+    code, out = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2"])
+    assert code == 0
+    assert '"mass_matches_order": false,' in out
+    result = json.loads(out)["result"]
+    assert result["mass_matches_order"] is False
+    assert result["mass"] != result["group_order"] == 648
+
+
+def _printed_bounds(out):
+    """The `bounds` pairs as printed: {s: [lower_ok, upper_ok]}, each verdict its JSON word."""
+    block = out.split('"bounds": {', 1)[1].split("}", 1)[0]
+    pairs = re.findall(r'"([\d.]+)": \[\s*(\w+),\s*(\w+)\s*\]', block)
+    return {s: [lower, upper] for s, lower, upper in pairs}
+
+
+@pytest.mark.parametrize(
+    "edge, printed", [("lower", ["false", "true"]), ("upper", ["true", "false"])]
+)
+def test_local_sl2_reports_a_float_value_outside_the_bounds(capsys, monkeypatch, edge, printed):
+    """At s = 2.5 the `bounds` pair reads [false, true] for 0.9 times the lower edge
+    (1 - q^(1-s))^(-1/2), and [true, false] for 1.1 times the upper edge (1 - q^(1-s))^(-100).
+
+    Only the bounds check reads the patched evaluator: the printed value is the true one.
+    """
+    s, q = 2.5, 3
+    x = 1 - q ** (1 - s)
+    value = 0.9 * x ** -0.5 if edge == "lower" else 1.1 * x ** -100.0
+    monkeypatch.setattr(
+        local_sl2, "evaluate_local", lambda factors, exponents: [[value] for _ in exponents]
+    )
+    code, out = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2", "--s-grid", "2.5"])
+    assert code == 0
+    assert _printed_bounds(out) == {"2.5": printed}
+    result = json.loads(out)["result"]
+    assert result["bounds"] == {"2.5": [word == "true" for word in printed]}
+    assert result["values"] == {"2.5": 4.11998360807}
+
+
+@pytest.mark.parametrize(
+    "edge, printed", [("lower", ["false", "true"]), ("upper", ["true", "false"])]
+)
+def test_local_sl2_reports_an_exact_value_outside_the_bounds(capsys, monkeypatch, edge, printed):
+    """At s = 2 and 3, compared exactly, the `bounds` pair reads [false, true] for the value 1,
+    below the lower edge (1 - q^(1-s))^(-1/2), and [true, false] for twice the upper edge
+    (1 - q^(1-s))^(-100)."""
+    q = 3
+
+    def value(factor, s):
+        one_minus = Fraction(q ** (s - 1) - 1, q ** (s - 1))
+        return Fraction(1) if edge == "lower" else 2 / one_minus ** 100
+
+    monkeypatch.setattr(local_sl2, "evaluate_local_exact", value)
+    code, out = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2", "--s-grid", "2,3"])
+    assert code == 0
+    assert _printed_bounds(out) == {"2": printed, "3": printed}
+    verdicts = [word == "true" for word in printed]
+    assert json.loads(out)["result"]["bounds"] == {"2": verdicts, "3": verdicts}
+
+
 def test_oracle_cross_links_formula(capsys):
     code, out = run_cli(capsys, ["oracle", "--modulus", "9"])
     assert code == 0
@@ -81,11 +152,9 @@ def test_oracle_cross_links_formula(capsys):
 def test_oracle_reports_a_closed_census_that_differs(capsys, monkeypatch):
     """`formula_census_matches` reads false, and the run still exits 0, when the censuses differ."""
 
-    def moved(factor, k):  # the closed census with its top degree moved up by one
-        *head, (top, count) = local_sl2.level_census(factor, k).entries
-        return DegreeCensus((*head, (top + 1, count)), top + 1)
-
-    monkeypatch.setattr(cli, "level_census", moved)
+    monkeypatch.setattr(
+        cli, "level_census", lambda factor, k: moved_top_degree(local_sl2.level_census(factor, k))
+    )
     code, out = run_cli(capsys, ["oracle", "--modulus", "9"])
     assert code == 0
     assert '"formula_census_matches": false,' in out
@@ -164,6 +233,22 @@ def test_alt_table(capsys):
     result = json.loads(out)["result"]
     assert [row["k"] for row in result["table"]] == [5, 6, 7, 8]
     assert all(row["mass_ok"] for row in result["table"])
+
+
+def test_alt_reports_a_census_whose_mass_differs(capsys, monkeypatch):
+    """`mass_ok` reads false in the row whose census has a degree moved, and the run still exits 0."""
+    census_of = cli.an_census
+
+    def moved_at_a6(k, degrees):
+        census = census_of(k, degrees)
+        return moved_top_degree(census) if k == 6 else census
+
+    monkeypatch.setattr(cli, "an_census", moved_at_a6)
+    code, out = run_cli(capsys, ["alt", "--kmax", "7"])
+    assert code == 0
+    assert re.findall(r'"mass_ok": (\w+),', out) == ["true", "false", "true"]
+    table = json.loads(out)["result"]["table"]
+    assert [row["mass_ok"] for row in table] == [True, False, True]
 
 
 def test_euler_report(capsys):

@@ -469,9 +469,9 @@ def test_gamma_series_from_oracle_counts(sl2_groups, sl2_z27_classes):
     counts = tuple(
         (k, n)
         for k, n in (
-            (1, conjugacy_classes(sl2_groups[3]).count),
-            (2, conjugacy_classes(sl2_groups[9]).count),
-            (3, sl2_z27_classes.count),
+            (1, len(conjugacy_classes(sl2_groups[3]).members)),
+            (2, len(conjugacy_classes(sl2_groups[9]).members)),
+            (3, len(sl2_z27_classes.members)),
         )
     )
     assert counts == ((1, 7), (2, 25), (3, 79))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from pairings import PAIRINGS
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repzeta"
 README = ROOT / "README.md"
+GOLDEN = ROOT / "tests" / "golden"
 ROW = re.compile(r"^\s*\| `(\w+)\.(\w+_BUDGET)` \| ([^|]+?) \|", re.MULTILINE)
 FIXED = re.compile(r"`(\w+)\.([A-Z_]+)` \(([^)]+)\)")
 BACKTICKED = re.compile(r"`([^`]+)`")
@@ -71,6 +73,49 @@ def test_readme_pairing_table_matches_registry():
         assert len(cells) == len(pairing._fields), row
         for field, cell in zip(pairing._fields, cells):
             assert tuple(BACKTICKED.findall(cell)) == getattr(pairing, field), (field, row)
+
+
+def _boolean_fields(value, field=None):
+    """The field of every boolean in a report: the last key on its path that is a name.
+
+    So a table row's booleans are its column's, and the pairs under
+    `bounds`, keyed by exponent, are `bounds`'s.
+    """
+    if isinstance(value, bool):
+        return {field}
+    if isinstance(value, dict):
+        items = [(v, k if k.isidentifier() else field) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(v, field) for v in value]
+    else:
+        return set()
+    return set().union(*(_boolean_fields(v, f) for v, f in items))
+
+
+def test_readme_lists_each_verdict_with_a_test_that_makes_it_false():
+    """README's Verdicts table lists every boolean field of the golden reports, each with
+    collected top-level tests that name it."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Verdicts\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip()[2:-2].split(" | ") for line in table.splitlines() if line.startswith("| `")]
+    listed = {BACKTICKED.findall(cells[0])[0]: BACKTICKED.findall(cells[-1]) for cells in rows}
+    assert len(listed) == len(rows)  # one row per field
+    golden = set().union(*(
+        _boolean_fields(json.loads(path.read_text(encoding="utf-8"))) for path in GOLDEN.glob("*.json")
+    ))
+    assert {"bounds", "match"} <= golden  # the walk reached the pairs and the table rows
+    assert set(listed) == golden
+    for field, tests in listed.items():
+        assert tests, field
+        for test in tests:
+            path, function = test.split("::")
+            assert path.startswith("tests/test_") and function.startswith("test_"), test
+            source = (ROOT / path).read_text(encoding="utf-8")
+            functions = {
+                node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            }
+            assert function in functions, test
+            assert field in ast.get_source_segment(source, functions[function]), (field, test)
 
 
 def test_module_map_names_every_module():
