@@ -31,7 +31,7 @@ from .arith import prime_power
 from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .euler_global import euler_report
-from .finite_oracle import centralizer_index_oracle, character_degrees, sl2_group
+from .finite_oracle import centralizer_indices, character_degrees, sl2_group
 from .isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from .local_sl2 import (
     evaluate_local,
@@ -278,7 +278,7 @@ def cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
     if args.samples > SAMPLE_BUDGET:
         raise BudgetExceededError(f"{args.samples} samples exceed the budget {SAMPLE_BUDGET}")
     rng = random.Random(args.seed)
-    table = Table(d=[], p=[], k=[], eigenvalues=[], dimension=[], centralizer_index=[], match=[])
+    samples, dims = [], []
     for _ in range(args.samples):
         d = rng.choice((2, 3))
         p = rng.choice((3, 5, 7))
@@ -287,10 +287,12 @@ def cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
         eigs = [rng.randrange(mod) for _ in range(d - 1)]
         eigs.append((-sum(eigs)) % mod)
         datum = make_orbit_datum(d, p, k, eigs)
-        dim = orbit_dimension(datum)
-        index = centralizer_index_oracle(datum.eigenvalues, p, k)
-        eigenvalues = ";".join(str(e) for e in datum.eigenvalues)
-        table.add_row(d, p, k, eigenvalues, dim, index, dim * dim == index)
+        samples.append((datum.eigenvalues, p, k))
+        dims.append(orbit_dimension(datum))
+    table = Table(d=[], p=[], k=[], eigenvalues=[], dimension=[], centralizer_index=[], match=[])
+    for (eigs, p, k), dim, index in zip(samples, dims, centralizer_indices(samples)):
+        eigenvalues = ";".join(str(e) for e in eigs)
+        table.add_row(len(eigs), p, k, eigenvalues, dim, index, dim * dim == index)
     return {"samples": args.samples, "all_match": all(table["match"]), "table": table}
 
 

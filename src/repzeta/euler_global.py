@@ -13,7 +13,7 @@ from itertools import repeat
 from typing import Any, Sequence
 
 from .errors import BudgetExceededError
-from .local_sl2 import _one_minus_ratio, evaluate_local, sl2_local_factor
+from .local_sl2 import _build_factor, _one_minus_ratio, evaluate_local
 
 SIEVE_BUDGET = 1_000_000  # largest prime bound sieved (one byte per integer)
 BOUNDARY_S = 2.0  # the exponent at which the global product stops converging
@@ -59,7 +59,8 @@ def euler_report(
     witness for divergence, and a single bound yields no verdict.
 
     Every argument is checked before any work.  Then one sieve up to the
-    largest bound builds each prime's factor once, and one
+    largest bound builds each prime's factor once (the sieve proves each
+    prime, so no factor checks its q again), and one
     `evaluate_local` call values them all at the report's distinct
     exponents, so each log Z_p(s) is taken once per distinct exponent;
     every product is the `math.fsum` of a prefix of one list of logs,
@@ -83,7 +84,7 @@ def euler_report(
 
     primes = odd_primes_upto(max([*bounds, prime_bound] if s_grid else bounds, default=2))
     exponents = list(dict.fromkeys([*s_grid, BOUNDARY_S] if bounds else s_grid))  # distinct
-    values = evaluate_local(list(map(sl2_local_factor, primes)), exponents)
+    values = evaluate_local(list(map(_build_factor, primes)), exponents)
     logs = {s: list(map(math.log, column)) for s, column in zip(exponents, values)}
 
     count = bisect.bisect_right(primes, prime_bound)

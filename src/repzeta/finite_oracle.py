@@ -39,10 +39,12 @@ second orthogonality relation over F_l.
 Elements are flat row-major tuples; the product of two 2x2 elements is
 one fused expression, and other sizes go through `linalg.mat_mul_mod`.
 
-centralizer_index_oracle is the orbit-method oracle: the index of the
-centralizer of exp(p x), x = diag(eigenvalues), on L/p^k L, from the
-Smith form of p*ad(x).  It takes the eigenvalues alone, so it cannot
-read the psi chain that `orbit_method` builds from them.
+centralizer_indices is the orbit-method oracle: for each (eigenvalues,
+p, k) of a batch, the index of the centralizer of exp(p x), x =
+diag(eigenvalues), on L/p^k L, from the Smith form of p*ad(x).  It
+takes the eigenvalues alone, so it cannot read the psi chain that
+`orbit_method` builds from them.  Within one call it eliminates each
+distinct p*ad(x) mod p^k once; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import prime_power
 from .census import DegreeCensus
@@ -68,7 +70,7 @@ from .linalg import (
 
 GROUP_BUDGET = 200_000  # elements per enumerated group
 CLASS_BUDGET = 400  # conjugacy classes per Dixon run
-ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_index_oracle
+ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_indices
 
 Flat = tuple[int, ...]
 
@@ -481,33 +483,51 @@ def abelianization_order(group: FiniteMatrixGroup) -> int:
         normal_gens.extend(dict.fromkeys(new))
 
 
-def _ad_matrix(eigenvalues: Sequence[int], p: int) -> list[dict[int, int]]:
-    """The sparse rows of p*ad(x), x = diag(eigenvalues), on the trace-zero lattice.
+def _ad_diagonal(eigenvalues: Sequence[int], p: int) -> list[int]:
+    """The diagonal of p*ad(x), x = diag(eigenvalues), on the root spaces, unreduced.
 
     Basis: E_st (s != t) in row-major order, then H_i = E_ii - E_{i+1,i+1}.
     ad(x) acts on each root space E_st by x_s - x_t and kills the Cartan
-    part, so the matrix is diagonal: {i: p(x_s - x_t)} for the i-th root,
-    unreduced, then d - 1 empty rows.
+    part, so p*ad(x) is diagonal: p(x_s - x_t) for the i-th root, then
+    d - 1 zeros.
     """
     x = eigenvalues
-    roots = [p * (xs - xt) for s, xs in enumerate(x) for t, xt in enumerate(x) if s != t]
-    return [{i: y} for i, y in enumerate(roots)] + [{} for _ in range(len(x) - 1)]
+    return [p * (xs - xt) for s, xs in enumerate(x) for t, xt in enumerate(x) if s != t]
 
 
-def centralizer_index_oracle(eigenvalues: Sequence[int], p: int, k: int) -> int:
-    """Index of the centralizer of exp(p x) on L/p^k L, by Smith normal form.
+def _ad_matrix(diagonal: Sequence[int], d: int) -> list[dict[int, int]]:
+    """The sparse rows of p*ad(x) from its `_ad_diagonal`: {i: y} per root, d - 1 empty rows."""
+    return [{i: y} for i, y in enumerate(diagonal)] + [{} for _ in range(d - 1)]
 
-    Builds the matrix of p*ad(x) on the trace-zero lattice (`_ad_matrix`),
-    d = len(eigenvalues), and counts its kernel mod p^k from the
-    elementary divisors.  The p*ad normalization reflects that the group
-    is exp(p L).  The result is asserted to be a perfect square (its
-    square root is the orbit dimension).
+
+def centralizer_indices(samples: Iterable[tuple[Sequence[int], int, int]]) -> list[int]:
+    """Index of the centralizer of exp(p x) on L/p^k L, by Smith normal form, per sample.
+
+    Each sample is (eigenvalues, p, k).  The Smith form of p*ad(x)
+    (`_ad_matrix`), d = len(eigenvalues), gives its kernel mod p^k from
+    the elementary divisors.  The p*ad normalization reflects that the
+    group is exp(p L).  Each result is asserted to be a perfect square
+    (its square root is the orbit dimension).
+
+    The elimination reads p*ad(x) only mod p^k, so within one call each
+    distinct (p, k, diagonal mod p^k) is eliminated once: the key is the
+    reduced matrix itself (its length fixes d), and the kernel exponents
+    are kept in a dict that lives only as long as the call.
     """
-    d = len(eigenvalues)
-    if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
-        raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
-    kernel_exp = sum(smith_exponents(_ad_matrix(eigenvalues, p), p, k))
-    index_exp = (d * d - 1) * k - kernel_exp
-    if index_exp % 2:
-        raise AssertionError("centralizer index is not a perfect square")
-    return p ** index_exp
+    kernel_exps: dict[tuple[int, ...], int] = {}
+    indices = []
+    for eigenvalues, p, k in samples:
+        d = len(eigenvalues)
+        if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
+            raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
+        pk = p ** k
+        diagonal = _ad_diagonal(eigenvalues, p)
+        key = (p, k, *[y % pk for y in diagonal])
+        kernel_exp = kernel_exps.get(key)
+        if kernel_exp is None:
+            kernel_exp = kernel_exps[key] = sum(smith_exponents(_ad_matrix(diagonal, d), p, k))
+        index_exp = (d * d - 1) * k - kernel_exp
+        if index_exp % 2:
+            raise AssertionError("centralizer index is not a perfect square")
+        indices.append(p ** index_exp)
+    return indices

@@ -77,8 +77,7 @@ class FamilyMembers:
         return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class CensusFamily:
+class CensusFamily(NamedTuple):
     m: int
     q: int
     k: int

@@ -35,10 +35,11 @@ class LocalFactorSL2(NamedTuple):
 
     head_terms keeps the formula's terms in order, including coefficients
     that vanish for small q (the (q+1)-term at q=3), for traceability.
-    `sl2_local_factor` checks q as it builds one; the level census,
+    `sl2_local_factor` checks q before it builds one; the level census,
     irreducible count, evaluator and sandwich bounds take the factor, so
-    a report checks q once.  A plain `NamedTuple`, cheap to build: an
-    `euler` report builds one per odd prime.
+    a report checks q once.  An `euler` report builds one per odd prime
+    of its sieve without that check, since the sieve proves each prime;
+    a plain `NamedTuple`, cheap to build.
     """
 
     q: int
@@ -52,6 +53,11 @@ def sl2_local_factor(q: int) -> LocalFactorSL2:
         raise ValueError(f"q={q}: the degree q^2 + q of the factor is past the float range")
     if q % 2 == 0 or prime_power(q) is None:
         raise ValueError(f"q={q}: the explicit SL2 factor needs an odd prime power >= 3")
+    return _build_factor(q)
+
+
+def _build_factor(q: int) -> LocalFactorSL2:
+    """The factor's terms at a q its caller has checked (`sl2_local_factor`) or sieved as prime."""
     head = (
         (1, 1),
         (q, 1),

@@ -28,7 +28,7 @@ Truncated zeta values of a census are `DegreeCensus.zeta`, which uses
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError
@@ -39,8 +39,7 @@ FIT_POINTS = 16  # geometric sample points of an abscissa fit
 FIT_MIN_DISTINCT = 8  # distinct degrees a census needs for an abscissa fit
 
 
-@dataclass(frozen=True)
-class AbscissaEstimate:
+class AbscissaEstimate(NamedTuple):
     """Least-squares slope of log R_n against log n, with its standard error."""
 
     slope: float

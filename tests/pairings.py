@@ -70,7 +70,7 @@ PAIRINGS = (
     ),
     Pairing(
         formula=("orbit_method.orbit_dimension",),
-        oracle=("finite_oracle.centralizer_index_oracle",),
+        oracle=("finite_oracle.centralizer_indices",),
         tests=(
             "tests/test_orbit_method.py::test_dimension_formula_oracle_equality_50_random",
             "tests/test_orbit_method.py::test_dimension_formula_oracle_equality_50_random_d4",

@@ -16,7 +16,7 @@ from paper_checks import GammaSeries, all_irreducible_types, dyadic_block_sum, g
 from paper_checks import chain_product_value, chain_truncated_sum, group_dimension
 from paper_checks import kernel_cokernel_size, suffix_converges
 from repzeta.euler_global import euler_report
-from repzeta.finite_oracle import centralizer_index_oracle, character_degrees, conjugacy_classes
+from repzeta.finite_oracle import centralizer_indices, character_degrees, conjugacy_classes
 from repzeta.isotropic_census import block_structure_ok, build_census_family, distinct_class_count
 from repzeta.local_sl2 import factor_bounds_check, irrep_count, level_census, sl2_local_factor
 from repzeta.local_sl2 import sl2_quotient_order
@@ -127,6 +127,7 @@ def test_c5_sl2_formula_vs_dixon_oracle():
 def test_c6_orbit_dimension_vs_smith_oracle():
     with Criterion("C6 orbit dimension vs centralizer oracle + base change", 60.0):
         rng = random.Random(77)
+        data = []
         for _ in range(50):
             d = rng.choice((2, 3))
             p = rng.choice((3, 5, 7))
@@ -134,10 +135,11 @@ def test_c6_orbit_dimension_vs_smith_oracle():
             mod = p ** (k + 2)
             eigs = [rng.randrange(mod) for _ in range(d - 1)]
             eigs.append((-sum(eigs)) % mod)
-            datum = make_orbit_datum(d, p, k, eigs)
+            data.append(make_orbit_datum(d, p, k, eigs))
+        indices = centralizer_indices([(datum.eigenvalues, datum.p, datum.k) for datum in data])
+        for datum, index in zip(data, indices):
             dim = orbit_dimension(datum)
-            index = centralizer_index_oracle(datum.eigenvalues, p, k)
-            full = p ** ((d * d - 1) * k)
+            full = datum.p ** ((datum.d * datum.d - 1) * datum.k)
             assert dim * dim == index
             assert dim * dim * (full // index) == full
         checked = 0

@@ -215,6 +215,23 @@ def test_census8_small(capsys):
     assert result["conjugator_blocks_ok"] is True
 
 
+def test_census8_reports_an_exhaustive_census_below_its_bound(capsys, monkeypatch):
+    """`certified` reads false when an exhaustive census finds fewer classes than its bound."""
+    argv = ["census8", "--m", "2", "--q", "3", "--k", "2", "--t", "1"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    found = json.loads(out)["result"]["classes_found"]
+    monkeypatch.setattr(isotropic_census.CensusFamily, "class_count_floor", lambda family: found + 1)
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert '"certified": false,' in out
+    result = json.loads(out)["result"]
+    assert result["certified"] is False
+    assert result["exhaustive"] is True
+    assert result["unknown_pairs"] == 0
+    assert (result["classes_found"], result["bound"]) == (found, found + 1)
+
+
 def test_census8_subsample_flag(capsys):
     code, out = run_cli(
         capsys,
@@ -660,15 +677,17 @@ def test_euler_argv_fuzz(prime_bound, grid, scan):
 
 
 def test_euler_report_sieves_once(capsys, count_calls, evaluator_calls):
-    """One sieve per report, one factor per odd prime, and one evaluator call that values
-    every factor at the report's distinct exponents."""
+    """One sieve per report, one factor per odd prime, no prime-power test of a sieved
+    prime, and one evaluator call that values every factor at the report's distinct exponents."""
     sieves = count_calls(euler_global, "odd_primes_upto")
-    factors = count_calls(euler_global, "sl2_local_factor")
+    factors = count_calls(euler_global, "_build_factor")
+    prime_tests = count_calls(local_sl2, "prime_power")
     argv = ["euler", "--prime-bound", "1000", "--s-grid", "2.5,3,2.5", "--scan-grid", "100,2000"]
     code, _ = run_cli(capsys, argv)
     assert code == 0
     assert sieves == [2000]
     assert factors == odd_primes_upto(2000)
+    assert prime_tests == []  # the sieve is the proof that each q is prime
     assert evaluator_calls == [(factors, [2.5, 3.0, 2.0])]  # the grid's distinct s, the scan's 2
 
 

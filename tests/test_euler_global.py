@@ -150,7 +150,7 @@ def test_one_sieve_and_one_factor_per_prime(count_calls, evaluator_calls, s_grid
     """A rows-only or scan-only report: one sieve to 1000, one factor per odd prime, and one
     evaluator call that values them all at the report's one exponent."""
     sieves = count_calls(euler_global, "odd_primes_upto")
-    factors = count_calls(euler_global, "sl2_local_factor")
+    factors = count_calls(euler_global, "_build_factor")
     euler_report(1000, s_grid, scan_bounds)
     assert sieves == [1000]
     assert factors == odd_primes_upto(1000)

@@ -108,9 +108,9 @@ def test_finite_oracle_names_no_chain_or_valuation():
     forbidden = {"valuation", "psi_chain", "_stage", "orbit_dimension", "make_orbit_datum"}
     assert forbidden <= set(_functions(_tree("orbit_method"))) | set(_functions(_tree("linalg")))
     tree = _tree("finite_oracle")
-    assert "centralizer_index_oracle" in _functions(tree)
+    assert "centralizer_indices" in _functions(tree)
     mentioned = names(tree)
-    assert {"_ad_matrix", "smith_exponents"} <= mentioned  # the scan sees the oracle's calls
+    assert {"_ad_diagonal", "_ad_matrix", "smith_exponents"} <= mentioned  # the scan sees the oracle's calls
     assert not mentioned & forbidden
 
 

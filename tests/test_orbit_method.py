@@ -8,7 +8,7 @@ from paper_checks import census_vs_bound, chain_count_bound, kernel_cokernel_siz
 from paper_checks import partition_by_valuation, stage_summary
 from repzeta import finite_oracle
 from repzeta.errors import BudgetExceededError
-from repzeta.finite_oracle import ORACLE_DEGREE_BUDGET, centralizer_index_oracle
+from repzeta.finite_oracle import ORACLE_DEGREE_BUDGET, centralizer_indices
 from repzeta.linalg import smith_exponents, valuation
 from repzeta.orbit_method import make_orbit_datum, orbit_dimension, psi_chain
 
@@ -83,11 +83,11 @@ def test_orbit_dimension_examples():
     assert orbit_dimension(make_orbit_datum(2, 3, 1, (1, -1))) == 1
     datum = make_orbit_datum(2, 3, 2, (1, -1))
     assert orbit_dimension(datum) == 3
-    assert centralizer_index_oracle(datum.eigenvalues, 3, 2) == 9
+    assert centralizer_indices([(datum.eigenvalues, 3, 2)]) == [9]
     # val_5(2 - (-3)) = 1, so the deficiency sum is 2, not 3
     datum2 = make_orbit_datum(3, 5, 2, (1, 2, -3))
     assert orbit_dimension(datum2) == 25
-    assert centralizer_index_oracle(datum2.eigenvalues, 5, 2) == 5 ** 4
+    assert centralizer_indices([(datum2.eigenvalues, 5, 2)]) == [5 ** 4]
 
 
 def test_a1_closed_form():
@@ -105,7 +105,7 @@ def test_a1_closed_form():
 
 def assert_dimension_formula_matches_oracle(datum):
     dim = orbit_dimension(datum)
-    index = centralizer_index_oracle(datum.eigenvalues, datum.p, datum.k)
+    [index] = centralizer_indices([(datum.eigenvalues, datum.p, datum.k)])
     assert dim * dim == index
     # equivalent statement: dim^2 * |ker| = p^((d^2-1) k)
     full = datum.p ** ((datum.d ** 2 - 1) * datum.k)
@@ -172,7 +172,8 @@ def test_ad_matrix_matches_dense_construction():
         for _ in range(3):
             datum = random_datum(rng, d=d, p=p, k=k)
             dense = dense_ad_matrix(diag(datum.eigenvalues), datum.p)
-            assert dense_rows(finite_oracle._ad_matrix(datum.eigenvalues, datum.p)) == dense
+            diagonal = finite_oracle._ad_diagonal(datum.eigenvalues, datum.p)
+            assert dense_rows(finite_oracle._ad_matrix(diagonal, d)) == dense
 
 
 def random_sl_pair(rng, d, steps):
@@ -206,17 +207,73 @@ def test_conjugated_dense_ad_matrix_has_the_oracle_smith_exponents():
             assert mat_mul(g, g_inv) == diag([1] * d)
             y = mat_mul(mat_mul(g, diag(eigs)), g_inv)
             dense_cases += any(y[s][t] for s in range(d) for t in range(d) if s != t)
-            expected = smith_exponents(finite_oracle._ad_matrix(eigs, p), p, k)
+            rows = finite_oracle._ad_matrix(finite_oracle._ad_diagonal(eigs, p), d)
+            expected = smith_exponents(rows, p, k)
             assert smith_exponents(sparse_rows(dense_ad_matrix(y, p)), p, k) == expected, (eigs, g)
             exponents.add((d, p, k, expected))
     assert dense_cases > 90  # most conjugates are not diagonal
     assert len(exponents) > 40  # and data of one (d, p, k) differ in their exponents
 
 
+def trace_zero_batch():
+    """Every trace-zero vector mod p^k for d = 2, 3, p = 3, 5, k = 1, 2, each with a lift.
+
+    The lift adds p^k * r to each entry (r < p^2) and stays trace-zero mod
+    p^(k+2), so its p*ad(x) differs unreduced but agrees mod p^k; the batch
+    is shuffled so that repeated reduced matrices do not sit side by side.
+    """
+    rng = random.Random(23)
+    batch = []
+    for d, p, k in product((2, 3), (3, 5), (1, 2)):
+        mod, lift = p ** k, p ** (k + 2)
+        for prefix in product(range(mod), repeat=d - 1):
+            batch.append((prefix + (-sum(prefix) % mod,), p, k))
+            lifted = [x + mod * rng.randrange(p * p) for x in prefix]
+            batch.append((tuple(lifted) + (-sum(lifted) % lift,), p, k))
+    rng.shuffle(batch)
+    return batch
+
+
+def test_centralizer_indices_batch_matches_one_call_per_sample():
+    batch = trace_zero_batch()
+    single = [index for sample in batch for index in centralizer_indices([sample])]
+    assert centralizer_indices(batch) == single
+    assert len(set(single)) > 5  # the batch is not one index repeated
+
+
+def reduced(rows, p, k):
+    """(p, k, the dense matrix of `rows` mod p^k), hashable."""
+    return p, k, tuple(map(tuple, dense_rows(rows, p ** k)))
+
+
+def test_centralizer_indices_eliminates_each_reduced_matrix_once_per_call(monkeypatch):
+    """One `smith_exponents` call per distinct (p, k, p*ad(x) mod p^k) of a call; none kept."""
+    batch = trace_zero_batch()
+    ad = finite_oracle._ad_matrix
+    distinct = {reduced(ad(finite_oracle._ad_diagonal(e, p), len(e)), p, k) for e, p, k in batch}
+    assert len(distinct) < len(batch) // 2  # the batch repeats reduced matrices
+    eliminated = []
+
+    def counting(rows, p, precision):
+        eliminated.append(reduced(rows, p, precision))
+        return smith_exponents(rows, p, precision)
+
+    monkeypatch.setattr(finite_oracle, "smith_exponents", counting)
+    first = centralizer_indices(batch)
+    assert len(eliminated) == len(distinct)
+    assert set(eliminated) == distinct
+    second = centralizer_indices(batch)
+    assert second == first
+    assert len(eliminated) == 2 * len(distinct)  # the second call eliminates them all again
+    assert set(eliminated[len(distinct):]) == distinct
+
+
 def test_oracle_budget():
     datum = make_orbit_datum(5, 3, 1, (1, 2, 3, 4, (-10) % 27))
     with pytest.raises(BudgetExceededError):
-        centralizer_index_oracle(datum.eigenvalues, datum.p, datum.k)
+        centralizer_indices([(datum.eigenvalues, datum.p, datum.k)])
+    with pytest.raises(BudgetExceededError):  # checked per sample, not only on the first
+        centralizer_indices([((1, -1), 3, 1), (datum.eigenvalues, datum.p, datum.k)])
 
 
 def test_chain_count_bound_examples():
