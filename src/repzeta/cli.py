@@ -5,7 +5,9 @@ wall time.  Reports are deterministic for a fixed config and seed up to
 the wall-time field (float sums are correctly rounded, so their order
 does not matter); golden-file comparisons strip wall time.  Exit status:
 0 success, 2 precondition failure (an unwritable `--out` included), 3 budget
-exhaustion.
+exhaustion.  Preconditions are, for example, sample counts of at least 1
+(`orbit --samples 0` and `census8 --sample -1` exit 2), `alt --kmax` in
+1..36, and finite exponents (`nan` exits 2).
 
 The parser is built once per process, on the first `main` call, and
 each call looks its handler up by subcommand name, so a `cmd_*` rebound

@@ -5,14 +5,23 @@ the fundamental weights.  Those rows are exactly the coefficients of the
 coroot in the simple-coroot basis, so they are enumerated by root-string
 closure on the dual Cartan matrix.  Everything downstream (the census
 walk in `witten`) works from these integer rows alone, and every datum
-built has r/kappa = 2/h, the Witten abscissa, checked exactly.
+built has r/kappa = 2/h, the Witten abscissa, checked exactly.  Since
+dim G = r(h + 1) for every simple type, that check is also the
+closure's root count against the dimension table.
+
+ROOT_BUDGET bounds the positive roots of a datum.  The closure's time
+grows about as r^3.5 and the Cartan matrix has r^2 entries, so
+`build_root_datum` checks the count r*h/2 before it builds either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .errors import BudgetExceededError
+
+ROOT_BUDGET = 1_000  # positive roots of one root datum
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -115,8 +124,7 @@ def positive_roots_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[in
     return out
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Positive-coroot rows for one irreducible simply connected type.
 
     positive_roots[j] is the vector (alpha^vee(w_1), ..., alpha^vee(w_r))
@@ -133,12 +141,21 @@ class RootDatum:
 
 
 def build_root_datum(series: str, rank: int) -> RootDatum:
-    """The root datum of (series, rank); rejects invalid pairs, asserts r/kappa = 2/h."""
+    """The root datum of (series, rank); rejects invalid pairs, asserts r/kappa = 2/h.
+
+    A datum with more than ROOT_BUDGET positive roots (r*h/2, known
+    before any closure) raises BudgetExceededError before its Cartan
+    matrix is built.
+    """
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
     valid, rule = _RANKS[series]
     if not isinstance(rank, int) or not valid(rank):
         raise ValueError(f"invalid rank {rank} for series {series}: need {rule}")
+    h = coxeter_number(series, rank)
+    roots = rank * h // 2
+    if roots > ROOT_BUDGET:
+        raise BudgetExceededError(f"{series}{rank} has {roots} positive roots, over the budget {ROOT_BUDGET}")
 
     cartan = cartan_matrix(series, rank)
     # coroots of Phi = roots of the dual system (transposed Cartan matrix)
@@ -147,7 +164,6 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     rows.sort(key=lambda r: (sum(r), r))
 
     kappa = len(rows)
-    h = coxeter_number(series, rank)
     if Fraction(rank, kappa) != Fraction(2, h):
         raise AssertionError(f"{series}{rank}: r/kappa != 2/h")
     for row in rows:

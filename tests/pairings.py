@@ -10,6 +10,13 @@ is named `tests/<file>::<function>`.
 `SIDES` puts each `src/repzeta` module on one side of every pairing;
 `tests/test_independence.py` reads the sides from it.  `cli`, which runs
 both sides, and `__init__` are on none.
+
+`ORACLE_IMPORTS` names, for each module of `tests/` that is not a test
+file (`conftest` aside), every `repzeta` name it imports: `module.name`
+for `from repzeta.module import name`, and `module` for `import
+repzeta.module`.  A test-side oracle that imported the kernel it checks
+would make its pairing circular, so `tests/test_independence.py` holds
+each file to exactly its entry, and a new file needs one.
 """
 
 from typing import NamedTuple
@@ -118,4 +125,15 @@ SIDES = {
     "census": "shared",
     "arith": "shared",
     "errors": "shared",
+}
+
+ORACLE_IMPORTS = {
+    "ast_names": (),
+    "dense_smith": (),  # its own valuation and dense rows
+    "hook_lengths": ("census.DegreeCensus", "symmetric.MAX_K"),  # not the branching sweep
+    "pairings": (),
+    "paper_checks": ("linalg.det_int", "linalg.smith_exponents"),
+    "scalar_local": (),  # its own one-factor sums
+    "tuple_classes": ("finite_oracle.FiniteMatrixGroup", "finite_oracle.Flat"),  # not _mul or _inv
+    "weyl_formula": (),  # the coroot rows alone
 }

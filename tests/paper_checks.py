@@ -14,7 +14,11 @@ nested geometric series
 
 converges iff every suffix sum of a is negative, in which case it equals
 the product of t/(1-t) over t = exp(suffix sum).  A chain of root
-subsystems enters only through its (rank, kappa) stages.
+subsystems enters only through its (rank, kappa) stages.  No command
+runs the lemma: its verdict depends only on the root datum,
+`build_root_datum` asserts r/kappa = 2/h on every datum, and the
+`witten` report echoes `r_over_kappa`.  Applied to every Levi chain of
+every type up to rank 8, it puts the Witten abscissa at r/kappa.
 """
 
 from __future__ import annotations

@@ -370,6 +370,16 @@ def test_exit_code_budget(capsys):
     assert "budget" in captured.err
 
 
+def test_witten_root_budget_exit_code(capsys):
+    """A rank past `rootsys.ROOT_BUDGET` exits 3."""
+    code = main(["witten", "--series", "A", "--rank", "100", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "budget exhausted" in captured.err and "5050 positive roots" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_census8_pair_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(isotropic_census, "PAIR_BUDGET", 1)
     code = main(["census8", "--m", "4", "--q", "3", "--k", "1", "--t", "1", "--sample", "20"])

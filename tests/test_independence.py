@@ -5,7 +5,9 @@ two sides reached the same kernel, a fault in it would pass both and
 the cross-check would be circular.  Each module's side is read from
 `tests/pairings.py`, and the sides are checked on the import graph of
 `src/repzeta`, built with `ast`, so nothing is imported; only the check
-that the registry's names resolve imports them.
+that the registry's names resolve imports them.  The test-side modules
+(oracles and helpers) are held to the `repzeta` names the registry
+lets each import.
 """
 
 import ast
@@ -13,7 +15,7 @@ import importlib
 from pathlib import Path
 
 from ast_names import names
-from pairings import PAIRINGS, SIDES
+from pairings import ORACLE_IMPORTS, PAIRINGS, SIDES
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "repzeta"
@@ -114,61 +116,75 @@ def test_finite_oracle_names_no_chain_or_valuation():
     assert not mentioned & forbidden
 
 
-def _imported_from(tree, module):
-    return {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == module
-        for alias in node.names
-    }
+def _repzeta_imports(tree):
+    """The repzeta names a file imports: `x.y` for `from repzeta.x import y`, `x` for `import repzeta.x`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repzeta":
+            module = node.module.partition(".")[2]
+            found.update(f"{module}.{alias.name}" if module else alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[2] or alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "repzeta")
+    return found
 
 
-def test_tuple_oracle_names_no_finite_oracle_kernel():
-    """tests/tuple_classes.py checks finite_oracle's tables with its own product and inverse."""
-    tree = ast.parse((TESTS / "tuple_classes.py").read_text(encoding="utf-8"))
-    imported = _imported_from(tree, "repzeta.finite_oracle")
-    assert "FiniteMatrixGroup" in imported  # the scan sees the import
-    assert not {"_mul", "_inv"} & (imported | names(tree))
+def test_test_side_modules_import_only_their_registered_names():
+    """Each module of tests/ but the test files and conftest imports from repzeta exactly
+    its `ORACLE_IMPORTS` names, so a test-side oracle cannot reach the kernel it checks."""
+    helpers = {path.stem for path in TESTS.glob("*.py")
+               if not path.stem.startswith("test_")} - {"conftest"}
+    assert set(ORACLE_IMPORTS) == helpers
+    for module in sorted(helpers):
+        tree = ast.parse((TESTS / f"{module}.py").read_text(encoding="utf-8"))
+        assert tuple(sorted(_repzeta_imports(tree))) == ORACLE_IMPORTS[module], module
 
 
-def test_hook_length_oracle_names_only_max_k_from_symmetric():
-    """tests/hook_lengths.py checks the branching sweep with its own partitions and hook degrees."""
-    tree = ast.parse((TESTS / "hook_lengths.py").read_text(encoding="utf-8"))
-    assert _imported_from(tree, "repzeta.symmetric") == {"MAX_K"}
-    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    assert not any(name.startswith("repzeta") for name in modules)
-    symmetric = set(_functions(_tree("symmetric")))
-    assert {"young_levels", "an_census"} <= symmetric  # the scan sees the sweep
-    assert not symmetric & names(tree)
-
-
-def _imported_modules(oracle):
-    """The modules a test-side oracle file imports, by name."""
+def _registered_tree(oracle):
+    """The parsed oracle file, once its repzeta imports are found to be its registry entry."""
     tree = ast.parse((TESTS / f"{oracle}.py").read_text(encoding="utf-8"))
+    assert tuple(sorted(_repzeta_imports(tree))) == ORACLE_IMPORTS[oracle]
+    return tree
+
+
+def _imported_modules(tree):
     return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)} | {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     }
 
 
+def test_tuple_oracle_names_no_finite_oracle_kernel():
+    """tests/tuple_classes.py checks finite_oracle's tables with its own product and inverse."""
+    tree = _registered_tree("tuple_classes")
+    assert "finite_oracle.FiniteMatrixGroup" in ORACLE_IMPORTS["tuple_classes"]  # the scan sees the import
+    assert not {"_mul", "_inv"} & names(tree)
+
+
+def test_hook_length_oracle_names_only_max_k_from_symmetric():
+    """tests/hook_lengths.py checks the branching sweep with its own partitions and hook degrees."""
+    tree = _registered_tree("hook_lengths")
+    assert {name for name in ORACLE_IMPORTS["hook_lengths"] if name.startswith("symmetric")} == {"symmetric.MAX_K"}
+    symmetric = set(_functions(_tree("symmetric")))
+    assert {"young_levels", "an_census"} <= symmetric  # the scan sees the sweep
+    assert not symmetric & names(tree)
+
+
 def test_weyl_formula_oracle_imports_no_repzeta_module():
     """tests/weyl_formula.py checks the census walk from the coroot rows alone."""
-    imported = _imported_modules("weyl_formula")
-    assert "typing" in imported  # the scan sees the imports
-    assert not any(name.startswith("repzeta") for name in imported)
+    assert ORACLE_IMPORTS["weyl_formula"] == ()
+    assert "typing" in _imported_modules(_registered_tree("weyl_formula"))  # the scan sees the imports
 
 
 def test_dense_smith_oracle_imports_no_repzeta_module():
     """tests/dense_smith.py checks linalg's sparse elimination with its own valuation and dense rows."""
-    imported = _imported_modules("dense_smith")
-    assert "typing" in imported  # the scan sees the imports
-    assert not any(name.startswith("repzeta") for name in imported)
+    assert ORACLE_IMPORTS["dense_smith"] == ()
+    assert "typing" in _imported_modules(_registered_tree("dense_smith"))  # the scan sees the imports
 
 
 def test_scalar_local_oracle_imports_no_repzeta_module():
     """tests/scalar_local.py checks local_sl2's column evaluator with its own one-factor sums."""
-    imported = _imported_modules("scalar_local")
-    assert "math" in imported  # the scan sees the imports
-    assert not any(name.startswith("repzeta") for name in imported)
+    assert ORACLE_IMPORTS["scalar_local"] == ()
+    assert "math" in _imported_modules(_registered_tree("scalar_local"))  # the scan sees the imports
 
 
 def _resolve(name):

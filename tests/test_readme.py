@@ -14,6 +14,7 @@ GOLDEN = ROOT / "tests" / "golden"
 ROW = re.compile(r"^\s*\| `(\w+)\.(\w+_BUDGET)` \| ([^|]+?) \|", re.MULTILINE)
 FIXED = re.compile(r"`(\w+)\.([A-Z_]+)` \(([^)]+)\)")
 BACKTICKED = re.compile(r"`([^`]+)`")
+MODULE_MAP_WORDS = 60
 
 
 def _readme_value(text):
@@ -93,19 +94,26 @@ def _boolean_fields(value, field=None):
 
 
 def test_readme_lists_each_verdict_with_a_test_that_makes_it_false():
-    """README's Verdicts table lists every boolean field of the golden reports, each with
-    collected top-level tests that name it."""
+    """Each row of README's Verdicts table is a boolean field of the golden reports of its
+    command, every such field has its row, and each row names collected top-level tests
+    that name its field."""
     text = README.read_text(encoding="utf-8")
     table = text.split("\n## Verdicts\n", 1)[1].split("\n## ", 1)[0]
     rows = [line.strip()[2:-2].split(" | ") for line in table.splitlines() if line.startswith("| `")]
-    listed = {BACKTICKED.findall(cells[0])[0]: BACKTICKED.findall(cells[-1]) for cells in rows}
-    assert len(listed) == len(rows)  # one row per field
-    golden = set().union(*(
-        _boolean_fields(json.loads(path.read_text(encoding="utf-8"))) for path in GOLDEN.glob("*.json")
-    ))
-    assert {"bounds", "match"} <= golden  # the walk reached the pairs and the table rows
-    assert set(listed) == golden
-    for field, tests in listed.items():
+    fields = {}  # command -> the fields of its rows
+    for cells in rows:
+        (field,), (command,) = BACKTICKED.findall(cells[0]), BACKTICKED.findall(cells[1])
+        fields.setdefault(command, []).append(field)
+    golden = {}  # command -> the boolean fields of its golden reports
+    for path in GOLDEN.glob("*.json"):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        golden.setdefault(report["command"], set()).update(_boolean_fields(report))
+    assert {"bounds"} <= golden["local-sl2"] and {"match"} <= golden["orbit"]  # pairs and table rows
+    assert golden.pop("witten") == set()  # witten prints no verdict
+    assert all(len(set(listed)) == len(listed) for listed in fields.values())  # one row per field
+    assert {command: set(listed) for command, listed in fields.items()} == golden
+    for cells in rows:
+        field, tests = BACKTICKED.findall(cells[0])[0], BACKTICKED.findall(cells[-1])
         assert tests, field
         for test in tests:
             path, function = test.split("::")
@@ -126,6 +134,19 @@ def test_module_map_names_every_module():
     assert "cli" in rows  # the table was parsed
     assert len(rows) == len(set(rows))
     assert set(rows) == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "errors"}
+
+
+def test_module_map_cells_stay_short():
+    """Every module-map cell says what its module computes and what checks it in at most
+    MODULE_MAP_WORDS words; the mechanism is told once, in the module's docstrings."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip()[2:-2].split(" | ") for line in table.splitlines() if line.startswith("| `")]
+    assert len(rows) > 10  # the table was parsed
+    for module, *cells in rows:
+        assert len(cells) == 2, module
+        for cell in cells:
+            assert len(cell.split()) <= MODULE_MAP_WORDS, (module, len(cell.split()))
 
 
 def _walk_from_main():

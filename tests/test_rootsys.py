@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 from paper_checks import all_irreducible_types, group_dimension, levi_subsystem
+from repzeta import rootsys
+from repzeta.errors import BudgetExceededError
 from repzeta.rootsys import SERIES, build_root_datum, coxeter_number
 from weyl_formula import weyl_dimension
 
@@ -24,6 +26,21 @@ def test_invalid_rank_message(series, rank, rule):
     with pytest.raises(ValueError) as excinfo:
         build_root_datum(series, rank)
     assert str(excinfo.value) == f"invalid rank {rank} for series {series}: need {rule}"
+
+
+def test_root_budget_counts_positive_roots_before_the_closure(monkeypatch):
+    """A datum of more than ROOT_BUDGET positive roots raises before its Cartan matrix is built."""
+    monkeypatch.setattr(rootsys, "ROOT_BUDGET", 6)
+    assert build_root_datum("A", 3).kappa == 6  # at the budget
+    assert build_root_datum("G", 2).kappa == 6
+
+    def no_cartan(series, rank):
+        raise AssertionError("the Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "cartan_matrix", no_cartan)
+    for series, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4)]:
+        with pytest.raises(BudgetExceededError, match="budget 6"):
+            build_root_datum(series, rank)
 
 
 def test_a1_basics():
