@@ -25,7 +25,7 @@ import random
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import eq, itemgetter, mul
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -291,10 +291,17 @@ def cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
         datum = make_orbit_datum(d, p, k, eigs)
         samples.append((datum.eigenvalues, p, k))
         dims.append(orbit_dimension(datum))
-    table = Table(d=[], p=[], k=[], eigenvalues=[], dimension=[], centralizer_index=[], match=[])
-    for (eigs, p, k), dim, index in zip(samples, dims, centralizer_indices(samples)):
-        eigenvalues = ";".join(str(e) for e in eigs)
-        table.add_row(len(eigs), p, k, eigenvalues, dim, index, dim * dim == index)
+    indices = centralizer_indices(samples)  # one oracle call, after every draw
+    vectors, ps, ks = map(list, zip(*samples))
+    table = Table(
+        d=list(map(len, vectors)),
+        p=ps,
+        k=ks,
+        eigenvalues=[";".join(map(str, e)) for e in vectors],
+        dimension=dims,
+        centralizer_index=indices,
+        match=list(map(eq, map(mul, dims, dims), indices)),
+    )
     return {"samples": args.samples, "all_match": all(table["match"]), "table": table}
 
 

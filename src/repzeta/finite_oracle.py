@@ -43,8 +43,10 @@ centralizer_indices is the orbit-method oracle: for each (eigenvalues,
 p, k) of a batch, the index of the centralizer of exp(p x), x =
 diag(eigenvalues), on L/p^k L, from the Smith form of p*ad(x).  It
 takes the eigenvalues alone, so it cannot read the psi chain that
-`orbit_method` builds from them.  Within one call it eliminates each
-distinct p*ad(x) mod p^k once; nothing is kept between calls.
+`orbit_method` builds from them.  Within one call it eliminates one
+p*ad(x) mod p^k per permutation class, its diagonal sorted: reordering
+the root basis conjugates the diagonal by a permutation matrix, which
+keeps its Smith exponents.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -509,10 +511,13 @@ def centralizer_indices(samples: Iterable[tuple[Sequence[int], int, int]]) -> li
     group is exp(p L).  Each result is asserted to be a perfect square
     (its square root is the orbit dimension).
 
-    The elimination reads p*ad(x) only mod p^k, so within one call each
-    distinct (p, k, diagonal mod p^k) is eliminated once: the key is the
-    reduced matrix itself (its length fixes d), and the kernel exponents
-    are kept in a dict that lives only as long as the call.
+    The elimination reads p*ad(x) only mod p^k, and reordering the root
+    basis conjugates the diagonal p*ad(x) by a permutation matrix, which
+    leaves its Smith exponents unchanged.  So within one call each
+    permutation class is eliminated once: the key is (p, k, the diagonal
+    mod p^k sorted; its length fixes d), the matrix eliminated is that
+    sorted diagonal, whichever sample came first, and the kernel
+    exponents are kept in a dict that lives only as long as the call.
     """
     kernel_exps: dict[tuple[int, ...], int] = {}
     indices = []
@@ -521,11 +526,10 @@ def centralizer_indices(samples: Iterable[tuple[Sequence[int], int, int]]) -> li
         if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
             raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
         pk = p ** k
-        diagonal = _ad_diagonal(eigenvalues, p)
-        key = (p, k, *[y % pk for y in diagonal])
+        key = (p, k, *sorted([y % pk for y in _ad_diagonal(eigenvalues, p)]))
         kernel_exp = kernel_exps.get(key)
         if kernel_exp is None:
-            kernel_exp = kernel_exps[key] = sum(smith_exponents(_ad_matrix(diagonal, d), p, k))
+            kernel_exp = kernel_exps[key] = sum(smith_exponents(_ad_matrix(key[2:], d), p, k))
         index_exp = (d * d - 1) * k - kernel_exp
         if index_exp % 2:
             raise AssertionError("centralizer index is not a perfect square")

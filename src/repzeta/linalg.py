@@ -19,6 +19,7 @@ elimination without V for the callers that read the exponents alone.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Matrix = list[list[int]]
@@ -42,12 +43,9 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], mod: int) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        out.append([sum(row_a[t] * b[t][j] for t in range(k)) % mod for j in range(m)])
-    return out
+    """a*b mod `mod`: each entry is a row of a dotted with a column of b, the columns read once."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -306,7 +304,10 @@ def _eliminate(
     (x / p^e)·w times it instead, e the pivot's valuation, which leaves
     the same residues.  Column operations are applied to V only: after
     the row step column t of A is zero below the pivot, so on A they
-    would only clear row t, which is never read again.
+    would only clear row t, which is never read again.  So w (a modular
+    `pow`) is taken only when a row below holds the pivot column or V
+    gets a column operation (the pivot row holds another column); a
+    diagonal matrix without V, such as p*ad(x), takes none.
     """
     n = len(rows)
     pm = p ** precision
@@ -351,11 +352,12 @@ def _eliminate(
             if v is not None:
                 for row in v:
                     row[t], row[j0] = row[j0], row[t]
-        w = pow(at[best_c] // pb, -1, pm)
+        w = 0  # the inverse of the pivot's unit part, taken when first needed
         for i in range(t + 1, n):
             row = a[i]
             x = row.get(best_c)
             if x:
+                w = w or pow(at[best_c] // pb, -1, pm)
                 q = x // pb * w
                 for c, z in at.items():
                     y = (row.get(c, 0) - q * z) % pm
@@ -363,14 +365,14 @@ def _eliminate(
                         row[c] = y
                     else:
                         row.pop(c, None)
-        if v is not None:
+        if v is not None and len(at) > 1:
+            w = w or pow(at[best_c] // pb, -1, pm)
             col_ops = [(pos[c], z * w % pm // pb) for c, z in at.items() if c != best_c]
-            if col_ops:
-                for row in v:
-                    vt = row[t]
-                    if vt:
-                        for j, q in col_ops:
-                            row[j] = (row[j] - q * vt) % pm
+            for row in v:
+                vt = row[t]
+                if vt:
+                    for j, q in col_ops:
+                        row[j] = (row[j] - q * vt) % pm
     return tuple(exps)
 
 

@@ -751,6 +751,8 @@ def _drop_wall_time(text):
         (["euler", "--prime-bound", "100", "--s-grid", "1.5,2.5,3"], "euler_p100.json", None,
          None),
         (["orbit", "--samples", "4", "--seed", "5"], "orbit_s4.json", None, None),
+        # 33 reduced p*ad(x), 29 permutation classes: samples share one elimination
+        (["orbit", "--samples", "40", "--seed", "7"], "orbit_s40_seed7.json", None, None),
         (["census8", "--m", "2", "--q", "3", "--k", "1", "--t", "1"], "census8_2311.json", None,
          None),
         (["oracle", "--modulus", "9"], "oracle_m9.json", None, None),
@@ -759,7 +761,8 @@ def _drop_wall_time(text):
         (["local-sl2", "--q", "3", "--level", "2"], "local_sl2_q3_k2.json", None, None),
     ],
     ids=["witten-json", "witten-csv-stdout", "witten-csv-out", "alt-empty", "alt", "euler-empty",
-         "euler", "orbit", "census8", "oracle", "local-sl2-q5", "local-sl2-q3"],
+         "euler", "orbit", "orbit-merged-classes", "census8", "oracle", "local-sl2-q5",
+         "local-sl2-q3"],
 )
 def test_golden_report_bytes(tmp_path, capsys, argv, stdout, stderr, out_file):
     """Every stream of a report equals its golden file byte for byte, bar the wall-time line."""

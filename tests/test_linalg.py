@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_smith import dense_rows, dense_smith, sparse_rows
-from repzeta import isotropic_census
-from repzeta.finite_oracle import _ad_matrix
+from repzeta import isotropic_census, linalg
+from repzeta.finite_oracle import _ad_diagonal, _ad_matrix
 from repzeta.isotropic_census import _intertwiner_system, build_census_family, conjugacy_key
 from repzeta.linalg import (
     charpoly_mod_p,
@@ -147,6 +147,23 @@ def test_mat_inv_mod_roundtrip():
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         assert mat_mul_mod(m, inv, mod) == ident
         assert mat_mul_mod(inv, m, mod) == ident
+
+
+def test_mat_mul_mod_matches_triple_loop():
+    """Random rectangular products, rows as tuples or lists, entries of either sign."""
+    rng = random.Random(33)
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        mod = rng.choice([2, 7, 9, 27, 125, 3 ** 10])
+        a, b = ([rng.choice((list, tuple))(rng.randrange(-2 * mod, 2 * mod) for _ in range(cols))
+                 for _ in range(rows)] for rows, cols in ((n, k), (k, m)))
+        naive = [[0] * m for _ in range(n)]
+        for i in range(n):
+            for j in range(m):
+                for t in range(k):
+                    naive[i][j] += a[i][t] * b[t][j]
+                naive[i][j] %= mod
+        assert mat_mul_mod(a, b, mod) == naive, (a, b, mod)
 
 
 def test_rref_and_kernel_mod_p():
@@ -364,7 +381,7 @@ def ad_matrices(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
     k = draw(st.integers(1, 3))
     eigs = [p ** draw(st.integers(0, k)) * draw(st.integers(-p, p)) for _ in range(d - 1)]
-    return p, k, _ad_matrix(eigs + [-sum(eigs)], p)
+    return p, k, _ad_matrix(_ad_diagonal(eigs + [-sum(eigs)], p), d)
 
 
 @settings(max_examples=120, deadline=None)
@@ -393,6 +410,50 @@ def test_smith_forms_match_dense_oracle_on_census_systems(monkeypatch):
     assert any(x < 0 for rows in built for row in rows for x in row.values())
     for rows in built:
         assert_matches_dense(rows, p, N)
+
+
+@pytest.fixture
+def count_pows(monkeypatch):
+    """Every `pow` call `linalg` makes, as its argument tuple; the Smith form's are its inverses."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(linalg, "pow", counting, raising=False)
+    return calls
+
+
+def test_smith_forms_of_ad_matrices_take_no_inverse(count_pows):
+    """p*ad(x) is a diagonal: no row below a pivot holds its column, and no pivot row another."""
+    rng = random.Random(7)
+    for _ in range(50):
+        d, p, k = rng.randint(2, 4), rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+        eigs = [rng.randrange(p ** (k + 2)) for _ in range(d - 1)]
+        rows = _ad_matrix(_ad_diagonal(eigs + [-sum(eigs)], p), d)
+        exponents = dense_smith(dense_rows(rows), p, k)[0]
+        assert smith_exponents(rows, p, k) == smith_local(rows, p, k).exponents == exponents
+    assert count_pows == []
+
+
+@pytest.mark.parametrize(
+    "rows,exponents_only,with_v",
+    [
+        ([{0: 1}, {0: 1}], 1, 1),  # the row below holds the pivot column
+        ([{0: 1, 1: 1}, {1: 1}], 0, 1),  # the pivot row holds another column: V needs w
+        ([{0: 3}, {1: 1}], 0, 0),
+    ],
+    ids=["row-below", "column-op", "neither"],
+)
+def test_smith_forms_take_the_pivot_inverse_only_when_used(count_pows, rows, exponents_only,
+                                                           with_v):
+    smith_exponents(rows, 3, 2)
+    assert len(count_pows) == exponents_only
+    count_pows.clear()
+    smith_local(rows, 3, 2)
+    assert len(count_pows) == with_v
+    assert all(args[1:] == (-1, 9) for args in count_pows)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -246,26 +246,62 @@ def reduced(rows, p, k):
     return p, k, tuple(map(tuple, dense_rows(rows, p ** k)))
 
 
-def test_centralizer_indices_eliminates_each_reduced_matrix_once_per_call(monkeypatch):
-    """One `smith_exponents` call per distinct (p, k, p*ad(x) mod p^k) of a call; none kept."""
-    batch = trace_zero_batch()
-    ad = finite_oracle._ad_matrix
-    distinct = {reduced(ad(finite_oracle._ad_diagonal(e, p), len(e)), p, k) for e, p, k in batch}
-    assert len(distinct) < len(batch) // 2  # the batch repeats reduced matrices
+def reduced_ad(eigenvalues, p, k):
+    """`reduced` of p*ad(x) as `_ad_matrix` builds it, its diagonal in root order."""
+    diagonal = finite_oracle._ad_diagonal(eigenvalues, p)
+    return reduced(finite_oracle._ad_matrix(diagonal, len(eigenvalues)), p, k)
+
+
+def sorted_class(eigenvalues, p, k):
+    """(p, k, the rows of p*ad(x), its diagonal reduced mod p^k and sorted), hashable: the one
+    matrix the oracle eliminates for the permutation class of p*ad(x)."""
+    diagonal = sorted(y % p ** k for y in finite_oracle._ad_diagonal(eigenvalues, p))
+    return p, k, as_built(finite_oracle._ad_matrix(diagonal, len(eigenvalues)))
+
+
+def as_built(rows):
+    """Sparse rows, entries in the order they were built, hashable."""
+    return tuple(tuple(row.items()) for row in rows)
+
+
+def record_eliminations(monkeypatch):
+    """The (p, k, rows as built) of each `smith_exponents` call `finite_oracle` makes."""
     eliminated = []
 
     def counting(rows, p, precision):
-        eliminated.append(reduced(rows, p, precision))
+        eliminated.append((p, precision, as_built(rows)))
         return smith_exponents(rows, p, precision)
 
     monkeypatch.setattr(finite_oracle, "smith_exponents", counting)
+    return eliminated
+
+
+def test_centralizer_indices_eliminates_each_permutation_class_once_per_call(monkeypatch):
+    """One `smith_exponents` call per distinct (p, k, sorted p*ad(x) mod p^k) of a call, on
+    that sorted diagonal itself; none kept."""
+    batch = trace_zero_batch()
+    distinct = {reduced_ad(e, p, k) for e, p, k in batch}
+    classes = {sorted_class(e, p, k) for e, p, k in batch}
+    assert len(classes) < len(distinct) < len(batch) // 2  # sorting merges reduced matrices
+    eliminated = record_eliminations(monkeypatch)
     first = centralizer_indices(batch)
-    assert len(eliminated) == len(distinct)
-    assert set(eliminated) == distinct
+    assert len(eliminated) == len(classes)
+    assert set(eliminated) == classes
     second = centralizer_indices(batch)
     assert second == first
-    assert len(eliminated) == 2 * len(distinct)  # the second call eliminates them all again
-    assert set(eliminated[len(distinct):]) == distinct
+    assert len(eliminated) == 2 * len(classes)  # the second call eliminates them all again
+    assert set(eliminated[len(classes):]) == classes
+
+
+def test_centralizer_indices_eliminates_the_permutations_of_one_vector_once(monkeypatch):
+    """All 6 orders of one 3-eigenvalue vector: 6 reduced diagonals, one permutation class."""
+    vector, p, k = (1, 6, -7), 5, 3
+    batch = [(e, p, k) for e in permutations(vector)]
+    single = [index for sample in batch for index in centralizer_indices([sample])]
+    assert len({reduced_ad(*sample) for sample in batch}) == 6
+    eliminated = record_eliminations(monkeypatch)
+    assert centralizer_indices(batch) == single == [5 ** 10] * 6
+    assert eliminated == [sorted_class(vector, p, k)]
 
 
 def test_oracle_budget():
