@@ -62,6 +62,7 @@ from .errors import BudgetExceededError
 from .linalg import (
     charpoly_mod_p,
     det_int,
+    identity_matrix,
     kernel_mod_p,
     mat_inv_mod,
     mat_mul_mod,
@@ -380,8 +381,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     ell = dixon_prime(order, math.lcm(*(o for o, _ in walks)))
 
     # split subspaces; each is (reduced-echelon basis rows, pivot columns)
-    start = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    subspaces: list[tuple[list[list[int]], list[int]]] = [(start, list(range(c)))]
+    subspaces: list[tuple[list[list[int]], list[int]]] = [(identity_matrix(c), list(range(c)))]
     by_size = sorted(range(1, c), key=lambda i: (sizes[i], i))
     for i in by_size:
         if all(len(b) == 1 for b, _ in subspaces):
@@ -523,7 +523,7 @@ def centralizer_indices(samples: Iterable[tuple[Sequence[int], int, int]]) -> li
     indices = []
     for eigenvalues, p, k in samples:
         d = len(eigenvalues)
-        if d > ORACLE_DEGREE_BUDGET:  # the ad matrix has (d^2 - 1)^2 entries
+        if d > ORACLE_DEGREE_BUDGET:  # bounds p*ad(x): d^2 - 1 sparse rows, at most d^2 - d entries
             raise BudgetExceededError(f"centralizer oracle supports d <= {ORACLE_DEGREE_BUDGET}")
         pk = p ** k
         key = (p, k, *sorted([y % pk for y in _ad_diagonal(eigenvalues, p)]))

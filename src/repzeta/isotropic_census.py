@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import prime_power
 from .errors import BudgetExceededError
-from .linalg import det_int, mat_mul_mod, smith_exponents, smith_local, valuation
+from .linalg import det_int, identity_matrix, mat_mul_mod, smith_exponents, smith_local
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -100,12 +100,14 @@ def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> list[int]:
     """Diagonal entries with pairwise valuation <= t and det M_Y = 1.
 
     The first m-1 entries run through lexicographic candidates; the last
-    is forced by the determinant condition prod(1 + p^k d_i) = 1 mod p^N,
-    then the valuation constraint is re-checked on the full tuple.
+    is forced by the determinant condition prod(1 + p^k d_i) = 1 mod p^N.
+    The full tuple is kept when p^(t+1) divides no difference of two
+    entries: that is pairwise valuation <= t, equal entries excluded.
     """
     pN = p ** N
     pk = p ** k
-    for candidate in combinations(range(p ** (t + 1)), m - 1):
+    pt1 = p ** (t + 1)
+    for candidate in combinations(range(pt1), m - 1):
         prod_rest = 1
         for d in candidate:
             prod_rest = prod_rest * (1 + pk * d) % pN
@@ -115,12 +117,7 @@ def _choose_diagonal(m: int, p: int, k: int, t: int, N: int) -> list[int]:
             raise AssertionError("determinant correction not divisible by p^k")
         d_last = (inv - 1) // pk % p ** (N - k)
         entries = list(candidate) + [d_last]
-        ok = True
-        for a, b in combinations(entries, 2):
-            if a == b or valuation(a - b, p, t + 1) > t:
-                ok = False
-                break
-        if ok:
+        if all((a - b) % pt1 for a, b in combinations(entries, 2)):
             return entries
     raise ValueError("no admissible diagonal found (exhausted candidates)")
 
@@ -241,8 +238,7 @@ def are_conjugate(
     M1t = tuple(tuple(x % pN for x in row) for row in M1)
     M2t = tuple(tuple(x % pN for x in row) for row in M2)
     if M1t == M2t:
-        ident = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-        return ConjugacyResult(status="conjugate", witness=ident)
+        return ConjugacyResult(status="conjugate", witness=tuple(map(tuple, identity_matrix(m))))
     full = conjugacy_module(M1t, M2t, p, N)
     if not full:
         return ConjugacyResult(status="not_conjugate")

@@ -26,18 +26,6 @@ Matrix = list[list[int]]
 SparseRow = Mapping[int, int]  # column -> entry; a column not in it holds 0
 
 
-def valuation(x: int, p: int, cap: int) -> int:
-    """p-adic valuation of x, with val(0) reported as `cap`."""
-    x = abs(x)
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0 and v < cap:
-        x //= p
-        v += 1
-    return v
-
-
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

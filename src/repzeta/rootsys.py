@@ -16,39 +16,34 @@ grows about as r^3.5 and the Cartan matrix has r^2 entries, so
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 
 ROOT_BUDGET = 1_000  # positive roots of one root datum
 
-SERIES = ("A", "B", "C", "D", "E", "F", "G")
-
-# series -> (valid rank?, the rule as the error message states it)
-_RANKS = {
-    "A": (lambda r: r >= 1, "rank >= 1"),
-    "B": (lambda r: r >= 2, "rank >= 2"),
-    "C": (lambda r: r >= 3, "rank >= 3"),
-    "D": (lambda r: r >= 4, "rank >= 4"),
-    "E": (lambda r: r in (6, 7, 8), "rank in {6, 7, 8}"),
-    "F": (lambda r: r == 4, "rank == 4"),
-    "G": (lambda r: r == 2, "rank == 2"),
+# series -> (valid rank?, the rule as the error message states it, h(rank))
+_TYPES = {
+    "A": (lambda r: r >= 1, "rank >= 1", lambda r: r + 1),
+    "B": (lambda r: r >= 2, "rank >= 2", lambda r: 2 * r),
+    "C": (lambda r: r >= 3, "rank >= 3", lambda r: 2 * r),
+    "D": (lambda r: r >= 4, "rank >= 4", lambda r: 2 * r - 2),
+    "E": (lambda r: r in (6, 7, 8), "rank in {6, 7, 8}", {6: 12, 7: 18, 8: 30}.get),
+    "F": (lambda r: r == 4, "rank == 4", lambda r: 12),
+    "G": (lambda r: r == 2, "rank == 2", lambda r: 6),
 }
+
+SERIES = tuple(_TYPES)
 
 
 def coxeter_number(series: str, rank: int) -> int:
-    if series == "A":
-        return rank + 1
-    if series in ("B", "C"):
-        return 2 * rank
-    if series == "D":
-        return 2 * rank - 2
-    if series == "E":
-        return {6: 12, 7: 18, 8: 30}[rank]
-    if series == "F":
-        return 12
-    return 6  # G2
+    """The Coxeter number h of (series, rank); ValueError for an unknown series or invalid rank."""
+    if series not in SERIES:
+        raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
+    valid, rule, h = _TYPES[series]
+    if not isinstance(rank, int) or not valid(rank):
+        raise ValueError(f"invalid rank {rank} for series {series}: need {rule}")
+    return h(rank)
 
 
 def cartan_matrix(series: str, rank: int) -> list[list[int]]:
@@ -147,11 +142,6 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     before any closure) raises BudgetExceededError before its Cartan
     matrix is built.
     """
-    if series not in SERIES:
-        raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
-    valid, rule = _RANKS[series]
-    if not isinstance(rank, int) or not valid(rank):
-        raise ValueError(f"invalid rank {rank} for series {series}: need {rule}")
     h = coxeter_number(series, rank)
     roots = rank * h // 2
     if roots > ROOT_BUDGET:
@@ -164,7 +154,7 @@ def build_root_datum(series: str, rank: int) -> RootDatum:
     rows.sort(key=lambda r: (sum(r), r))
 
     kappa = len(rows)
-    if Fraction(rank, kappa) != Fraction(2, h):
+    if rank * h != 2 * kappa:
         raise AssertionError(f"{series}{rank}: r/kappa != 2/h")
     for row in rows:
         if min(row) < 0 or max(row) == 0:

@@ -106,9 +106,15 @@ def test_finite_oracle_names_no_chain_or_valuation():
     p*ad(x) is diagonal, so a sum of valuations along the psi chain could
     stand in for its Smith form; the pairing would then be circular.  The
     oracle takes the eigenvalues alone, so it cannot read a datum's chain.
+    No module of the package defines a `valuation` at all: the Smith
+    elimination's inline loop is the only one.
     """
-    forbidden = {"valuation", "psi_chain", "_stage", "orbit_dimension", "make_orbit_datum"}
-    assert forbidden <= set(_functions(_tree("orbit_method"))) | set(_functions(_tree("linalg")))
+    chain = {"psi_chain", "_stage", "orbit_dimension", "make_orbit_datum"}
+    assert chain <= set(_functions(_tree("orbit_method")))
+    for module in sorted(_modules()):
+        defined = {node.name for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef)}
+        assert "valuation" not in defined, module
+    forbidden = chain | {"valuation"}
     tree = _tree("finite_oracle")
     assert "centralizer_indices" in _functions(tree)
     mentioned = names(tree)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_smith import dense_intertwiner_system, dense_rows, dense_shift
+from dense_smith import dense_intertwiner_system, dense_rows, dense_shift, valuation
 from paper_checks import GammaSeries, gamma_estimate
 from repzeta import isotropic_census
 from repzeta.cli import main
@@ -23,7 +23,7 @@ from repzeta.isotropic_census import (
     distinct_class_count,
 )
 from repzeta.errors import BudgetExceededError
-from repzeta.linalg import det_int, mat_inv_mod, mat_mul_mod, rref_mod_p, smith_local, valuation
+from repzeta.linalg import det_int, mat_inv_mod, mat_mul_mod, rref_mod_p, smith_local
 
 # the census8 jobs of the certify benchmark workload: (m, q, k, t) and sample size
 CERTIFY_CENSUS8 = (
@@ -66,6 +66,24 @@ def test_family_parameters(family4311):
     diag = fam.x_diag + fam.z_diag
     for a, b in combinations(diag, 2):
         assert valuation(a - b, 3, fam.t + 1) <= fam.t
+
+
+@pytest.mark.parametrize(
+    "params, diagonal",
+    [((2, 3, 1, 1), (1, 20)),
+     ((4, 3, 1, 1), (0, 1, 3, 26)),
+     ((4, 5, 1, 1), (0, 1, 2, 407)),
+     ((4, 3, 2, 1), (0, 1, 2, 303))],
+    ids=["2311", "4311", "4511", "4321"],
+)
+def test_census_diagonals_are_pinned(params, diagonal):
+    """The first admissible diagonal: lexicographic candidates, the last entry forced by det = 1.
+
+    A p^t modulus in the pairwise check, or no pairwise check at all,
+    picks another diagonal (or none) at one of these parameters.
+    """
+    family = cached_family(*params)
+    assert family.x_diag + family.z_diag == diagonal
 
 
 def test_family_4321_shape():

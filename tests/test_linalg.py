@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_smith import dense_rows, dense_smith, sparse_rows
+from dense_smith import dense_rows, dense_smith, sparse_rows, valuation
 from repzeta import isotropic_census, linalg
 from repzeta.finite_oracle import _ad_diagonal, _ad_matrix
 from repzeta.isotropic_census import _intertwiner_system, build_census_family, conjugacy_key
@@ -19,7 +19,6 @@ from repzeta.linalg import (
     rref_mod_p,
     smith_exponents,
     smith_local,
-    valuation,
 )
 
 

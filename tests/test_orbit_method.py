@@ -3,13 +3,13 @@ from itertools import permutations, product
 
 import pytest
 
-from dense_smith import dense_rows, sparse_rows
+from dense_smith import dense_rows, sparse_rows, valuation
 from paper_checks import census_vs_bound, chain_count_bound, kernel_cokernel_size
 from paper_checks import partition_by_valuation, stage_summary
 from repzeta import finite_oracle
 from repzeta.errors import BudgetExceededError
 from repzeta.finite_oracle import ORACLE_DEGREE_BUDGET, centralizer_indices
-from repzeta.linalg import smith_exponents, valuation
+from repzeta.linalg import smith_exponents
 from repzeta.orbit_method import make_orbit_datum, orbit_dimension, psi_chain
 
 

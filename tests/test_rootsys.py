@@ -28,6 +28,22 @@ def test_invalid_rank_message(series, rank, rule):
     assert str(excinfo.value) == f"invalid rank {rank} for series {series}: need {rule}"
 
 
+@pytest.mark.parametrize(
+    "series, rank, message",
+    [("X", 3, f"unknown series 'X'; expected one of {SERIES}"),
+     ("F", 3, "invalid rank 3 for series F: need rank == 4"),
+     ("A", 0, "invalid rank 0 for series A: need rank >= 1"),
+     ("A", 1.5, "invalid rank 1.5 for series A: need rank >= 1"),
+     ("E", 5, "invalid rank 5 for series E: need rank in {6, 7, 8}")],
+    ids=["X3", "F3", "A0", "A1.5", "E5"],
+)
+def test_coxeter_number_rejects_what_build_root_datum_rejects(series, rank, message):
+    for function in (coxeter_number, build_root_datum):
+        with pytest.raises(ValueError) as excinfo:
+            function(series, rank)
+        assert str(excinfo.value) == message
+
+
 def test_root_budget_counts_positive_roots_before_the_closure(monkeypatch):
     """A datum of more than ROOT_BUDGET positive roots raises before its Cartan matrix is built."""
     monkeypatch.setattr(rootsys, "ROOT_BUDGET", 6)
