@@ -1,8 +1,10 @@
 """Degree censuses: exact multisets of irreducible degrees.
 
 A DegreeCensus is the common currency between closed formulas and the
-brute-force side: both produce one, and tests compare them entry by
-entry.
+brute-force side: both produce one, and tests compare them column by
+column.  It is two int columns, the sorted degrees and their
+multiplicities, built from a dict of degree -> multiplicity by sorting
+its int keys; it never holds (degree, multiplicity) pair tuples.
 """
 
 from __future__ import annotations
@@ -11,51 +13,59 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, islice, repeat
+from operator import lt, mul
 from typing import Iterable
 
 
 @dataclass(frozen=True)
 class DegreeCensus:
-    """Sorted (degree, multiplicity) pairs, complete up to `bound`.
+    """Strictly increasing degrees and their multiplicities, complete up to `bound`.
 
-    `bound` is the guarantee: every irreducible of degree <= bound is
-    counted.  For a full census of a finite group, bound is the largest
-    degree.
+    `degrees[i]` occurs `multiplicities[i]` times.  `bound` is the
+    guarantee: every irreducible of degree <= bound is counted.  For a
+    full census of a finite group, bound is the largest degree.
     """
 
-    entries: tuple[tuple[int, int], ...]
+    degrees: tuple[int, ...]
+    multiplicities: tuple[int, ...]
     bound: int
 
     def __post_init__(self) -> None:
         if self.bound < 1:
             raise ValueError("census bound must be >= 1")
-        prev = 0
-        for deg, mult in self.entries:
-            if deg <= prev:
-                raise ValueError("census degrees must be strictly increasing")
-            if mult < 1:
-                raise ValueError("census multiplicities must be >= 1")
-            prev = deg
+        if len(self.degrees) != len(self.multiplicities):
+            raise ValueError("census degrees and multiplicities must have equal length")
+        degrees = self.degrees
+        if degrees and (degrees[0] < 1 or not all(map(lt, degrees, islice(degrees, 1, None)))):
+            raise ValueError("census degrees must be strictly increasing")
+        if min(self.multiplicities, default=1) < 1:
+            raise ValueError("census multiplicities must be >= 1")
+
+    @classmethod
+    def from_counts(cls, counts: dict[int, int], bound: int) -> "DegreeCensus":
+        """The census of a dict degree -> multiplicity: its int keys sorted, their values read off."""
+        degrees = tuple(sorted(counts))
+        return cls(degrees, tuple(map(counts.__getitem__, degrees)), bound)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], bound: int) -> "DegreeCensus":
+        """Merge (degree, multiplicity) pairs, dropping zero multiplicities, then `from_counts`."""
         merged: dict[int, int] = {}
         for deg, mult in pairs:
             if mult == 0:
                 continue
             merged[deg] = merged.get(deg, 0) + mult
-        return cls(entries=tuple(sorted(merged.items())), bound=bound)
+        return cls.from_counts(merged, bound)
 
     @property
     def total_count(self) -> int:
-        return self.running_count[-1] if self.entries else 0
+        return self.running_count[-1] if self.degrees else 0
 
     @property
     def mass(self) -> int:
         """Sum of multiplicity * degree^2 (the |G| mass for a full census)."""
-        return sum(m * d * d for d, m in self.entries)
+        return sum(map(mul, self.multiplicities, map(mul, self.degrees, self.degrees)))
 
     def zeta(self, s: float) -> float:
         """Truncated zeta value: sum of multiplicity * degree^(-s).
@@ -70,14 +80,15 @@ class DegreeCensus:
         every term is positive the result is within (|s| + 5) u of the
         exact sum, relatively, to first order in u.
         """
-        return math.fsum(m * float(d) ** (-s) for d, m in self.entries)
+        powers = map(pow, map(float, self.degrees), repeat(-s))
+        return math.fsum(map(mul, self.multiplicities, powers))
 
     @cached_property
     def running_count(self) -> tuple[int, ...]:
-        """R_n at each census degree, in entry order: the running sum of the multiplicities."""
-        return tuple(accumulate(map(itemgetter(1), self.entries)))
+        """R_n at each census degree, in column order: the running sum of the multiplicities."""
+        return tuple(accumulate(self.multiplicities))
 
     def count_upto(self, n: int) -> int:
         """R_n: number of irreducibles of degree <= n, by bisection of the census degrees."""
-        i = bisect_right(self.entries, n, key=itemgetter(0))
+        i = bisect_right(self.degrees, n)
         return self.running_count[i - 1] if i else 0

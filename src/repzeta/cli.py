@@ -25,7 +25,7 @@ import random
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from operator import eq, itemgetter, mul
+from operator import eq, mul
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -87,10 +87,10 @@ class Table(dict):
 
 
 def _census_table(census: DegreeCensus) -> Table:
-    """degree, multiplicity and R_n per census entry; R_n is the census's own running count."""
+    """The census columns, degree and multiplicity, and R_n, the census's own running count."""
     return Table(
-        degree=list(map(itemgetter(0), census.entries)),
-        multiplicity=list(map(itemgetter(1), census.entries)),
+        degree=census.degrees,
+        multiplicity=census.multiplicities,
         R_n=census.running_count,
     )
 
@@ -210,10 +210,10 @@ def cmd_witten(args: argparse.Namespace) -> dict[str, Any]:
         "kappa": datum.kappa,
         "coxeter_number": datum.coxeter_number,
         "r_over_kappa": [datum.rank, datum.kappa],
-        "distinct_degrees": len(census.entries),
+        "distinct_degrees": len(census.degrees),
         "total_count": census.total_count,
     }
-    if len(census.entries) >= FIT_MIN_DISTINCT:
+    if len(census.degrees) >= FIT_MIN_DISTINCT:
         est = abscissa_estimate(census)
         result["abscissa"] = {
             "slope": est.slope,
@@ -268,7 +268,9 @@ def cmd_oracle(args: argparse.Namespace) -> dict[str, Any]:
     if pp is not None and pp[0] % 2 == 1:
         factor = sl2_local_factor(pp[0])
         formula = level_census(factor, pp[1])
-        result["formula_census_matches"] = formula.entries == census.entries
+        result["formula_census_matches"] = (
+            formula.degrees == census.degrees and formula.multiplicities == census.multiplicities
+        )
         result["formula_irrep_count"] = irrep_count(factor, pp[1])
     result["table"] = _census_table(census)
     return result

@@ -37,11 +37,14 @@ SERIES = tuple(_TYPES)
 
 
 def coxeter_number(series: str, rank: int) -> int:
-    """The Coxeter number h of (series, rank); ValueError for an unknown series or invalid rank."""
+    """The Coxeter number h of (series, rank); ValueError for an unknown series or invalid rank.
+
+    A rank is an int and not a bool, though bool is a subclass of int.
+    """
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
     valid, rule, h = _TYPES[series]
-    if not isinstance(rank, int) or not valid(rank):
+    if not isinstance(rank, int) or isinstance(rank, bool) or not valid(rank):
         raise ValueError(f"invalid rank {rank} for series {series}: need {rule}")
     return h(rank)
 

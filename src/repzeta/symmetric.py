@@ -95,5 +95,5 @@ def rbound_check(census: DegreeCensus, s: float) -> bool:
     c = census.zeta(s) - 1.0
     return all(
         running <= c * float(deg) ** s * (1.0 + 1e-12) + 1.0 + 1e-9
-        for (deg, _), running in zip(census.entries, census.running_count)
+        for deg, running in zip(census.degrees, census.running_count)
     )

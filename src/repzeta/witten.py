@@ -141,8 +141,8 @@ def enumerate_dimensions(datum: RootDatum, bound: int) -> DegreeCensus:
             forms[j] -= c * steps
 
     walk(0, 1, True)
-    # counts is already merged and every count is >= 1, so from_pairs would only re-merge it
-    return DegreeCensus(entries=tuple(sorted(counts.items())), bound=bound)
+    # counts is already merged and every count is >= 1: the census sorts its int keys
+    return DegreeCensus.from_counts(counts, bound)
 
 
 def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
@@ -152,9 +152,9 @@ def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
     definition itself is not computable from a truncation, so this is an
     estimator with a reported standard error.
     """
-    if len(census.entries) < FIT_MIN_DISTINCT:
+    if len(census.degrees) < FIT_MIN_DISTINCT:
         raise ValueError(
-            f"census has {len(census.entries)} distinct degrees; need >= {FIT_MIN_DISTINCT}"
+            f"census has {len(census.degrees)} distinct degrees; need >= {FIT_MIN_DISTINCT}"
         )
     n_hi = census.bound
     n_lo = max(1.0, math.sqrt(n_hi))

@@ -129,6 +129,7 @@ SIDES = {
 
 ORACLE_IMPORTS = {
     "ast_names": (),
+    "census_pairs": (),  # reads the two columns only
     "dense_smith": (),  # its own valuation and dense rows
     "hook_lengths": ("census.DegreeCensus", "symmetric.MAX_K"),  # not the branching sweep
     "pairings": (),

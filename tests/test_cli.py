@@ -34,8 +34,8 @@ def run_cli(capsys, argv):
 
 def moved_top_degree(census):
     """The census with its top degree moved up by one, so its mass is off."""
-    *head, (top, count) = census.entries
-    return DegreeCensus((*head, (top + 1, count)), top + 1)
+    *head, top = census.degrees
+    return DegreeCensus((*head, top + 1), census.multiplicities, top + 1)
 
 
 def strip_wall_time(report):

@@ -122,6 +122,61 @@ def test_finite_oracle_names_no_chain_or_valuation():
     assert not mentioned & forbidden
 
 
+CENSUS_BUILDERS = {"DegreeCensus", "from_pairs", "from_counts"}
+
+
+def _census_faults(tree):
+    """(faults, builds): where a module reads a census's `.entries` or builds a census from
+    pairs that it made from a dict's `.items()`, and how many census builds the scan saw.
+
+    Such pairs are already merged, so `DegreeCensus.from_pairs` would only merge them
+    again; the dict itself goes to `DegreeCensus.from_counts`.  A pair list passed by name
+    is traced to every value assigned to that name in the same top-level definition.
+    """
+    faults = [f"line {node.lineno}: reads .entries" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    builds = 0
+    for scope in tree.body:
+        assigned = {}  # name -> the values assigned to it in this definition
+        for node in ast.walk(scope):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and names(node.func) & CENSUS_BUILDERS:
+                builds += 1
+                args = node.args + [keyword.value for keyword in node.keywords]
+                sources = args + [value for arg in args if isinstance(arg, ast.Name)
+                                  for value in assigned.get(arg.id, ())]
+                if any("items" in names(source) for source in sources):
+                    faults.append(f"line {node.lineno}: builds a census from .items() pairs")
+    return faults, builds
+
+
+def test_only_census_reads_or_merges_census_pairs():
+    """No src module but `census` reads `.entries` or re-merges a dict's pairs into a census.
+
+    A census is two int columns: a dict of counts goes to `DegreeCensus.from_counts`, and
+    `from_pairs` takes only pairs that may still repeat a degree.
+    """
+    old = ast.parse(
+        "def walk(counts, census):\n"
+        "    n = len(census.entries)\n"
+        "    pairs = list(counts.items())\n"
+        "    DegreeCensus.from_pairs(pairs, n)\n"
+        "    return DegreeCensus(entries=tuple(sorted(counts.items())), bound=n)\n"
+    )
+    assert _census_faults(old) == (["line 2: reads .entries", "line 4: builds a census from .items() pairs",
+                                    "line 5: builds a census from .items() pairs"], 2)  # the scan sees all three
+    builds = 0
+    for module in sorted(_modules() - {"census"}):
+        faults, found = _census_faults(_tree(module))
+        assert not faults, (module, faults)
+        builds += found
+    assert builds >= 4  # witten's from_counts and the from_pairs of three more modules
+
+
 def _repzeta_imports(tree):
     """The repzeta names a file imports: `x.y` for `from repzeta.x import y`, `x` for `import repzeta.x`."""
     found = set()

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from census_pairs import pairs
 from scalar_local import evaluate_local_scalar
 
 from repzeta import local_sl2
@@ -30,13 +31,13 @@ def value(factor, s):
 def test_factor_head_q3():
     factor = sl2_local_factor(3)
     # the (q+1)-term vanishes at q = 3; two degree-1 terms merge with the trivial
-    assert level_census(factor, 1).entries == ((1, 3), (2, 3), (3, 1))
+    assert pairs(level_census(factor, 1)) == ((1, 3), (2, 3), (3, 1))
     assert sum(m for _, m in factor.head_terms) == 7
 
 
 def test_factor_head_q5():
     census = level_census(sl2_local_factor(5), 1)
-    assert census.entries == ((1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
+    assert pairs(census) == ((1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
     assert census.total_count == 9
 
 
@@ -134,14 +135,14 @@ def test_exact_evaluation_matches_float():
 
 def test_level_census_examples():
     c1 = level_census(sl2_local_factor(3), 1)
-    assert c1.entries == ((1, 3), (2, 3), (3, 1))
+    assert pairs(c1) == ((1, 3), (2, 3), (3, 1))
     assert c1.total_count == 7 and c1.mass == 24
     c2 = level_census(sl2_local_factor(3), 2)
-    assert c2.entries == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 2))
+    assert pairs(c2) == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 2))
     assert c2.total_count == 25 and c2.mass == 648
     c3 = level_census(sl2_local_factor(3), 3)
     assert c3.total_count == 79 and c3.mass == 17496
-    assert c3.entries == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 38), (18, 12), (36, 6))
+    assert pairs(c3) == ((1, 3), (2, 3), (3, 1), (4, 12), (6, 4), (12, 38), (18, 12), (36, 6))
     with pytest.raises(ValueError):
         level_census(sl2_local_factor(3), 0)
 

@@ -34,8 +34,10 @@ def test_invalid_rank_message(series, rank, rule):
      ("F", 3, "invalid rank 3 for series F: need rank == 4"),
      ("A", 0, "invalid rank 0 for series A: need rank >= 1"),
      ("A", 1.5, "invalid rank 1.5 for series A: need rank >= 1"),
-     ("E", 5, "invalid rank 5 for series E: need rank in {6, 7, 8}")],
-    ids=["X3", "F3", "A0", "A1.5", "E5"],
+     ("E", 5, "invalid rank 5 for series E: need rank in {6, 7, 8}"),
+     ("A", True, "invalid rank True for series A: need rank >= 1"),
+     ("B", False, "invalid rank False for series B: need rank >= 2")],
+    ids=["X3", "F3", "A0", "A1.5", "E5", "ATrue", "BFalse"],
 )
 def test_coxeter_number_rejects_what_build_root_datum_rejects(series, rank, message):
     for function in (coxeter_number, build_root_datum):

@@ -1,7 +1,9 @@
+import hashlib
 from itertools import product
 
 import pytest
 
+from census_pairs import pairs
 from paper_checks import all_irreducible_types, dyadic_block_sum
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
@@ -32,7 +34,7 @@ def naive_census(datum, bound, cap):
         assert d >= 1 + max(coeffs)
         if d <= bound:
             counts[d] = counts.get(d, 0) + 1
-    return DegreeCensus.from_pairs(counts.items(), bound)
+    return DegreeCensus.from_counts(counts, bound)
 
 
 def test_bound_validation():
@@ -44,17 +46,17 @@ def test_bound_validation():
 def test_trivial_census():
     for series, rank in [("A", 1), ("A", 2), ("C", 3)]:
         census = enumerate_dimensions(build_root_datum(series, rank), 1)
-        assert census.entries == ((1, 1),)
+        assert pairs(census) == ((1, 1),)
 
 
 def test_a1_census_is_initial_segment():
     census = enumerate_dimensions(build_root_datum("A", 1), 5000)
-    assert census.entries == tuple((n, 1) for n in range(1, 5001))
+    assert pairs(census) == tuple((n, 1) for n in range(1, 5001))
 
 
 def test_a2_small_census():
     census = enumerate_dimensions(build_root_datum("A", 2), 3)
-    assert census.entries == ((1, 1), (3, 2))
+    assert pairs(census) == ((1, 1), (3, 2))
 
 
 NAIVE_CASES = [
@@ -84,7 +86,7 @@ NAIVE_CASES = [
 def test_enumeration_matches_naive_cube_oracle(series, rank, bound, cap):
     datum = build_root_datum(series, rank)
     census = enumerate_dimensions(datum, bound)
-    assert census.entries == naive_census(datum, bound, cap).entries
+    assert pairs(census) == pairs(naive_census(datum, bound, cap))
     # the walk works on a copy of rho_values, so the datum is unchanged and a second walk agrees
     assert enumerate_dimensions(datum, bound) == census
 
@@ -111,11 +113,11 @@ def test_partial_sum_against_direct_oracles():
     census4 = enumerate_dimensions(a1, 10_000)
     basel = sum(1.0 / (n * n) for n in range(10_000, 0, -1))
     assert census4.zeta(2.0) == pytest.approx(basel, abs=1e-13)
-    assert DegreeCensus(entries=((1, 1),), bound=1).zeta(7.3) == 1.0
+    assert DegreeCensus((1,), (1,), bound=1).zeta(7.3) == 1.0
 
 
 def test_abscissa_needs_enough_degrees():
-    census = DegreeCensus(entries=((1, 1), (2, 1), (3, 1)), bound=3)
+    census = DegreeCensus((1, 2, 3), (1, 1, 1), bound=3)
     with pytest.raises(ValueError, match="8"):
         abscissa_estimate(census)
 
@@ -153,16 +155,34 @@ def test_tail_fraction_above_abscissa_shrinks():
         for bound in (1000, 10_000, 100_000):
             census = enumerate_dimensions(datum, bound)
             total = census.zeta(s)
-            tail = sum(m * float(d) ** (-s) for d, m in census.entries if d > bound // 2)
+            tail = sum(m * float(d) ** (-s) for d, m in pairs(census) if d > bound // 2)
             fractions.append(tail / total)
         assert fractions[-1] < 0.15
         assert fractions[0] > fractions[1] > fractions[2]
 
 
+# sha256 of repr((degrees, multiplicities)) for the censuses the benchmark's witten jobs walk
+BENCHMARK_CENSUS_DIGESTS = {
+    ("A", 1, 10 ** 4): "b65cb9ada6ab4f6484d90e557f8107b84478167a4018c587e18edfdfa725d17d",
+    ("A", 2, 10 ** 6): "dfebecc214be458265f533b38682532f0a510eef8215b564840703fe65200a2e",
+    ("A", 3, 5 * 10 ** 6): "7f24d4b0f57cdf3c1d6d0eb923630f7c9133eebe539ddb7470d18758ffd7abc7",
+}
+
+
+@pytest.mark.parametrize(
+    "series, rank, bound", list(BENCHMARK_CENSUS_DIGESTS), ids=["A1 at 10^4", "A2 at 10^6", "A3 at 5e6"]
+)
+def test_benchmark_censuses_are_pinned(series, rank, bound):
+    """The exact columns of the benchmark's censuses, so a faster walk cannot change them."""
+    census = enumerate_dimensions(build_root_datum(series, rank), bound)
+    columns = repr((census.degrees, census.multiplicities)).encode()
+    assert hashlib.sha256(columns).hexdigest() == BENCHMARK_CENSUS_DIGESTS[series, rank, bound]
+
+
 def test_census_cumulative_counts():
     census = enumerate_dimensions(build_root_datum("A", 2), 100)
-    assert census.entries[0] == (1, 1) and census.count_upto(1) == 1
-    assert census.count_upto(census.entries[-1][0]) == census.total_count
+    assert pairs(census)[0] == (1, 1) and census.count_upto(1) == 1
+    assert census.count_upto(census.degrees[-1]) == census.total_count
     assert census.count_upto(3) == 3  # trivial + two copies of degree 3
 
 
