@@ -33,8 +33,23 @@ columns: the start space is the identity, `rref_mod_p` returns reduced
 echelon form, and a subspace kept whole is unchanged.  So the action
 matrix and the embedding of an eigenvector take dot products over the
 columns off the pivots only (`_through_pivots`), and the first split of
-the start space takes none.  The resulting table is certified by the
-second orthogonality relation over F_l.
+the start space takes none.
+
+Most class matrices act as scalars on most subspaces, so each subspace
+of dimension > 1 that a split makes carries one probe u = sum_t r_t b_t,
+its r_t nonzero residues from a generator seeded with PROBE_SEED, built
+once with the subspace.  For class i the split first reads M_i u at the
+pivots, `dim` dot products against the action matrix's dim^2, and builds
+the action matrix only if M_i u is not a multiple of u, which proves M_i
+is not scalar there.  If it is a multiple, the subspace is kept whole for
+now.  When that probed pass leaves a subspace of dimension > 1, an exact
+pass splits every such subspace class by class with no probe.  A skip
+only postpones a split and never makes one, and every split made is the
+exact eigenspace split.  The common eigenspaces of the class matrices
+are lines, so both passes end at the same lines, whatever the order of
+the splits or the probes, and the degrees are sorted into the census.
+The resulting table is certified by the second orthogonality relation
+over F_l, one entry of each mirror pair (`_second_orthogonality`).
 
 Elements are flat row-major tuples; the product of two 2x2 elements is
 one fused expression, and other sizes go through `linalg.mat_mul_mod`.
@@ -53,6 +68,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -74,6 +90,7 @@ from .linalg import (
 GROUP_BUDGET = 200_000  # elements per enumerated group
 CLASS_BUDGET = 400  # conjugacy classes per Dixon run
 ORACLE_DEGREE_BUDGET = 4  # largest matrix size d for centralizer_indices
+PROBE_SEED = 1  # seeds the probe coefficients of the Dixon split
 
 Flat = tuple[int, ...]
 
@@ -350,17 +367,144 @@ def _through_pivots(
     return act, embed
 
 
+class _Subspace(NamedTuple):
+    """A subspace of the class algebra met by the split.
+
+    `basis` is in reduced-echelon form with pivot columns `pivots`.  A
+    subspace of dimension > 1 that a probed split makes carries its probe
+    u = sum_t r_t b_t, every r_t a nonzero residue, built once when the
+    subspace is made; the start space, the 1-dim subspaces and those of
+    the exact fallback pass carry None.
+    """
+
+    basis: list[list[int]]
+    pivots: list[int]
+    probe: list[int] | None
+
+
+def _probe(basis: list[list[int]], rng: random.Random, ell: int) -> list[int]:
+    """sum_t r_t b_t over F_l, each r_t drawn from 1..l-1."""
+    coeffs = [rng.randrange(1, ell) for _ in basis]
+    return [sum(map(operator.mul, coeffs, col)) % ell for col in zip(*basis)]
+
+
+def _probe_is_eigenvector(rows: dict[int, list[int]], subspace: _Subspace, ell: int) -> bool:
+    """Whether M u is a multiple of the probe u, read at the pivots only.
+
+    M stabilizes the subspace, so M u lies in it and is fixed by its
+    entries at the pivots, where the basis is the identity: `dim` dot
+    products rows[p] . u, against dim^2 for the action matrix.  If M acts
+    as lambda*I, M u = lambda u; so False proves M is not scalar there.
+    """
+    u, pivots = subspace.probe, subspace.pivots
+    image = [sum(map(operator.mul, rows[p], u)) % ell for p in pivots]
+    coords = [u[p] for p in pivots]
+    s = next(s for s, x in enumerate(coords) if x)  # u is not 0
+    return all(y * coords[s] % ell == image[s] * x % ell for x, y in zip(coords, image))
+
+
+def _eigenspaces(
+    subspace: _Subspace, rows: dict[int, list[int]], ell: int, rng: random.Random | None
+) -> list[_Subspace]:
+    """The exact split of a subspace into the eigenspaces of one class matrix M.
+
+    `rows[p]` is row p of M at each pivot p.  An action matrix lambda*I
+    returns the subspace itself, which is what the split would return (one
+    root, the whole kernel, the same echelon basis).  With `rng`, each new
+    subspace of dimension > 1 gets its probe.
+    """
+    basis, pivots = subspace.basis, subspace.pivots
+    dim = len(basis)
+    act, embed = _through_pivots(basis, pivots, rows, ell)
+    lam = act[0][0]
+    if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
+        return [subspace]
+    parts = []
+    for lam in poly_roots_mod_p(charpoly_mod_p(act, ell), ell):
+        shifted = [[(act[r][t] - (lam if r == t else 0)) % ell for t in range(dim)]
+                   for r in range(dim)]
+        ambient = [embed(kvec) for kvec in kernel_mod_p(shifted, ell)]
+        if not ambient:
+            continue
+        # the rref puts the new pivots on the leftmost classes, whose
+        # representatives have the shortest BFS words: cheap class rows
+        eig_basis, eig_pivots = rref_mod_p(ambient, ell)
+        if len(eig_basis) != len(ambient):
+            raise AssertionError("eigenspace basis degenerated")
+        probe = _probe(eig_basis, rng, ell) if rng is not None and len(eig_basis) > 1 else None
+        parts.append(_Subspace(eig_basis, eig_pivots, probe))
+    if sum(len(part.basis) for part in parts) != dim:
+        raise AssertionError("class matrix failed to diagonalize over F_l")
+    return parts
+
+
+def _split_pass(
+    group: FiniteMatrixGroup,
+    classes: ClassData,
+    words: list[list[int]],
+    ell: int,
+    class_order: list[int],
+    subspaces: list[_Subspace],
+    rng: random.Random | None,
+) -> list[_Subspace]:
+    """Split the subspaces by the class matrices in `class_order`, one class at a time.
+
+    The rows of M_i are built at the pivots of the subspaces of dimension
+    > 1 only.  A subspace with a probe is split only when M_i moves the
+    probe off its line; otherwise it is kept whole, for a later class or
+    the fallback.  Every other subspace is split exactly.
+    """
+    for i in class_order:
+        if all(len(sub.basis) == 1 for sub in subspaces):
+            break
+        rows: dict[int, list[int]] = {}  # rows of M_i built so far
+        new_subspaces = []
+        for sub in subspaces:
+            if len(sub.basis) == 1:
+                new_subspaces.append(sub)
+                continue
+            for p in sub.pivots:
+                if p not in rows:
+                    rows[p] = _class_row(group, classes, words, i, p, ell)
+            if sub.probe is not None and _probe_is_eigenvector(rows, sub, ell):
+                new_subspaces.append(sub)  # M_i may act as a scalar here: split later
+                continue
+            new_subspaces.extend(_eigenspaces(sub, rows, ell, rng))
+        subspaces = new_subspaces
+    return subspaces
+
+
+def _second_orthogonality(
+    table: list[list[int]], inverse_class: list[int], sizes: list[int], order: int, ell: int
+) -> None:
+    """Assert sum_chi chi(g_i) chi(g_{j*}) = delta_ij |G|/h_i mod l for every i, j.
+
+    With a = j*, entry (i, j) is the sum S(i, a) of columns i and a of the
+    table, which is symmetric, and its target |G|/h_i when a = i* (else 0)
+    is symmetric too, since inverse classes have equal sizes.  So entry
+    (i, j) and its mirror (j*, i*) are one sum against one target, and
+    only S(i, a) with a >= i is computed.
+    """
+    columns = list(zip(*table))
+    c = len(columns)
+    for i, column in enumerate(columns):
+        want = [0] * (c - i)
+        if inverse_class[i] >= i:
+            want[inverse_class[i] - i] = order // sizes[i] % ell
+        if [sum(map(operator.mul, column, other)) % ell for other in columns[i:]] != want:
+            raise AssertionError("character table fails the second orthogonality relation")
+
+
 def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     """Burnside-Dixon character degrees, exact.
 
     1. split the class algebra over F_l into 1-dim common eigenspaces of
-       the class matrices; a subspace in reduced-echelon form is split by
-       its action matrix, read from the class-matrix rows at its pivot
-       columns only (Schneider's refinement); an action matrix lambda*I
-       keeps the subspace whole, which is exactly what the split returns
-       for it (one root, the whole kernel, the same echelon basis); every
-       kept basis is the identity at its pivots, so the action matrix and
-       each eigenvector's embedding multiply only the off-pivot columns,
+       the class matrices (`_split_pass`): a probed pass that splits a
+       subspace by M_i only when its probe shows M_i is not scalar there,
+       then, if a subspace of dimension > 1 is left, an exact pass over
+       every class; each split reads the action matrix from the
+       class-matrix rows at the subspace's pivot columns only
+       (Schneider's refinement),
     2. read each eigenvector as the central character
        (omega_i = h_i chi(g_i)/d), already normalized: omega(1) = 1 puts
        its rref pivot on the identity class 0, where rref makes it 1,
@@ -380,47 +524,13 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     walks = [_order_and_inverse(group, k, w) for k, w in zip(reps, words)]
     ell = dixon_prime(order, math.lcm(*(o for o, _ in walks)))
 
-    # split subspaces; each is (reduced-echelon basis rows, pivot columns)
-    subspaces: list[tuple[list[list[int]], list[int]]] = [(identity_matrix(c), list(range(c)))]
     by_size = sorted(range(1, c), key=lambda i: (sizes[i], i))
-    for i in by_size:
-        if all(len(b) == 1 for b, _ in subspaces):
-            break
-        rows: dict[int, list[int]] = {}  # rows of M_i built so far
-        new_subspaces = []
-        for basis, pivots in subspaces:
-            dim = len(basis)
-            if dim == 1:
-                new_subspaces.append((basis, pivots))
-                continue
-            for p in pivots:
-                if p not in rows:
-                    rows[p] = _class_row(group, classes, words, i, p, ell)
-            act, embed = _through_pivots(basis, pivots, rows, ell)
-            lam = act[0][0]
-            if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
-                # act = lam*I: the split below would return this subspace unchanged
-                new_subspaces.append((basis, pivots))
-                continue
-            roots = poly_roots_mod_p(charpoly_mod_p(act, ell), ell)
-            split_dim = 0
-            for lam in roots:
-                shifted = [[(act[r][t] - (lam if r == t else 0)) % ell for t in range(dim)]
-                           for r in range(dim)]
-                ambient = [embed(kvec) for kvec in kernel_mod_p(shifted, ell)]
-                if not ambient:
-                    continue
-                # the rref puts the new pivots on the leftmost classes, whose
-                # representatives have the shortest BFS words: cheap class rows
-                eig_basis, eig_pivots = rref_mod_p(ambient, ell)
-                if len(eig_basis) != len(ambient):
-                    raise AssertionError("eigenspace basis degenerated")
-                new_subspaces.append((eig_basis, eig_pivots))
-                split_dim += len(eig_basis)
-            if split_dim != dim:
-                raise AssertionError("class matrix failed to diagonalize over F_l")
-        subspaces = new_subspaces
-    if any(len(b) != 1 for b, _ in subspaces):
+    start = [_Subspace(identity_matrix(c), list(range(c)), None)]
+    subspaces = _split_pass(group, classes, words, ell, by_size, start, random.Random(PROBE_SEED))
+    if any(len(sub.basis) != 1 for sub in subspaces):  # a probe missed a split: redo it exactly
+        unprobed = [_Subspace(sub.basis, sub.pivots, None) for sub in subspaces]
+        subspaces = _split_pass(group, classes, words, ell, by_size, unprobed, None)
+    if any(len(sub.basis) != 1 for sub in subspaces):
         raise AssertionError("class algebra did not split into 1-dim eigenspaces")
 
     inverse_class = [classes.class_ids[inv] for _, inv in walks]
@@ -428,8 +538,8 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
     degrees: list[int] = []
     table: list[list[int]] = []  # chi(g_i) = d omega_i / h_i, mod l
     isq = math.isqrt(order)
-    for basis, _ in subspaces:
-        omega = basis[0]  # an rref row, or the trivial group's [1]
+    for sub in subspaces:
+        omega = sub.basis[0]  # an rref row, or the trivial group's [1]
         if omega[0] != 1:
             raise AssertionError("eigenvector is not 1 on the identity class")
         total = 0
@@ -446,13 +556,7 @@ def character_degrees(group: FiniteMatrixGroup) -> DegreeCensus:
         raise AssertionError("degree count != class count")
     if sum(d * d for d in degrees) != order:
         raise AssertionError("sum of squared degrees != group order")
-    # second orthogonality: sum_chi chi(g_i) chi(g_{j*}) = delta_ij |G|/h_i
-    columns = list(zip(*table))
-    for i in range(c):
-        for j in range(c):
-            want = order // sizes[i] % ell if i == j else 0
-            if sum(map(operator.mul, columns[i], columns[inverse_class[j]])) % ell != want:
-                raise AssertionError("character table fails the second orthogonality relation")
+    _second_orthogonality(table, inverse_class, sizes, order, ell)
     return DegreeCensus.from_pairs(((d, 1) for d in degrees), max(degrees))
 
 

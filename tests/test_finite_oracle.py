@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -16,6 +17,10 @@ from repzeta.finite_oracle import (
     _inv,
     _mul,
     _order_and_inverse,
+    _probe,
+    _probe_is_eigenvector,
+    _second_orthogonality,
+    _Subspace,
     _through_pivots,
     _word,
     abelianization_order,
@@ -156,10 +161,11 @@ def test_dixon_census_of_an_even_modulus_is_the_product_with_its_2_part():
     There is no closed census for the 2-part here, so that factor is the
     Dixon census of SL2(Z/2^a) itself: for the 2-part this is oracle
     against oracle, and only the odd factor is the closed level census.
-    m = 6, 10, 12, 20 have the 2-parts SL2(Z/2) and SL2(Z/4); m = 24 and
-    56 take seconds each and stay out.
+    m = 6, 10, 12, 20 have the 2-parts SL2(Z/2) and SL2(Z/4), and m = 24
+    has SL2(Z/8) (under a second in process); m = 40 and 56 take seconds
+    each and stay out.
     """
-    for modulus in (6, 10, 12, 20):
+    for modulus in (6, 10, 12, 20, 24):
         two_part = modulus & -modulus
         q = modulus // two_part
         census = character_degrees(sl2_group(modulus))
@@ -246,6 +252,206 @@ def test_corrupted_class_row_is_caught(monkeypatch, sl2_groups, bad_call):
     with pytest.raises(AssertionError):
         character_degrees(sl2_groups[9])
     assert len(calls) > bad_call
+
+
+def test_probe_reads_the_action_at_the_pivots():
+    """M u is a multiple of the probe u exactly when the action matrix maps u's coordinates so.
+
+    Row p_s of M is the action row s at the pivots and 0 off them, so
+    rows[p_s] . b_t = act[s][t]; a scalar action always passes, and any
+    action passes only when the probe's coordinates are its eigenvector.
+    """
+    ell = 73
+    rng = random.Random(ell)
+    for c in range(2, 10):
+        for d in (2, c):
+            basis, pivots = rref_mod_p([[rng.randrange(ell) for _ in range(c)] for _ in range(d)], ell)
+            if len(basis) < 2:
+                continue
+            sub = _Subspace(basis, pivots, _probe(basis, rng, ell))
+            coords = [sub.probe[p] for p in pivots]
+            assert 0 not in coords
+            assert sub.probe == [sum(r * b[k] for r, b in zip(coords, basis)) % ell for k in range(c)]
+            lam = rng.randrange(ell)
+            scalar = [[lam * (s == t) for t in range(len(basis))] for s in range(len(basis))]
+            # an action that fixes the probe's line without being scalar: a multiple of
+            # the identity plus a map that kills the coordinates of u
+            kill = [[rng.randrange(ell) for _ in basis] for _ in basis]
+            for row in kill:
+                row[0] = -sum(x * y for x, y in zip(row[1:], coords[1:])) * pow(coords[0], -1, ell) % ell
+            fixing = [[(lam * (s == t) + kill[s][t]) % ell for t in range(len(basis))]
+                      for s in range(len(basis))]
+            moving = [[rng.randrange(ell) for _ in basis] for _ in basis]
+            for act in (scalar, fixing, moving):
+                rows = {p: [act[s][pivots.index(k)] if k in pivots else 0 for k in range(c)]
+                        for s, p in enumerate(pivots)}
+                image = [sum(a * x for a, x in zip(row, coords)) % ell for row in act]
+                parallel = all(y * coords[0] % ell == image[0] * x % ell for x, y in zip(coords, image))
+                assert _probe_is_eigenvector(rows, sub, ell) == parallel
+                if act is not moving:
+                    assert parallel
+
+
+def full_orthogonality_failures(table, inverse_class, sizes, order, ell):
+    """Every entry (i, j) of the c x c second orthogonality relation that fails."""
+    columns = list(zip(*table))
+    c = len(columns)
+    return {
+        (i, j)
+        for i in range(c)
+        for j in range(c)
+        if sum(x * y for x, y in zip(columns[i], columns[inverse_class[j]])) % ell
+        != (order // sizes[i] % ell if i == j else 0)
+    }
+
+
+def certified_tables(monkeypatch, group):
+    """The arguments of each `_second_orthogonality` call `character_degrees(group)` makes."""
+    seen = []
+    original = finite_oracle._second_orthogonality
+
+    def spy(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(finite_oracle, "_second_orthogonality", spy)
+    character_degrees(group)
+    monkeypatch.setattr(finite_oracle, "_second_orthogonality", original)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["diagonal", "mirror skipped", "entry skipped", "own mirror"])
+def test_halved_certificate_catches_each_kind_of_entry(monkeypatch, case):
+    """A corrupted table fails the halved certificate, wherever the corruption lands.
+
+    Adding t times column a of the table to column b changes the sum
+    S(x, y) of columns x and y only where a* is x or y (S(a, y) is
+    0 unless y = a*).  So with a a non-real class: scaling column a
+    breaks the diagonal entries (a, a) and (a*, a*); adding column a to a
+    column b outside {a, a*} breaks the off-diagonal entry (b, a) and its
+    mirror (a*, b*), of which the certificate computes only one; and
+    adding column a* to column a breaks only (a, a*), its own mirror.
+    The full c x c check of the parent, test-side, confirms each set.
+    """
+    # -1 is not a square mod 7, so the unipotent classes of SL2(Z/7) are not real
+    ((table, inverse_class, sizes, order, ell),) = certified_tables(monkeypatch, sl2_group(7))
+    c = len(sizes)
+    assert full_orthogonality_failures(table, inverse_class, sizes, order, ell) == set()
+    non_real = [a for a in range(c) if inverse_class[a] != a]
+    assert non_real
+
+    def computed(i, j):  # entry (i, j) is the sum S(i, j*), computed when j* >= i
+        return inverse_class[j] >= i
+
+    def corrupt(target, source, t):
+        return [row[:target] + [(row[target] + t * row[source]) % ell] + row[target + 1:]
+                for row in table]
+
+    if case == "diagonal":
+        a = non_real[0]
+        bad, broken = corrupt(a, a, 1), {(a, a), (inverse_class[a], inverse_class[a])}
+    elif case == "own mirror":
+        a = non_real[0]
+        bad, broken = corrupt(a, inverse_class[a], 1), {(a, inverse_class[a])}
+        assert computed(a, inverse_class[a])
+    else:
+        # the named entry (b, a) is computed and its mirror skipped, or the other way round
+        want = case == "mirror skipped"
+        a, b = next((a, b) for a in non_real for b in range(c)
+                    if b not in (a, inverse_class[a]) and computed(b, a) == want)
+        bad, broken = corrupt(b, a, 1), {(b, a), (inverse_class[a], inverse_class[b])}
+        assert computed(inverse_class[a], inverse_class[b]) != want
+    assert full_orthogonality_failures(bad, inverse_class, sizes, order, ell) == broken
+    with pytest.raises(AssertionError, match="second orthogonality"):
+        _second_orthogonality(bad, inverse_class, sizes, order, ell)
+
+
+def split_passes(monkeypatch):
+    """Wrap `_split_pass`; the list gets (probed, the subspaces returned) for each pass."""
+    passes = []
+    original = finite_oracle._split_pass
+
+    def spy(*args):
+        subspaces = original(*args)
+        passes.append((args[-1] is not None, subspaces))
+        return subspaces
+
+    monkeypatch.setattr(finite_oracle, "_split_pass", spy)
+    return passes
+
+
+@pytest.mark.parametrize("modulus", [8, 9, 27])
+def test_fallback_splits_what_the_probes_miss(monkeypatch, modulus):
+    """Probes that are all joint eigenvectors split nothing; the exact fallback splits it all.
+
+    Each probe is replaced by one of the final eigenlines that lies in its
+    subspace (every subspace the split makes is a sum of them), so every
+    class matrix maps it onto its own line and the probed pass keeps every
+    subspace it made from the start space whole.
+    """
+    group = sl2_group(modulus)
+    passes = split_passes(monkeypatch)
+    census = character_degrees(group)
+    ((probed, subspaces),) = passes  # the seed's probes need no fallback on these groups
+    assert probed
+    lines = [sub.basis[0] for sub in subspaces]
+
+    def joint_eigenvector(basis, rng, ell):
+        pivots = [next(k for k, x in enumerate(b) if x) for b in basis]
+        return next(w for w in lines
+                    if w == [sum(w[p] * b[k] for p, b in zip(pivots, basis)) % ell for k in range(len(w))])
+
+    probes = []
+
+    def patched(basis, rng, ell):
+        probes.append(joint_eigenvector(basis, rng, ell))
+        return probes[-1]
+
+    monkeypatch.setattr(finite_oracle, "_probe", patched)
+    passes.clear()
+    assert pairs(character_degrees(group)) == pairs(census)
+    assert [probed for probed, _ in passes] == [True, False]
+    assert probes
+    # the probed pass split the start space only: what it left is what it built from there
+    assert sum(len(sub.basis) > 1 for sub in passes[0][1]) == len(probes)
+
+
+@pytest.mark.parametrize("seed", [2, 3601, 2 ** 40 + 1])
+def test_census_does_not_depend_on_the_probe_seed(monkeypatch, seed):
+    censuses = {m: character_degrees(sl2_group(m)) for m in (8, 9, 12)}
+    probes = []
+    original = finite_oracle._probe
+    monkeypatch.setattr(finite_oracle, "_probe", lambda *args: probes.append(original(*args)) or probes[-1])
+    monkeypatch.setattr(finite_oracle, "PROBE_SEED", seed)
+    for m, census in censuses.items():
+        assert pairs(character_degrees(sl2_group(m))) == pairs(census)
+    seeded = list(probes)
+    probes.clear()
+    monkeypatch.setattr(finite_oracle, "PROBE_SEED", 1)
+    for m in censuses:
+        character_degrees(sl2_group(m))
+    assert seeded and probes != seeded
+
+
+# sha256 of repr((degrees, multiplicities)) for the censuses the benchmark's oracle jobs compute
+BENCHMARK_CENSUS_DIGESTS = {
+    3: "9ad6e04a85eec1e9b96820d5989f4f3c6d6c4d6db8ef779b83dca01b06277bea",
+    4: "f381cf200b3c125088c2212c355a872c42447e2085c2d5f8bcbbe0a48944ac8b",
+    5: "1479e46243915e0001e4eff112b5ce2299b4a0673ab272b53268768085e3398b",
+    7: "804f0c2701d55a8cbaf37780cd520caf9cb75cd24572734e1d7e7b53ba1977b4",
+    8: "4c3af711f0ef23c4c19eb60faa1affbcf9f6d3c99dc1087fba9b0f01c82bfb9f",
+    9: "68e721a36f3150e8e5a35099cbe254d82fb7d1b2d11c34c2cb44523081743a5e",
+    11: "9f3d9790cf9eaa6e393a79fa02f23db469dbb476be4ea4c61efcb65954fb043d",
+    13: "65666340814dfb23bfe84aba43a372cec5923585190fa924590b38db3c90296c",
+}
+
+
+@pytest.mark.parametrize("modulus", list(BENCHMARK_CENSUS_DIGESTS), ids=lambda m: f"SL2(Z/{m})")
+def test_benchmark_censuses_are_pinned(modulus):
+    """The exact columns of the benchmark's Dixon censuses, so a faster split cannot change them."""
+    census = character_degrees(sl2_group(modulus))
+    columns = repr((census.degrees, census.multiplicities)).encode()
+    assert hashlib.sha256(columns).hexdigest() == BENCHMARK_CENSUS_DIGESTS[modulus]
 
 
 def test_dixon_on_quaternion_group():
