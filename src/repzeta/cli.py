@@ -24,6 +24,7 @@ import os
 import random
 import sys
 import time
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import eq, mul
 from typing import Any, Callable, Sequence
@@ -38,8 +39,10 @@ from .isotropic_census import block_structure_ok, build_census_family, distinct_
 from .local_sl2 import (
     evaluate_local,
     factor_bounds_check,
+    factor_columns,
     irrep_count,
     level_census,
+    sandwich_verdicts,
     sl2_local_factor,
     sl2_quotient_order,
 )
@@ -49,6 +52,7 @@ from .symmetric import an_census, young_levels
 from .witten import FIT_MIN_DISTINCT, abscissa_estimate, enumerate_dimensions
 
 SAMPLE_BUDGET = 20_000  # orbit samples per run
+CSV_BLOCK_ROWS = 4096  # CSV rows formatted and written in one piece
 
 
 def _scalar(v: Any) -> str:
@@ -184,20 +188,29 @@ def _lone_field(text: str) -> str:
 def _write_csv(fh: Any, table: Table) -> None:
     """The column names as the header row, then the rows, as `csv.writer` writes them.
 
-    Like `_to_json`'s rows, each row is one piece from one `%s` row
-    template, and the rows go to `fh.writelines` as they are made.  An
-    all-int column goes into the template as it is; the text of every
-    other cell is `_fmt_cell`'s, and it and each name are quoted as
-    `csv.writer` quotes them (minimal quoting, CRLF rows).
+    The rows go out CSV_BLOCK_ROWS at a time, each block one `fh.write`
+    of one `%` over the row template repeated once per row of the block,
+    its cells interleaved row-major by slice assignment from `islice`s of
+    the columns; so the text in memory is one block's, however long the
+    table.  An all-int column goes into the template as it is; the text
+    of every other cell is `_fmt_cell`'s, and it and each name are
+    quoted as `csv.writer` quotes them (minimal quoting, CRLF rows).
     """
     field = _lone_field if len(table) == 1 else _csv_field
     columns = [
-        column if set(map(type, column)) == {int} else map(field, map(_fmt_cell, column))
+        iter(column) if set(map(type, column)) == {int} else map(field, map(_fmt_cell, column))
         for column in table.values()
     ]
     fh.write(",".join(map(field, table)) + "\r\n")
-    template = ",".join(["%s"] * len(columns)) + "\r\n"
-    fh.writelines(map(template.__mod__, zip(*columns)))
+    width = len(columns)
+    template = ",".join(["%s"] * width) + "\r\n"
+    rows = min(map(len, table.values()), default=0)
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        count = min(CSV_BLOCK_ROWS, rows - start)
+        cells: list[Any] = [None] * (count * width)
+        for offset, column in enumerate(columns):
+            cells[offset::width] = islice(column, count)
+        fh.write(template * count % tuple(cells))
 
 
 def cmd_witten(args: argparse.Namespace) -> dict[str, Any]:
@@ -231,6 +244,7 @@ def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
     factor = sl2_local_factor(args.q)
     census = level_census(factor, args.level)
     expected_order = sl2_quotient_order(args.q, args.level)
+    values = [value for [value] in evaluate_local(factor_columns((args.q,)), args.s_grid)]
     result: dict[str, Any] = {
         "q": args.q,
         "level": args.level,
@@ -240,13 +254,13 @@ def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
         "mass": census.mass,
         "group_order": expected_order,
         "mass_matches_order": census.mass == expected_order,
-        "values": {
-            f"{s:.12g}": value
-            for s, [value] in zip(args.s_grid, evaluate_local([factor], args.s_grid))
-        },
-        "bounds": {
-            f"{s:.12g}": list(factor_bounds_check(factor, s))
-            for s in args.s_grid
+        "values": {f"{s:.12g}": value for s, value in zip(args.s_grid, values)},
+        "bounds": {  # exact at integer s, else the value above compared in floats
+            f"{s:.12g}": list(
+                factor_bounds_check(factor, s) if float(s).is_integer()
+                else sandwich_verdicts(args.q, s, value)
+            )
+            for s, value in zip(args.s_grid, values)
             if 2.0 <= s <= 3.0
         },
     }

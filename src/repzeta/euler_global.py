@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import repeat
+from itertools import compress, islice
 from typing import Any, Sequence
 
 from .errors import BudgetExceededError
-from .local_sl2 import _build_factor, _one_minus_ratio, evaluate_local
+from .local_sl2 import evaluate_local, factor_columns, one_minus_ratios
 
 SIEVE_BUDGET = 1_000_000  # largest prime bound sieved (one byte per integer)
 BOUNDARY_S = 2.0  # the exponent at which the global product stops converging
@@ -34,7 +34,8 @@ def odd_primes_upto(bound: int) -> list[int]:
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i:: i] = b"\x00" * len(range(i * i, bound + 1, i))
-    return [i for i in range(3, bound + 1) if sieve[i]]
+    sieve[2] = 0  # odd primes only
+    return list(compress(range(bound + 1), sieve))
 
 
 def _exp(log_product: float) -> float:
@@ -59,12 +60,13 @@ def euler_report(
     witness for divergence, and a single bound yields no verdict.
 
     Every argument is checked before any work.  Then one sieve up to the
-    largest bound builds each prime's factor once (the sieve proves each
-    prime, so no factor checks its q again), and one
-    `evaluate_local` call values them all at the report's distinct
+    largest bound gives the q column of one `factor_columns` build (the
+    sieve proves each prime, so no q is checked again), and one
+    `evaluate_local` call values every factor at the report's distinct
     exponents, so each log Z_p(s) is taken once per distinct exponent;
     every product is the `math.fsum` of a prefix of one list of logs,
     correctly rounded, so it does not depend on the order of the primes.
+    The sandwich's ratios 1 - p^(1-s) come from the same columns' log p.
     """
     bounds = tuple(scan_bounds)
     if s_grid and prime_bound < 2:
@@ -84,7 +86,8 @@ def euler_report(
 
     primes = odd_primes_upto(max([*bounds, prime_bound] if s_grid else bounds, default=2))
     exponents = list(dict.fromkeys([*s_grid, BOUNDARY_S] if bounds else s_grid))  # distinct
-    values = evaluate_local(list(map(_build_factor, primes)), exponents)
+    columns = factor_columns(primes)
+    values = evaluate_local(columns, exponents)
     logs = {s: list(map(math.log, column)) for s, column in zip(exponents, values)}
 
     count = bisect.bisect_right(primes, prime_bound)
@@ -93,7 +96,7 @@ def euler_report(
         log_product = math.fsum(logs[s][:count])
         verdict = None
         if 2 < s <= 3:
-            log_zeta = -math.fsum(map(math.log, map(_one_minus_ratio, primes[:count], repeat(s))))
+            log_zeta = -math.fsum(map(math.log, one_minus_ratios(islice(columns.log_q, count), s)))
             verdict = 0.5 * log_zeta < log_product < 100.0 * log_zeta
         rows.append((s, _exp(log_product), verdict))
     if not bounds:

@@ -9,6 +9,13 @@ by q per congruence level:
 
 summed against the geometric series 1/(1 - q^(1-s)).  Everything here is
 exact in q; evaluation goes to floats only at the end.
+
+`factor_columns` is the one place these nine terms are written: it
+writes them as int columns over a sequence of q, which `evaluate_local`
+values and an `euler` report builds once from its sieve.  The symbolic
+factor of one q (`sl2_local_factor`), which the level census, the exact
+value and the sandwich bounds read, takes its terms from the one-q
+columns.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, attrgetter, itemgetter, mul, neg, truediv
+from itertools import repeat
+from operator import add, itemgetter, mul, neg, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import prime_power
@@ -28,6 +35,7 @@ ORDER_BITS_BUDGET = 10_000  # bits of |SL2(O/pi^k)| in a level census; bounds th
 
 
 Terms = tuple[tuple[int, int], ...]
+TermColumns = tuple[tuple[Sequence[int], Sequence[int]], ...]
 
 
 class LocalFactorSL2(NamedTuple):
@@ -36,15 +44,53 @@ class LocalFactorSL2(NamedTuple):
     head_terms keeps the formula's terms in order, including coefficients
     that vanish for small q (the (q+1)-term at q=3), for traceability.
     `sl2_local_factor` checks q before it builds one; the level census,
-    irreducible count, evaluator and sandwich bounds take the factor, so
-    a report checks q once.  An `euler` report builds one per odd prime
-    of its sieve without that check, since the sieve proves each prime;
-    a plain `NamedTuple`, cheap to build.
+    irreducible count, exact value and sandwich bounds take the factor,
+    so a report checks q once.
     """
 
     q: int
     head_terms: Terms  # (degree, multiplicity)
     tail_terms: Terms  # (base degree, base multiplicity)
+
+
+class FactorColumns(NamedTuple):
+    """The factors at a sequence of q as columns, one entry per q, in order.
+
+    `head` and `tail` hold one (degrees, multiplicities) pair of int
+    columns per term of the formula, in the formula's order; `log_q`
+    is `math.log` of each q, the column every ratio 1 - q^(1-s) reads.
+    """
+
+    q: Sequence[int]
+    log_q: list[float]
+    head: TermColumns
+    tail: TermColumns
+
+
+def factor_columns(qs: Sequence[int]) -> FactorColumns:
+    """The nine terms of the factor at every q of `qs`, each written once, as int columns.
+
+    The q column is `qs` itself.  Nothing here checks q: its callers
+    have (`sl2_local_factor`) or sieved each q as an odd prime.
+    """
+    ones = [1] * len(qs)
+    twos = [2] * len(qs)
+    half_down = [(q - 1) // 2 for q in qs]
+    half_square = [(q * q - 1) // 2 for q in qs]
+    head = (
+        (ones, ones),
+        (qs, ones),
+        ([q + 1 for q in qs], [(q - 3) // 2 for q in qs]),
+        ([(q + 1) // 2 for q in qs], twos),
+        ([q - 1 for q in qs], half_down),
+        (half_down, twos),
+    )
+    tail = (
+        (half_square, [4 * q for q in qs]),
+        ([q * q - q for q in qs], half_square),
+        ([q * q + q for q in qs], [(q - 1) ** 2 // 2 for q in qs]),
+    )
+    return FactorColumns(qs, list(map(math.log, qs)), head, tail)
 
 
 def sl2_local_factor(q: int) -> LocalFactorSL2:
@@ -57,77 +103,50 @@ def sl2_local_factor(q: int) -> LocalFactorSL2:
 
 
 def _build_factor(q: int) -> LocalFactorSL2:
-    """The factor's terms at a q its caller has checked (`sl2_local_factor`) or sieved as prime."""
-    head = (
-        (1, 1),
-        (q, 1),
-        (q + 1, (q - 3) // 2),
-        ((q + 1) // 2, 2),
-        (q - 1, (q - 1) // 2),
-        ((q - 1) // 2, 2),
-    )
-    tail = (
-        ((q * q - 1) // 2, 4 * q),
-        (q * q - q, (q * q - 1) // 2),
-        (q * q + q, (q - 1) ** 2 // 2),
-    )
+    """The factor at a q `sl2_local_factor` has checked, its terms read from the one-q columns."""
+    columns = factor_columns((q,))
+    head = tuple((degrees[0], multiplicities[0]) for degrees, multiplicities in columns.head)
+    tail = tuple((degrees[0], multiplicities[0]) for degrees, multiplicities in columns.tail)
     if sum(map(itemgetter(1), head)) != q + 4:
         raise AssertionError(f"q={q}: head multiplicities do not sum to q+4")
     return LocalFactorSL2(q, head, tail)
 
 
-def _one_minus_ratio(q: int, s: float) -> float:
-    """1 - q^(1-s) as -expm1((1-s) log q), which keeps full precision near s = 1."""
-    return -math.expm1((1.0 - s) * math.log(q))
+def one_minus_ratios(log_q: Iterable[float], s: float) -> Iterator[float]:
+    """1 - q^(1-s) for each log q, as -expm1((1-s) log q), which keeps full precision near s = 1."""
+    return map(neg, map(math.expm1, map(mul, repeat(1.0 - s), log_q)))
 
 
-def _flat_terms(groups: Iterable[Terms]) -> tuple[list[float], list[float]]:
-    """The float degrees and the float multiplicities of the terms of every group, in order."""
-    terms = list(chain.from_iterable(groups))
-    return list(map(float, map(itemgetter(0), terms))), list(map(float, map(itemgetter(1), terms)))
-
-
-def _term_sums(
-    degrees: list[float], multiplicities: list[float], s: float, width: int
-) -> Iterator[float]:
-    """The `math.fsum` of each run of `width` terms m * d^(-s): one sum per factor."""
-    terms = map(mul, multiplicities, map(pow, degrees, repeat(-s)))
-    return map(math.fsum, zip(*[terms] * width))
-
-
-def evaluate_local(
-    factors: Sequence[LocalFactorSL2], exponents: Sequence[float]
-) -> list[list[float]]:
+def evaluate_local(columns: FactorColumns, exponents: Sequence[float]) -> list[list[float]]:
     """Z_q(s) = head sum + tail sum / (1 - q^(1-s)) of every factor at every exponent.
 
-    Returns one column per exponent, in order, holding one value per
-    factor, in order.  Every exponent must exceed 1, for the tail to
-    converge; all are checked before any work.  Each factor's head and
-    tail are `math.fsum`s of its terms m * float(d)^(-s), correctly
-    rounded, so the order of the terms does not matter (a head term of
-    multiplicity 0, the (q+1)-term at q = 3, adds an exact 0), and
-    1 - q^(1-s) is -expm1((1-s) log q), which keeps full precision near
-    s = 1.  The float degrees and multiplicities of all the factors'
-    terms, and their log q, are built as flat columns once per call;
-    each exponent then values every factor through `map` and `zip`, so
-    a report's factors cost one call.
+    `columns` is `factor_columns(qs)`.  Returns one column per exponent,
+    in order, holding one value per q, in order.  Every exponent must
+    exceed 1, for the tail to converge; all are checked before any work.
+    Each factor's head and tail are `math.fsum`s of its terms
+    m * float(d)^(-s), correctly rounded, so the order of the terms does
+    not matter (a head term of multiplicity 0, the (q+1)-term at q = 3,
+    adds an exact 0), and 1 - q^(1-s) comes from `one_minus_ratios`.
+    The float term columns are built once per call; each exponent then
+    maps every term column once and zips the nine maps, so the values of
+    all the factors of a report cost one call.
     """
     for s in exponents:
         if not s > 1:  # also rejects NaN
             raise ValueError("s must exceed 1 (the tail ratio is q^(1-s))")
-    head_d, head_m = _flat_terms(map(attrgetter("head_terms"), factors))
-    tail_d, tail_m = _flat_terms(map(attrgetter("tail_terms"), factors))
-    # every factor has the formula's 6 head and 3 tail terms
-    head_width = len(factors[0].head_terms) if factors else 0
-    tail_width = len(factors[0].tail_terms) if factors else 0
-    log_q = list(map(math.log, map(attrgetter("q"), factors)))
-    columns = []
+    head, tail = (
+        [(list(map(float, d)), list(map(float, m))) for d, m in terms]
+        for terms in (columns.head, columns.tail)
+    )
+    values = []
     for s in exponents:
-        heads = _term_sums(head_d, head_m, s, head_width)
-        tails = _term_sums(tail_d, tail_m, s, tail_width)
-        ratios = map(neg, map(math.expm1, map(mul, repeat(1.0 - s), log_q)))
-        columns.append(list(map(add, heads, map(truediv, tails, ratios))))
-    return columns
+        heads, tails = (
+            map(math.fsum, zip(*[map(mul, m, map(pow, d, repeat(-s))) for d, m in terms]))
+            for terms in (head, tail)
+        )
+        ratios = one_minus_ratios(columns.log_q, s)
+        values.append(list(map(add, heads, map(truediv, tails, ratios))))
+    return values
 
 
 def evaluate_local_exact(factor: LocalFactorSL2, s: int) -> Fraction:
@@ -184,8 +203,8 @@ def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
     """Sandwich at one place: (1-q^(1-s))^(-1/2) < Z_q(s) < (1-q^(1-s))^(-100).
 
     Proven for odd q and s in [2, 3].  At integer s the comparison is done
-    in exact rational arithmetic (the -1/2 power by squaring); otherwise in
-    double precision.
+    in exact rational arithmetic (the -1/2 power by squaring); otherwise
+    `sandwich_verdicts` compares the float value in double precision.
     """
     if not (2.0 <= s <= 3.0):
         raise ValueError("the sandwich bounds are stated only for s in [2, 3]")
@@ -197,6 +216,12 @@ def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
         lower_ok = z * z * one_minus > 1
         upper_ok = z * one_minus ** 100 < 1
         return (bool(lower_ok), bool(upper_ok))
-    [[z]] = evaluate_local([factor], [s])
-    x = _one_minus_ratio(q, s)
+    [[z]] = evaluate_local(factor_columns((q,)), [s])
+    return sandwich_verdicts(q, s, z)
+
+
+def sandwich_verdicts(q: int, s: float, z: float) -> tuple[bool, bool]:
+    """The float sandwich at one place: whether the value z of Z_q(s) lies above
+    (1-q^(1-s))^(-1/2) and below (1-q^(1-s))^(-100), in double precision."""
+    [x] = one_minus_ratios([math.log(q)], s)
     return (z > x ** -0.5, z < x ** -100.0)

@@ -63,13 +63,13 @@ def count_calls(monkeypatch):
 def evaluator_calls(monkeypatch):
     """Wraps `euler_global.evaluate_local` for the test.
 
-    Returns a list that gets each call's (q of each factor, exponents).
+    Returns a list that gets each call's (q column, exponents).
     """
     calls = []
 
-    def evaluate(factors, exponents):
-        calls.append(([factor.q for factor in factors], list(exponents)))
-        return local_sl2.evaluate_local(factors, exponents)
+    def evaluate(columns, exponents):
+        calls.append((list(columns.q), list(exponents)))
+        return local_sl2.evaluate_local(columns, exponents)
 
     monkeypatch.setattr(euler_global, "evaluate_local", evaluate)
     return calls

@@ -97,7 +97,7 @@ PAIRINGS = (
         oracle=("scalar_local.evaluate_local_scalar",),
         tests=("tests/test_cli.py::test_euler_argv_fuzz",),
         range=(),
-        shared=("local_sl2.sl2_local_factor",),
+        shared=("local_sl2.factor_columns",),
     ),
     Pairing(
         formula=("paper_checks.chain_product_value",),

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -103,20 +104,39 @@ def test_local_sl2_reports_a_float_value_outside_the_bounds(capsys, monkeypatch,
     """At s = 2.5 the `bounds` pair reads [false, true] for 0.9 times the lower edge
     (1 - q^(1-s))^(-1/2), and [true, false] for 1.1 times the upper edge (1 - q^(1-s))^(-100).
 
-    Only the bounds check reads the patched evaluator: the printed value is the true one.
+    The report values each s once, so the bounds compare the printed value, the patched one.
     """
     s, q = 2.5, 3
     x = 1 - q ** (1 - s)
     value = 0.9 * x ** -0.5 if edge == "lower" else 1.1 * x ** -100.0
     monkeypatch.setattr(
-        local_sl2, "evaluate_local", lambda factors, exponents: [[value] for _ in exponents]
+        cli, "evaluate_local", lambda columns, exponents: [[value] for _ in exponents]
     )
     code, out = run_cli(capsys, ["local-sl2", "--q", "3", "--level", "2", "--s-grid", "2.5"])
     assert code == 0
     assert _printed_bounds(out) == {"2.5": printed}
     result = json.loads(out)["result"]
     assert result["bounds"] == {"2.5": [word == "true" for word in printed]}
-    assert result["values"] == {"2.5": 4.11998360807}
+    assert result["values"] == {"2.5": float(f"{value:.12g}")}
+
+
+def test_local_sl2_values_each_exponent_once(capsys, count_calls):
+    """One evaluator call values every s of the grid; the float bounds compare those values,
+    and only the integer s, compared exactly, reach `factor_bounds_check`."""
+    evaluated = count_calls(cli, "evaluate_local")
+    inner = count_calls(local_sl2, "evaluate_local")
+    checked = count_calls(cli, "factor_bounds_check")
+    argv = ["local-sl2", "--q", "5", "--level", "2", "--s-grid", "2,2.25,2.5,3,3.5"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert [columns.q for columns in evaluated] == [(5,)]
+    assert inner == []
+    assert len(checked) == 2  # s = 2 and s = 3
+    result = json.loads(out)["result"]
+    assert list(result["bounds"]) == ["2", "2.25", "2.5", "3"]
+    factor = sl2_local_factor(5)
+    for s in (2.25, 2.5):
+        assert result["bounds"][f"{s:.12g}"] == list(local_sl2.factor_bounds_check(factor, s))
 
 
 @pytest.mark.parametrize(
@@ -307,12 +327,33 @@ def test_euler_reports_a_product_below_the_sandwich(capsys, monkeypatch, edge_sh
     value = 1.0 if edge_share is None else math.exp(edge_share * half_log_zeta / len(primes))
     monkeypatch.setattr(
         euler_global, "evaluate_local",
-        lambda factors, exponents: [[value] * len(factors) for _ in exponents],
+        lambda columns, exponents: [[value] * len(columns.q) for _ in exponents],
     )
     code, out = run_cli(capsys, ["euler", "--prime-bound", "100", "--s-grid", str(s)])
     assert code == 0
     assert f'"sandwich_ok": {verdict}\n' in out
     assert json.loads(out)["result"]["table"][0]["sandwich_ok"] is (verdict == "true")
+
+
+def test_euler_sandwich_reads_only_the_primes_up_to_the_prime_bound(capsys, monkeypatch):
+    """With a scan bound above the prime bound the sieve runs further, but the sandwich's
+    zeta(s - 1) still runs over the primes <= the prime bound: at s = 2.1, equal factors whose
+    product is 1.1 times the lower edge over the primes <= 100 read true, though that product
+    is below the lower edge over the primes <= 1000."""
+    s = 2.1
+    primes = [p for p in range(3, 101) if all(p % d for d in range(2, p))]
+    half_log_zeta = 0.5 * sum(-math.log(1 - p ** (1 - s)) for p in primes)
+    value = math.exp(1.1 * half_log_zeta / len(primes))
+    assert len(primes) * math.log(value) < 0.5 * sum(
+        -math.log(1 - p ** (1 - s)) for p in odd_primes_upto(1000))
+    monkeypatch.setattr(
+        euler_global, "evaluate_local",
+        lambda columns, exponents: [[value] * len(columns.q) for _ in exponents],
+    )
+    argv = ["euler", "--prime-bound", "100", "--s-grid", str(s), "--scan-grid", "50,1000"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["result"]["table"][0]["sandwich_ok"] is True
 
 
 def test_euler_sandwich_verdict_range_ends(capsys):
@@ -687,18 +728,22 @@ def test_euler_argv_fuzz(prime_bound, grid, scan):
 
 
 def test_euler_report_sieves_once(capsys, count_calls, evaluator_calls):
-    """One sieve per report, one factor per odd prime, no prime-power test of a sieved
-    prime, and one evaluator call that values every factor at the report's distinct exponents."""
+    """One sieve per report, one column build whose q column is the sieve's odd primes, no
+    per-prime factor, no prime-power test of a sieved prime, and one evaluator call that values
+    every factor at the report's distinct exponents."""
     sieves = count_calls(euler_global, "odd_primes_upto")
-    factors = count_calls(euler_global, "_build_factor")
+    builds = count_calls(euler_global, "factor_columns")
+    factors = count_calls(local_sl2, "_build_factor")
     prime_tests = count_calls(local_sl2, "prime_power")
     argv = ["euler", "--prime-bound", "1000", "--s-grid", "2.5,3,2.5", "--scan-grid", "100,2000"]
     code, _ = run_cli(capsys, argv)
     assert code == 0
     assert sieves == [2000]
-    assert factors == odd_primes_upto(2000)
+    assert builds == [odd_primes_upto(2000)]
+    assert factors == []
     assert prime_tests == []  # the sieve is the proof that each q is prime
-    assert evaluator_calls == [(factors, [2.5, 3.0, 2.0])]  # the grid's distinct s, the scan's 2
+    # the grid's distinct s, the scan's 2
+    assert evaluator_calls == [(odd_primes_upto(2000), [2.5, 3.0, 2.0])]
 
 
 def test_local_sl2_tests_q_once(capsys, count_calls):
@@ -1008,6 +1053,141 @@ def test_csv_table_matches_per_cell_writer(capsys):
         writer.writerow([cli._fmt_cell(row[c]) for c in columns])
     assert captured.out == buf.getvalue()
     assert json.loads(captured.err) == {"tool": "repzeta", "result": {"rows": 4}}
+
+
+def per_cell_csv(table):
+    """Reference for the CSV writer: csv.writer over `_fmt_cell` of each cell, row by row."""
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(table)
+    for row in zip(*table.values()):
+        writer.writerow(map(cli._fmt_cell, row))
+    return expected.getvalue()
+
+
+def mixed_table(rows):
+    """A table of `rows` rows with int, float, bool, None-or-int and string columns; some
+    strings hold `%`, `%s`, `%%`, a comma or a quote."""
+    texts = ["%", "%s", "%%", "a,b", 'say "%d"', "plain", ""]
+    return cli.Table(
+        n=list(range(-3, rows - 3)),
+        x=[i / 7 for i in range(rows)],
+        flag=[i % 3 == 0 for i in range(rows)],
+        maybe=[None if i % 2 else i for i in range(rows)],
+        text=[texts[i % len(texts)] + str(i) * (i % 2) for i in range(rows)],
+    )
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2 blocks + 1"])
+def test_blocked_csv_matches_per_cell_writer(offset):
+    """Tables of one block less one row, one block, one block and one row, and two blocks
+    and one row are written as csv.writer writes them."""
+    block = cli.CSV_BLOCK_ROWS
+    rows = 2 * block + 1 if offset == "2 blocks + 1" else block + offset
+    table = mixed_table(rows)
+    got = io.StringIO()
+    cli._write_csv(got, table)
+    assert got.getvalue() == per_cell_csv(table)
+
+
+@pytest.mark.parametrize("name", ["percent-cells", "percent-names", "one-percent-column"])
+def test_blocked_csv_writes_percent_cells_as_text(monkeypatch, name):
+    """Cells and names holding `%`, `%s` and `%%` are text, not format directives, in blocks
+    of any size."""
+    table = {
+        "percent-cells": cli.Table(a=["%", "%s", "%%", "%d%%"], b=[1, 2, 3, 4]),
+        "percent-names": cli.Table({"%s": [1, 2, 3], "%%": ["x", "%", "y"], "%": [0.5, None, 2.0]}),
+        "one-percent-column": cli.Table(v=["%s", "", "%%", "%"]),
+    }[name]
+    for block in (1, 2, 3, 4096):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        got = io.StringIO()
+        cli._write_csv(got, table)
+        assert got.getvalue() == per_cell_csv(table), block
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("name", list(EDGE_TABLES))
+def test_blocked_csv_matches_per_cell_writer_on_edge_columns(monkeypatch, name, block):
+    """The edge tables (zero rows, no columns, a lone blank field among them) come out the
+    same when every block holds one, two or three rows."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    table = EDGE_TABLES[name]
+    got = io.StringIO()
+    cli._write_csv(got, table)
+    assert got.getvalue() == per_cell_csv(table)
+
+
+class RecordingFile:
+    """A file object that keeps each `write` call's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("block", [3, 5, 4096])
+def test_csv_writes_at_most_one_block_of_rows_at_a_time(monkeypatch, block):
+    """After the header, each write holds one block of rows, the last one the rest."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    rows = 3 * block + 2
+    table = cli.Table(n=list(range(rows)), x=[i / 3 for i in range(rows)], t=["%s"] * rows)
+    fh = RecordingFile()
+    cli._write_csv(fh, table)
+    header, *blocks = fh.writes
+    assert header == "n,x,t\r\n"
+    assert [text.count("\r\n") for text in blocks] == [block, block, block, 2]
+    assert "".join(fh.writes) == per_cell_csv(table)
+
+
+# S_GRID variants of the benchmark's euler job: --prime-bound 10000 --scan-grid 100,1000,10000
+# and sha256 of its stdout without the wall-time line, recorded before the column evaluator
+BENCHMARK_EULER_DIGESTS = {
+    "2.25,2.5625,2.875": "66675ebd02af34b42a3a7d8004a61cce81a216a68383cefee8dafa95b3616b49",
+    "2.3125,2.625,2.9375": "05c1082487b62daa2d5434cfdc7bed42dc730cb8422174a8eb9d4bbc131f5545",
+    "2.375,2.6875,3.0": "2437978b488a20b7a5eb7058d73eca08fc4f15e9e29a13dca95c5aa73f6f376e",
+    "2.0625,2.4375,2.75": "028840993533a56e526e15709ff3a56c30ccceab1fc46c74e5eea576a8ec5bd8",
+    "2.125,2.5,2.8125": "72c56125f5c4ed702c34fffe4dbf22f59386b91a1318d125fcdb9eb846275273",
+    "2.1875,2.5625,2.875": "b037cedb6c5d4e6ccd8f83d4feb27cf04807debe4d968f38842991b1ca855a9b",
+    "2.25,2.625,2.9375": "c16938daa1d30a331c5d3ed2628ce98ea6c3e45bf2e8c138203a73a1e39081f3",
+    "2.3125,2.6875,3.0": "d9d122a8e5d0b5d5798ed9665cc22c856d9ccec6d843e86a4438e69827708f74",
+    "2.0625,2.375,2.75": "954569b0c40ca8e73d987d0cc23ddacd6c7dcfca23a2125081a13b9f7c9da1d6",
+    "2.125,2.4375,2.8125": "0e98ff4ddf721f4934663cdd753941f3dcdf07a0c3be31999e8777f88df4ee7a",
+    "2.1875,2.5,2.875": "14ad50ae93aa5a8c8c2ed9baaa0b41219acd7d782729be47dd8139687c4a1397",
+    "2.25,2.5625,2.9375": "38df9f6f03a2a55233b106957022efc8b6d69494da0d444cbd5124844486907c",
+    "2.3125,2.625,3.0": "7ed9ab56039fd8e30235a30ff714f3a6e5668c46f419bb266197144533401939",
+    "2.0625,2.375,2.6875": "c042c34c304dd49c503dc7b1367f025ff11775f8bdcbae74e92204e15ff7f4c3",
+    "2.125,2.4375,2.75": "9a899f43d2b1fd82a6ef9d6ce2c1227aaac4b5d369adbee76cb2da96f7ac2159",
+    "2.1875,2.5,2.8125": "a7571db27d8e9c91cb7a20e42fd10906ed7109fd154c4f9a560cfdef5991fe12",
+}
+
+
+@pytest.mark.parametrize("grid", list(BENCHMARK_EULER_DIGESTS))
+def test_benchmark_euler_reports_are_pinned(capsys, grid):
+    """The exact bytes of the benchmark's euler reports, so a faster evaluator cannot
+    change a printed product, verdict or scan value."""
+    argv = ["euler", "--prime-bound", "10000", "--s-grid", grid, "--scan-grid", "100,1000,10000"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    digest = hashlib.sha256(_drop_wall_time(out).encode()).hexdigest()
+    assert digest == BENCHMARK_EULER_DIGESTS[grid]
+
+
+def test_benchmark_a2_csv_is_pinned(tmp_path, capsys):
+    """The exact `--out` bytes of the benchmark's CSV job, the A2 census to 10^6 (17,192 rows,
+    more than one block), recorded before the blocked writer."""
+    target = tmp_path / "a2.csv"
+    argv = ["witten", "--series", "A", "--rank", "2", "--bound", "1000000",
+            "--format", "csv", "--out", str(target)]
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    data = target.read_bytes()
+    assert len(data) == 265_869
+    assert hashlib.sha256(data).hexdigest() == (
+        "46bf2a464e8bfe4321bc55ebf310ad8ebab2f4d94d6fdcd35fce6f793fde9e35"
+    )
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import ast
+import inspect
 import math
 
 import pytest
+from ast_names import names
 
-from repzeta import euler_global
+from repzeta import euler_global, local_sl2
 from repzeta.errors import BudgetExceededError
 from repzeta.euler_global import euler_report, odd_primes_upto
-from repzeta.local_sl2 import evaluate_local, sl2_local_factor
+from repzeta.local_sl2 import evaluate_local, factor_columns
 
 
 def riemann_zeta_ref(s: float) -> float:
@@ -56,7 +59,7 @@ def test_zeta_reference_against_direct_sums():
 
 
 def test_single_factor_product():
-    [[z]] = evaluate_local([sl2_local_factor(3)], [2.5])
+    [[z]] = evaluate_local(factor_columns((3,)), [2.5])
     assert product(3, 2.5) == pytest.approx(z, rel=1e-12)
 
 
@@ -69,7 +72,7 @@ def test_empty_product():
 def test_product_against_brute_force():
     brute = 1.0
     for p in odd_primes_upto(100):
-        [[z]] = evaluate_local([sl2_local_factor(p)], [2.5])
+        [[z]] = evaluate_local(factor_columns((p,)), [2.5])
         brute *= z
     assert product(100, 2.5) == pytest.approx(brute, rel=1e-10)
 
@@ -147,11 +150,22 @@ def test_product_past_the_float_range_is_inf():
     ids=["product", "sandwich", "scan"],
 )
 def test_one_sieve_and_one_factor_per_prime(count_calls, evaluator_calls, s_grid, scan_bounds):
-    """A rows-only or scan-only report: one sieve to 1000, one factor per odd prime, and one
-    evaluator call that values them all at the report's one exponent."""
+    """A rows-only or scan-only report: one sieve to 1000, one column build whose q column is
+    the sieve's odd primes, no per-prime factor, and one evaluator call that values them all
+    at the report's one exponent."""
     sieves = count_calls(euler_global, "odd_primes_upto")
-    factors = count_calls(euler_global, "_build_factor")
+    builds = count_calls(euler_global, "factor_columns")
+    factors = count_calls(local_sl2, "_build_factor")
     euler_report(1000, s_grid, scan_bounds)
     assert sieves == [1000]
-    assert factors == odd_primes_upto(1000)
+    assert builds == [odd_primes_upto(1000)]
+    assert factors == []
     assert evaluator_calls == [(odd_primes_upto(1000), s_grid or [euler_global.BOUNDARY_S])]
+
+
+def test_euler_global_names_no_per_prime_factor():
+    """The report values its primes from columns: `euler_global` names no per-prime factor
+    builder, factor type or one-q ratio."""
+    mentioned = names(ast.parse(inspect.getsource(euler_global)))
+    assert {"factor_columns", "evaluate_local", "one_minus_ratios"} <= mentioned  # the scan works
+    assert not mentioned & {"_build_factor", "sl2_local_factor", "LocalFactorSL2", "_one_minus_ratio"}

@@ -15,6 +15,7 @@ from repzeta.local_sl2 import (
     evaluate_local,
     evaluate_local_exact,
     factor_bounds_check,
+    factor_columns,
     irrep_count,
     level_census,
     sl2_local_factor,
@@ -23,8 +24,8 @@ from repzeta.local_sl2 import (
 
 
 def value(factor, s):
-    """Z_q(s) of one factor at one exponent: a one-factor, one-exponent evaluator call."""
-    [[z]] = evaluate_local([factor], [s])
+    """Z_q(s) of one factor at one exponent: a one-q, one-exponent evaluator call."""
+    [[z]] = evaluate_local(factor_columns((factor.q,)), [s])
     return z
 
 
@@ -60,22 +61,23 @@ def test_evaluate_limits_and_preconditions(count_calls):
     z = value(factor, 2.0)
     lower = (1.0 - 1.0 / 3.0) ** -0.5
     assert lower < z < (1.0 - 1.0 / 3.0) ** -100.0
+    columns = factor_columns((3,))
     logs = count_calls(math, "log")
     for bad in ([1.0], [0.5], [2.0, math.nan], [2.5, 3.0, 1.0]):
         with pytest.raises(ValueError, match="s must exceed 1"):
-            evaluate_local([factor], bad)
+            evaluate_local(columns, bad)
     assert logs == []  # every exponent is checked before any work
 
 
 def test_evaluate_local_columns():
-    """One column per exponent, in order, with one value per factor, in order."""
+    """One column per exponent, in order, with one value per q, in order."""
     factors = [sl2_local_factor(q) for q in (3, 5, 7)]
-    columns = evaluate_local(factors, [2.5, 2.0, 2.5])
+    columns = evaluate_local(factor_columns((3, 5, 7)), [2.5, 2.0, 2.5])
     assert [len(column) for column in columns] == [3, 3, 3]
     assert columns[0] == columns[2]
     assert columns[1] == [value(factor, 2.0) for factor in factors]
-    assert evaluate_local([], [2.0, 3.5]) == [[], []]
-    assert evaluate_local(factors, []) == []
+    assert evaluate_local(factor_columns(()), [2.0, 3.5]) == [[], []]
+    assert evaluate_local(factor_columns((3, 5, 7)), []) == []
 
 
 ORACLE_EXPONENTS = [
@@ -94,10 +96,10 @@ def test_column_evaluator_matches_scalar_oracle_bit_for_bit():
     qs = odd_primes_upto(20_000) + [9, 25, 27, 49, 121, 3 ** 300]
     factors = [sl2_local_factor(q) for q in qs]
     expected = [[evaluate_local_scalar(factor, s) for factor in factors] for s in ORACLE_EXPONENTS]
-    assert evaluate_local(factors, ORACLE_EXPONENTS) == expected
+    assert evaluate_local(factor_columns(qs), ORACLE_EXPONENTS) == expected
     for i, factor in enumerate(factors):
         one = [[column[i]] for column in expected]
-        assert evaluate_local([factor], ORACLE_EXPONENTS) == one, factor.q
+        assert evaluate_local(factor_columns((factor.q,)), ORACLE_EXPONENTS) == one, factor.q
 
 
 def _evaluate_local_decimal(factor, s):
@@ -131,6 +133,21 @@ def test_exact_evaluation_matches_float():
             assert float(evaluate_local_exact(factor, s)) == pytest.approx(
                 value(factor, float(s)), rel=1e-12
             )
+
+
+def test_columns_hold_each_q_terms():
+    """Entry i of every term column of `factor_columns(qs)` is the term of the factor at qs[i],
+    and `log_q` is each q's natural log."""
+    qs = (3, 5, 7, 9, 11, 25, 27, 3 ** 300)
+    columns = factor_columns(qs)
+    assert columns.q == qs
+    assert columns.log_q == [math.log(q) for q in qs]
+    for i, q in enumerate(qs):
+        factor = sl2_local_factor(q)
+        assert tuple((d[i], m[i]) for d, m in columns.head) == factor.head_terms
+        assert tuple((d[i], m[i]) for d, m in columns.tail) == factor.tail_terms
+    assert sl2_local_factor(5).head_terms == ((1, 1), (5, 1), (6, 1), (3, 2), (4, 2), (2, 2))
+    assert sl2_local_factor(5).tail_terms == ((12, 20), (20, 12), (30, 8))
 
 
 def test_level_census_examples():
