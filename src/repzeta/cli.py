@@ -39,7 +39,6 @@ from .isotropic_census import block_structure_ok, build_census_family, distinct_
 from .local_sl2 import (
     evaluate_local,
     factor_bounds_check,
-    factor_columns,
     irrep_count,
     level_census,
     sandwich_verdicts,
@@ -244,12 +243,12 @@ def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
     factor = sl2_local_factor(args.q)
     census = level_census(factor, args.level)
     expected_order = sl2_quotient_order(args.q, args.level)
-    values = [value for [value] in evaluate_local(factor_columns((args.q,)), args.s_grid)]
+    values = [value for [value] in evaluate_local(factor, args.s_grid)]
     result: dict[str, Any] = {
         "q": args.q,
         "level": args.level,
-        "head_terms": [list(tm) for tm in factor.head_terms],
-        "tail_terms": [list(tm) for tm in factor.tail_terms],
+        "head_terms": [[d, m] for (d,), (m,) in factor.head],
+        "tail_terms": [[d, m] for (d,), (m,) in factor.tail],
         "irrep_count": irrep_count(factor, args.level),
         "mass": census.mass,
         "group_order": expected_order,
@@ -258,7 +257,7 @@ def cmd_local_sl2(args: argparse.Namespace) -> dict[str, Any]:
         "bounds": {  # exact at integer s, else the value above compared in floats
             f"{s:.12g}": list(
                 factor_bounds_check(factor, s) if float(s).is_integer()
-                else sandwich_verdicts(args.q, s, value)
+                else sandwich_verdicts(factor, s, value)
             )
             for s, value in zip(args.s_grid, values)
             if 2.0 <= s <= 3.0

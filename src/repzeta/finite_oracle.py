@@ -120,10 +120,6 @@ def _inv(a: Flat, n: int, m: int) -> Flat:
     return _to_flat(mat_inv_mod(_to_rows(a, n), m), m)
 
 
-def _identity(n: int) -> Flat:
-    return tuple(1 if i % (n + 1) == 0 else 0 for i in range(n * n))
-
-
 class FiniteMatrixGroup(NamedTuple):
     """Fully enumerated matrix group over Z/m, elements in BFS order.
 
@@ -173,7 +169,7 @@ def generate_group(
         if math.gcd(d, modulus) != 1:
             raise ValueError(f"generator with determinant {d} is not invertible mod {modulus}")
         gens.append(flat)
-    ident = _identity(n)
+    ident = _to_flat(identity_matrix(n), modulus)
     index = {ident: 0}
     queue = [ident]  # the BFS queue is also the element list: nothing leaves it
     parent = [0]

@@ -12,10 +12,10 @@ exact in q; evaluation goes to floats only at the end.
 
 `factor_columns` is the one place these nine terms are written: it
 writes them as int columns over a sequence of q, which `evaluate_local`
-values and an `euler` report builds once from its sieve.  The symbolic
-factor of one q (`sl2_local_factor`), which the level census, the exact
-value and the sandwich bounds read, takes its terms from the one-q
-columns.
+values and an `euler` report builds once from its sieve.  The factor at
+one q is those columns at the one-q column (q,), checked
+(`sl2_local_factor`); the level census, the irreducible count, the exact
+value and the sandwich bounds read each term of it as ((d,), (m,)).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import repeat
-from operator import add, itemgetter, mul, neg, truediv
+from operator import add, mul, neg, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import prime_power
@@ -34,31 +34,18 @@ from .errors import BudgetExceededError
 ORDER_BITS_BUDGET = 10_000  # bits of |SL2(O/pi^k)| in a level census; bounds the level
 
 
-Terms = tuple[tuple[int, int], ...]
 TermColumns = tuple[tuple[Sequence[int], Sequence[int]], ...]
-
-
-class LocalFactorSL2(NamedTuple):
-    """Symbolic local factor: unmerged head terms plus geometric tail bases.
-
-    head_terms keeps the formula's terms in order, including coefficients
-    that vanish for small q (the (q+1)-term at q=3), for traceability.
-    `sl2_local_factor` checks q before it builds one; the level census,
-    irreducible count, exact value and sandwich bounds take the factor,
-    so a report checks q once.
-    """
-
-    q: int
-    head_terms: Terms  # (degree, multiplicity)
-    tail_terms: Terms  # (base degree, base multiplicity)
 
 
 class FactorColumns(NamedTuple):
     """The factors at a sequence of q as columns, one entry per q, in order.
 
     `head` and `tail` hold one (degrees, multiplicities) pair of int
-    columns per term of the formula, in the formula's order; `log_q`
-    is `math.log` of each q, the column every ratio 1 - q^(1-s) reads.
+    columns per term of the formula, in the formula's order, a term
+    whose multiplicity vanishes (the (q+1)-term at q = 3) included;
+    `log_q` is `math.log` of each q, the column every ratio 1 - q^(1-s)
+    reads.  At a one-q column it is the record of one factor, the one
+    `sl2_local_factor` returns.
     """
 
     q: Sequence[int]
@@ -93,23 +80,22 @@ def factor_columns(qs: Sequence[int]) -> FactorColumns:
     return FactorColumns(qs, list(map(math.log, qs)), head, tail)
 
 
-def sl2_local_factor(q: int) -> LocalFactorSL2:
-    """The factor at odd q; its largest degree q^2 + q must be a finite float."""
+def sl2_local_factor(q: int) -> FactorColumns:
+    """The factor at odd q: the one-q columns `factor_columns((q,))`, checked.
+
+    q must be an odd prime power whose largest degree q^2 + q is a
+    finite float, and the head multiplicities must sum to q + 4.  The
+    level census, irreducible count, exact value and sandwich bounds
+    take this record, so a report checks q and builds its columns once.
+    """
     if q * q + q > sys.float_info.max:
         raise ValueError(f"q={q}: the degree q^2 + q of the factor is past the float range")
     if q % 2 == 0 or prime_power(q) is None:
         raise ValueError(f"q={q}: the explicit SL2 factor needs an odd prime power >= 3")
-    return _build_factor(q)
-
-
-def _build_factor(q: int) -> LocalFactorSL2:
-    """The factor at a q `sl2_local_factor` has checked, its terms read from the one-q columns."""
-    columns = factor_columns((q,))
-    head = tuple((degrees[0], multiplicities[0]) for degrees, multiplicities in columns.head)
-    tail = tuple((degrees[0], multiplicities[0]) for degrees, multiplicities in columns.tail)
-    if sum(map(itemgetter(1), head)) != q + 4:
+    factor = factor_columns((q,))
+    if sum(m for _, (m,) in factor.head) != q + 4:
         raise AssertionError(f"q={q}: head multiplicities do not sum to q+4")
-    return LocalFactorSL2(q, head, tail)
+    return factor
 
 
 def one_minus_ratios(log_q: Iterable[float], s: float) -> Iterator[float]:
@@ -149,13 +135,13 @@ def evaluate_local(columns: FactorColumns, exponents: Sequence[float]) -> list[l
     return values
 
 
-def evaluate_local_exact(factor: LocalFactorSL2, s: int) -> Fraction:
-    """Exact rational value at an integer exponent s >= 2."""
+def evaluate_local_exact(factor: FactorColumns, s: int) -> Fraction:
+    """Exact rational value of a one-q factor (`sl2_local_factor`) at an integer s >= 2."""
     if s <= 1:
         raise ValueError("s must exceed 1")
-    q = factor.q
-    head = sum(Fraction(m, d ** s) for d, m in factor.head_terms if m)
-    tail = sum(Fraction(m, d ** s) for d, m in factor.tail_terms)
+    [q] = factor.q
+    head = sum(Fraction(m, d ** s) for (d,), (m,) in factor.head if m)
+    tail = sum(Fraction(m, d ** s) for (d,), (m,) in factor.tail)
     ratio = Fraction(q ** (s - 1) - 1, q ** (s - 1))  # 1 - q^(1-s)
     return head + tail / ratio
 
@@ -165,21 +151,21 @@ def sl2_quotient_order(q: int, k: int) -> int:
     return q ** (3 * (k - 1)) * (q ** 3 - q)
 
 
-def irrep_count(factor: LocalFactorSL2, k: int) -> int:
+def irrep_count(factor: FactorColumns, k: int) -> int:
     """Number of irreducibles of SL2(O/pi^k): (q+4) + (q^2+3q)(q^(k-1)-1)/(q-1)."""
-    q = factor.q
+    [q] = factor.q
     if k < 1:
         raise ValueError("level k must be >= 1")
     return (q + 4) + (q * q + 3 * q) * (q ** (k - 1) - 1) // (q - 1)
 
 
-def level_census(factor: LocalFactorSL2, k: int) -> DegreeCensus:
+def level_census(factor: FactorColumns, k: int) -> DegreeCensus:
     """Exact census of SL2(O/pi^k): head at level 1, tails scaled by q^(j-2) at levels j = 2..k.
 
     Past ORDER_BITS_BUDGET bits of q^(3k) it raises; q^(3k) bounds the
     group order, the largest number of the census.
     """
-    q = factor.q
+    [q] = factor.q
     if k < 1:
         raise ValueError("level k must be >= 1")
     if 3 * k * q.bit_length() > ORDER_BITS_BUDGET:
@@ -187,10 +173,10 @@ def level_census(factor: LocalFactorSL2, k: int) -> DegreeCensus:
             f"level {k} at q={q} needs about {3 * k * q.bit_length()} bits for the group "
             f"order; the budget is {ORDER_BITS_BUDGET}"
         )
-    pairs = [(d, m) for d, m in factor.head_terms if m]
+    pairs = [(d, m) for (d,), (m,) in factor.head if m]
     for level in range(2, k + 1):
         scale = q ** (level - 2)
-        pairs.extend((d * scale, m * scale) for d, m in factor.tail_terms)
+        pairs.extend((d * scale, m * scale) for (d,), (m,) in factor.tail)
     census = DegreeCensus.from_pairs(pairs, max(d for d, _ in pairs))
     if census.total_count != irrep_count(factor, k):
         raise AssertionError(f"q={q}, k={k}: census count differs from irrep_count")
@@ -199,16 +185,17 @@ def level_census(factor: LocalFactorSL2, k: int) -> DegreeCensus:
     return census
 
 
-def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
+def factor_bounds_check(factor: FactorColumns, s: float) -> tuple[bool, bool]:
     """Sandwich at one place: (1-q^(1-s))^(-1/2) < Z_q(s) < (1-q^(1-s))^(-100).
 
-    Proven for odd q and s in [2, 3].  At integer s the comparison is done
-    in exact rational arithmetic (the -1/2 power by squaring); otherwise
-    `sandwich_verdicts` compares the float value in double precision.
+    Proven for odd q and s in [2, 3]; `factor` is what `sl2_local_factor`
+    returns.  At integer s the comparison is done in exact rational
+    arithmetic (the -1/2 power by squaring); otherwise `sandwich_verdicts`
+    compares the float value of those same columns in double precision.
     """
     if not (2.0 <= s <= 3.0):
         raise ValueError("the sandwich bounds are stated only for s in [2, 3]")
-    q = factor.q
+    [q] = factor.q
     if float(s).is_integer():
         si = int(s)
         z = evaluate_local_exact(factor, si)
@@ -216,12 +203,13 @@ def factor_bounds_check(factor: LocalFactorSL2, s: float) -> tuple[bool, bool]:
         lower_ok = z * z * one_minus > 1
         upper_ok = z * one_minus ** 100 < 1
         return (bool(lower_ok), bool(upper_ok))
-    [[z]] = evaluate_local(factor_columns((q,)), [s])
-    return sandwich_verdicts(q, s, z)
+    [[z]] = evaluate_local(factor, [s])
+    return sandwich_verdicts(factor, s, z)
 
 
-def sandwich_verdicts(q: int, s: float, z: float) -> tuple[bool, bool]:
-    """The float sandwich at one place: whether the value z of Z_q(s) lies above
-    (1-q^(1-s))^(-1/2) and below (1-q^(1-s))^(-100), in double precision."""
-    [x] = one_minus_ratios([math.log(q)], s)
+def sandwich_verdicts(factor: FactorColumns, s: float, z: float) -> tuple[bool, bool]:
+    """The float sandwich at the one-q factor: whether the value z of Z_q(s) lies above
+    (1-q^(1-s))^(-1/2) and below (1-q^(1-s))^(-100), in double precision, the ratio
+    1-q^(1-s) taken from the factor's `log_q`."""
+    [x] = one_minus_ratios(factor.log_q, s)
     return (z > x ** -0.5, z < x ** -100.0)

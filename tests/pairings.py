@@ -97,7 +97,7 @@ PAIRINGS = (
         oracle=("scalar_local.evaluate_local_scalar",),
         tests=("tests/test_cli.py::test_euler_argv_fuzz",),
         range=(),
-        shared=("local_sl2.factor_columns",),
+        shared=("euler_global.odd_primes_upto",),
     ),
     Pairing(
         formula=("paper_checks.chain_product_value",),
@@ -134,7 +134,7 @@ ORACLE_IMPORTS = {
     "hook_lengths": ("census.DegreeCensus", "symmetric.MAX_K"),  # not the branching sweep
     "pairings": (),
     "paper_checks": ("linalg.det_int", "linalg.smith_exponents"),
-    "scalar_local": (),  # its own one-factor sums
+    "scalar_local": (),  # its own terms and one-factor sums
     "tuple_classes": ("finite_oracle.FiniteMatrixGroup", "finite_oracle.Flat"),  # not _mul or _inv
     "weyl_formula": (),  # the coroot rows alone
 }

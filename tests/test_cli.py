@@ -139,6 +139,23 @@ def test_local_sl2_values_each_exponent_once(capsys, count_calls):
         assert result["bounds"][f"{s:.12g}"] == list(local_sl2.factor_bounds_check(factor, s))
 
 
+def test_local_sl2_builds_its_factor_columns_once(capsys, count_calls):
+    """A local-sl2 report builds its factor's one-q columns once, in `sl2_local_factor`, and
+    the float sandwich values the factor it is given.  `local_sl2`'s binding of
+    `factor_columns` is counted, and `cli`'s if it has one."""
+    modules = [module for module in (local_sl2, cli) if hasattr(module, "factor_columns")]
+    builds = [count_calls(module, "factor_columns") for module in modules]
+    argv = ["local-sl2", "--q", "5", "--level", "2", "--s-grid", "2,2.25,2.5,3,3.5"]
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert [q for seen in builds for q in seen] == [(5,)]
+    factor = sl2_local_factor(5)
+    for seen in builds:
+        seen.clear()
+    assert local_sl2.factor_bounds_check(factor, 2.5) == (True, True)
+    assert builds == [[] for _ in modules]
+
+
 @pytest.mark.parametrize(
     "edge, printed", [("lower", ["false", "true"]), ("upper", ["true", "false"])]
 )
@@ -647,10 +664,10 @@ def test_alt_argv_fuzz(kmax, s):
 
 
 def _reference_log_product(bound, s):
-    """Reference for the Euler table: a fresh factor for each odd prime <= bound, valued by the
-    scalar oracle of `tests/scalar_local.py`."""
+    """Reference for the Euler table: the factor at each odd prime <= bound, its terms written
+    and valued by the scalar oracle of `tests/scalar_local.py`."""
     return math.fsum(
-        math.log(evaluate_local_scalar(sl2_local_factor(p), s)) for p in odd_primes_upto(bound)
+        math.log(evaluate_local_scalar(p, s)) for p in odd_primes_upto(bound)
     )
 
 
@@ -733,7 +750,7 @@ def test_euler_report_sieves_once(capsys, count_calls, evaluator_calls):
     every factor at the report's distinct exponents."""
     sieves = count_calls(euler_global, "odd_primes_upto")
     builds = count_calls(euler_global, "factor_columns")
-    factors = count_calls(local_sl2, "_build_factor")
+    factors = count_calls(local_sl2, "sl2_local_factor")
     prime_tests = count_calls(local_sl2, "prime_power")
     argv = ["euler", "--prime-bound", "1000", "--s-grid", "2.5,3,2.5", "--scan-grid", "100,2000"]
     code, _ = run_cli(capsys, argv)

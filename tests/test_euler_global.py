@@ -155,7 +155,7 @@ def test_one_sieve_and_one_factor_per_prime(count_calls, evaluator_calls, s_grid
     at the report's one exponent."""
     sieves = count_calls(euler_global, "odd_primes_upto")
     builds = count_calls(euler_global, "factor_columns")
-    factors = count_calls(local_sl2, "_build_factor")
+    factors = count_calls(local_sl2, "sl2_local_factor")
     euler_report(1000, s_grid, scan_bounds)
     assert sieves == [1000]
     assert builds == [odd_primes_upto(1000)]

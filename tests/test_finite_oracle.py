@@ -13,7 +13,6 @@ import repzeta.finite_oracle as finite_oracle
 from repzeta.finite_oracle import (
     _class_row,
     _conjugation_tables,
-    _identity,
     _inv,
     _mul,
     _order_and_inverse,
@@ -22,6 +21,7 @@ from repzeta.finite_oracle import (
     _second_orthogonality,
     _Subspace,
     _through_pivots,
+    _to_flat,
     _word,
     abelianization_order,
     character_degrees,
@@ -30,7 +30,7 @@ from repzeta.finite_oracle import (
     generate_group,
     sl2_group,
 )
-from repzeta.linalg import rref_mod_p
+from repzeta.linalg import identity_matrix, rref_mod_p
 from repzeta.local_sl2 import level_census, sl2_local_factor
 from tuple_classes import (
     tuple_conjugacy_classes,
@@ -83,7 +83,7 @@ def test_group_closure_small():
         assert _inv(a, 2, 3) in elements
         for b in list(elements)[:6]:
             assert _mul(a, b, 2, 3) in elements
-    assert _identity(2) == g.elements[0]
+    assert g.elements[0] == (1, 0, 0, 1)
 
 
 def test_classes_against_all_pairs_oracle():
@@ -541,13 +541,13 @@ def test_right_tables_match_products(oracle_group):
 
 def test_bfs_tree_rebuilds_every_element(oracle_group):
     g = oracle_group
-    assert g.elements[0] == _identity(g.n)
+    assert g.elements[0] == _to_flat(identity_matrix(g.n), g.modulus)
     assert _word(g, 0) == []
     for k in range(1, g.order):
         assert g.parent[k] < k
         gen = g.generators[g.step[k]]
         assert _mul(g.elements[g.parent[k]], gen, g.n, g.modulus) == g.elements[k]
-        x = _identity(g.n)
+        x = g.elements[0]
         for s in _word(g, k):
             x = _mul(x, g.generators[s], g.n, g.modulus)
         assert x == g.elements[k]

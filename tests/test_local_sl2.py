@@ -1,14 +1,18 @@
+import ast
+import inspect
 import math
 import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from ast_names import names
 from census_pairs import pairs
 from scalar_local import evaluate_local_scalar
 
-from repzeta import local_sl2
+from repzeta import cli, local_sl2
 from repzeta.errors import BudgetExceededError
 from repzeta.euler_global import odd_primes_upto
 from repzeta.local_sl2 import (
@@ -25,7 +29,7 @@ from repzeta.local_sl2 import (
 
 def value(factor, s):
     """Z_q(s) of one factor at one exponent: a one-q, one-exponent evaluator call."""
-    [[z]] = evaluate_local(factor_columns((factor.q,)), [s])
+    [[z]] = evaluate_local(factor, [s])
     return z
 
 
@@ -33,7 +37,7 @@ def test_factor_head_q3():
     factor = sl2_local_factor(3)
     # the (q+1)-term vanishes at q = 3; two degree-1 terms merge with the trivial
     assert pairs(level_census(factor, 1)) == ((1, 3), (2, 3), (3, 1))
-    assert sum(m for _, m in factor.head_terms) == 7
+    assert sum(m for _, (m,) in factor.head) == 7
 
 
 def test_factor_head_q5():
@@ -52,7 +56,7 @@ def test_rejects_non_odd_prime_powers(q):
 
 def test_accepts_odd_prime_powers():
     for q in (3, 5, 7, 9, 11, 13, 27, 25, 49, 3 ** 300):
-        assert sl2_local_factor(q).q == q
+        assert sl2_local_factor(q).q == (q,)
 
 
 def test_evaluate_limits_and_preconditions(count_calls):
@@ -94,12 +98,11 @@ def test_column_evaluator_matches_scalar_oracle_bit_for_bit():
     0; 3^300 is the largest power whose degrees stay finite floats.
     """
     qs = odd_primes_upto(20_000) + [9, 25, 27, 49, 121, 3 ** 300]
-    factors = [sl2_local_factor(q) for q in qs]
-    expected = [[evaluate_local_scalar(factor, s) for factor in factors] for s in ORACLE_EXPONENTS]
+    expected = [[evaluate_local_scalar(q, s) for q in qs] for s in ORACLE_EXPONENTS]
     assert evaluate_local(factor_columns(qs), ORACLE_EXPONENTS) == expected
-    for i, factor in enumerate(factors):
+    for i, q in enumerate(qs):
         one = [[column[i]] for column in expected]
-        assert evaluate_local(factor_columns((factor.q,)), ORACLE_EXPONENTS) == one, factor.q
+        assert evaluate_local(sl2_local_factor(q), ORACLE_EXPONENTS) == one, q
 
 
 def _evaluate_local_decimal(factor, s):
@@ -111,9 +114,10 @@ def _evaluate_local_decimal(factor, s):
         def power(base, exponent):
             return (exponent * Decimal(base).ln()).exp()
 
-        head = sum(m * power(d, -sd) for d, m in factor.head_terms if m)
-        tail = sum(m * power(d, -sd) for d, m in factor.tail_terms)
-        return head + tail / (1 - power(factor.q, 1 - sd))
+        [q] = factor.q
+        head = sum(m * power(d, -sd) for (d,), (m,) in factor.head if m)
+        tail = sum(m * power(d, -sd) for (d,), (m,) in factor.tail)
+        return head + tail / (1 - power(q, 1 - sd))
 
 
 @pytest.mark.parametrize("q", [3, 7, 101])
@@ -144,10 +148,11 @@ def test_columns_hold_each_q_terms():
     assert columns.log_q == [math.log(q) for q in qs]
     for i, q in enumerate(qs):
         factor = sl2_local_factor(q)
-        assert tuple((d[i], m[i]) for d, m in columns.head) == factor.head_terms
-        assert tuple((d[i], m[i]) for d, m in columns.tail) == factor.tail_terms
-    assert sl2_local_factor(5).head_terms == ((1, 1), (5, 1), (6, 1), (3, 2), (4, 2), (2, 2))
-    assert sl2_local_factor(5).tail_terms == ((12, 20), (20, 12), (30, 8))
+        assert [(d[i], m[i]) for d, m in columns.head] == [(d, m) for (d,), (m,) in factor.head]
+        assert [(d[i], m[i]) for d, m in columns.tail] == [(d, m) for (d,), (m,) in factor.tail]
+    factor = sl2_local_factor(5)
+    assert [(d, m) for (d,), (m,) in factor.head] == [(1, 1), (5, 1), (6, 1), (3, 2), (4, 2), (2, 2)]
+    assert [(d, m) for (d,), (m,) in factor.tail] == [(12, 20), (20, 12), (30, 8)]
 
 
 def test_level_census_examples():
@@ -236,3 +241,26 @@ def test_census_identities_checked_under_optimize(broken, subprocess_env):
     )
     assert proc.returncode != 0
     assert "AssertionError" in proc.stderr
+
+
+def test_one_record_per_local_factor():
+    """A factor has one record: `cli` takes it from `sl2_local_factor` and writes no columns of
+    its own, and no `repzeta` class but `local_sl2.FactorColumns` holds head or tail terms."""
+    mentioned = names(ast.parse(inspect.getsource(cli)))
+    assert "sl2_local_factor" in mentioned
+    assert "factor_columns" not in mentioned
+    records = []
+    for path in sorted(Path(local_sl2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "LocalFactorSL2" not in names(tree), path.name
+        records += [
+            (path.stem, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(
+                isinstance(field, ast.AnnAssign)
+                and ast.unparse(field.target).startswith(("head", "tail"))
+                for field in node.body
+            )
+        ]
+    assert records == [("local_sl2", "FactorColumns")]
